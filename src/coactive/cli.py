@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -160,6 +161,9 @@ def cmd_fit(args) -> int:
             "r2": fr.r2,
             "gcv": fr.gcv,
             "constant": fr.constant,
+            "forward_rss": list(fr.forward_rss),
+            # null where the GCV denominator is not positive (too many terms for n)
+            "backward_gcv": [g if math.isfinite(g) else None for g in fr.backward_gcv],
             "response": response,
             "inputs": names,
             "meta": meta,
@@ -264,7 +268,7 @@ def cmd_cmat(args) -> int:
     )
 
     if args.modified:
-        Cm = cmat_modified(ma, mb, prior)
+        Cm = cmat_modified(ma, mb, prior, base=C)
         write_matrix_csv(out("c_modified.csv"), Cm.entries, meta=meta)
         report["modified_trace"] = Cm.trace
 

@@ -533,9 +533,16 @@ def expected_gradient(m: MarsSurrogate, prior: InputPrior) -> np.ndarray:
     return Z
 
 
-def cmat_modified(mk: MarsSurrogate, ml: MarsSurrogate, prior: InputPrior) -> CoActiveMatrix:
-    """Rank-one augmented matrix C_kl + Z_k Z_l^T (kind="modified")."""
-    base = cmat(mk, ml, prior)
+def cmat_modified(
+    mk: MarsSurrogate, ml: MarsSurrogate, prior: InputPrior, base: CoActiveMatrix | None = None
+) -> CoActiveMatrix:
+    """Rank-one augmented matrix C_kl + Z_k Z_l^T (kind="modified").
+
+    base is C_kl = cmat(mk, ml, prior) when the caller already has it;
+    None computes it here.
+    """
+    if base is None:
+        base = cmat(mk, ml, prior)
     zk = expected_gradient(mk, prior)
     zl = expected_gradient(ml, prior)
     entries = base.entries + np.outer(zk, zl)

@@ -374,6 +374,11 @@ class FitConfig:
     end up supported by a handful of points in a thin corner; its wild
     coefficient barely moves the training error but dominates gradient
     integrals over the corner.
+
+    No knob touches tie-breaking: candidates whose SSE reductions agree to
+    a relative 1e-8 tie and go to a fixed order, and a plus/minus hinge
+    pair that is collinear after projection scores as plus only (see
+    fit_with_report), so near-equal scores are never settled by roundoff.
     """
 
     max_terms: int = 50
@@ -394,6 +399,15 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitReport:
+    """Summary of one fit.
+
+    forward_rss is the training SSE after each forward step, the
+    intercept-only fit first; backward_gcv is the GCV of each subset on the
+    deletion path, from all forward terms down to the intercept. gcv is
+    the smallest entry of backward_gcv, the one of the kept subset. Both
+    paths are empty for a constant model.
+    """
+
     n: int
     n_terms: int
     sse: float
@@ -402,6 +416,8 @@ class FitReport:
     gcv: float
     constant: bool = False
     cv_rmspe: float | None = None
+    forward_rss: tuple[float, ...] = ()
+    backward_gcv: tuple[float, ...] = ()
 
 
 def fit(X, y, cfg: FitConfig = FitConfig()) -> MarsSurrogate:
@@ -414,10 +430,20 @@ def fit_with_report(X, y, cfg: FitConfig = FitConfig()) -> tuple[MarsSurrogate, 
 
     Forward pass: grows paired +/- hinge terms greedily, candidate knots
     at (up to max_knots) observed data values, parents restricted to
-    interaction degree < max_degree and one factor per variable. Backward
-    pass: deletes terms along the best-GCV path and keeps the subset with
-    the lowest GCV. Zero-variance responses yield a constant model with a
-    warning flag rather than an error.
+    interaction degree < max_degree and one factor per variable. Every
+    candidate is scored from running sums over the sorted inputs
+    (Friedman 1991, sec. 3.9). Each step takes the largest SSE reduction;
+    reductions within a relative 1e-8 of it tie, and a tie goes to the
+    first candidate in (parent, variable, mode, knot) order with the modes
+    ordered pair, plus, minus. Once the parent times x is in the model,
+    the plus and minus hinges of every knot coincide after projection and
+    reduce the SSE equally: the pair is not scored and only plus is.
+
+    Backward pass: deletes, one at a time, the term whose removal raises
+    the SSE least (ties to the earliest term), from one Cholesky
+    factorization per step, and keeps the subset with the lowest GCV
+    (ties to the smaller subset). Zero-variance responses yield a constant
+    model with a warning flag rather than an error.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -450,22 +476,22 @@ def fit_with_report(X, y, cfg: FitConfig = FitConfig()) -> tuple[MarsSurrogate, 
         rep = FitReport(n=n, n_terms=0, sse=0.0, rmse=0.0, r2=1.0, gcv=0.0, constant=True)
         return m, rep
 
-    factor_sets = _forward_pass(X, y, cfg, sst)
-    factor_sets, coefs, intercept, sse = _backward_pass(X, y, factor_sets, cfg)
+    factor_sets, forward_rss = _forward_pass(X, y, cfg, sst)
+    factor_sets, coefs, intercept, sse, backward_gcv = _backward_pass(X, y, factor_sets, cfg)
 
     terms = tuple(
         BasisTerm(coef=float(c), factors=fs) for c, fs in zip(coefs, factor_sets)
     )
     m = MarsSurrogate(intercept=float(intercept), terms=terms, p=p, domain=domain, label=cfg.label)
-    ncols = 1 + len(terms)
-    gcv = _gcv(sse, n, ncols, len(terms), cfg.effective_penalty())
     rep = FitReport(
         n=n,
         n_terms=len(terms),
         sse=float(sse),
         rmse=float(np.sqrt(sse / n)),
         r2=float(1.0 - sse / sst),
-        gcv=float(gcv),
+        gcv=min(backward_gcv),
+        forward_rss=forward_rss,
+        backward_gcv=backward_gcv,
     )
     return m, rep
 
@@ -517,71 +543,234 @@ def _gcv(sse: float, n: int, ncols: int, nterms: int, penalty: float) -> float:
     return (sse / n) / denom**2
 
 
-def _forward_pass(X, y, cfg: FitConfig, sst) -> list[tuple[HingeFactor, ...]]:
-    """Greedy paired-hinge growth; returns the selected factor sets."""
-    n, p = X.shape
-    max_cols = min(cfg.max_terms + 1, max(3, int(0.9 * n)))
+def _hinge_sums(W, G, xc, loc, tc, ip, im):
+    """Inner products of the columns of W with both candidate hinges.
 
+    Rows of W (n x s) and G (n x P, parent columns) follow the sorted
+    centred inputs xc. Candidate i is parent loc[i] with centred knot
+    tc[i]; ip[i] and im[i] count the sorted x <= t and x < t. Returns
+    (plus, minus), each (L x s): w . g(x - t)_+ is a suffix sum and
+    w . g(t - x)_+ a prefix sum of w*g and w*g*x, taken from one cumsum
+    over all parents at once.
+    """
+    WG = G[:, :, None] * W[:, None, :]
+    c0 = np.zeros((WG.shape[0] + 1,) + WG.shape[1:])
+    c1 = np.zeros_like(c0)
+    np.cumsum(WG, axis=0, out=c0[1:])
+    np.cumsum(WG * xc[:, None, None], axis=0, out=c1[1:])
+    t = tc[:, None]
+    plus = (c1[-1, loc] - c1[ip, loc]) - t * (c0[-1, loc] - c0[ip, loc])
+    minus = t * c0[im, loc] - c1[im, loc]
+    return plus, minus
+
+
+class _VarScan:
+    """Running sums of the knot scan on one input variable.
+
+    Holds, for every parent eligible on this variable, its column g and
+    the residual of g*x against the basis Q, both in sorted-x row order.
+    Flattened over the parents' candidate knots in (parent, knot) order it
+    holds the raw hinge norms |C+|^2, |C-|^2 and the sums over the columns
+    q of Q of (q.C+)^2, (q.C-)^2 and (q.C+)(q.C-). C+ . C- is exactly 0
+    (disjoint supports).
+    """
+
+    def __init__(self, x: np.ndarray, capacity: int):
+        self.order = np.argsort(x, kind="stable")
+        self.xs = x[self.order]
+        self.center = float(np.median(x))
+        self.xc = self.xs - self.center
+        # one row per parent, so only the rows in use are ever touched
+        self.G = np.empty((capacity, x.size))  # parent columns g
+        self.R = np.empty((capacity, x.size))  # residuals of g*x against Q
+        self.parents: list[int] = []
+        self.loc = self.ip = self.im = self.par = np.empty(0, dtype=np.intp)
+        self.knot = self.tc = self.raw_p = self.raw_m = np.empty(0)
+        self.spp = self.smm = self.spm = np.empty(0)
+
+    def add_parent(self, pi: int, pcol: np.ndarray, knots: np.ndarray, Q: np.ndarray) -> None:
+        """Register parent pi with its candidate knots; its sums cover Q."""
+        k = len(self.parents)
+        g = pcol[self.order]
+        Qs = Q[self.order]
+        r = g * self.xc
+        for _ in range(2):  # re-orthogonalize, as for the basis itself
+            r = r - Qs @ (Qs.T @ r)
+        self.G[k] = g
+        self.R[k] = r
+        self.parents.append(pi)
+        tc = knots - self.center
+        ip = np.searchsorted(self.xs, knots, side="right")
+        im = np.searchsorted(self.xs, knots, side="left")
+        # raw norms: sum of g^2 (x - t)^2 over the suffix / prefix
+        g2 = g * g
+        S = np.zeros((g.size + 1, 3))
+        np.cumsum(np.column_stack([g2, g2 * self.xc, g2 * self.xc**2]), axis=0, out=S[1:])
+        suf, pre = S[-1] - S[ip], S[im]
+        raw_p = suf[:, 2] - 2.0 * tc * suf[:, 1] + tc * tc * suf[:, 0]
+        raw_m = pre[:, 2] - 2.0 * tc * pre[:, 1] + tc * tc * pre[:, 0]
+        zero = np.zeros(knots.size, dtype=np.intp)
+        plus, minus = _hinge_sums(Qs, g[:, None], self.xc, zero, tc, ip, im)
+        cat = np.concatenate
+        self.loc, self.ip, self.im = cat([self.loc, zero + k]), cat([self.ip, ip]), cat([self.im, im])
+        self.par = cat([self.par, zero + pi])
+        self.knot, self.tc = cat([self.knot, knots]), cat([self.tc, tc])
+        self.raw_p = cat([self.raw_p, np.maximum(raw_p, 0.0)])
+        self.raw_m = cat([self.raw_m, np.maximum(raw_m, 0.0)])
+        self.spp = cat([self.spp, np.einsum("ij,ij->i", plus, plus)])
+        self.smm = cat([self.smm, np.einsum("ij,ij->i", minus, minus)])
+        self.spm = cat([self.spm, np.einsum("ij,ij->i", plus, minus)])
+
+    def _sums(self, ws: np.ndarray):
+        """w.C+ and w.C- of every candidate, for a w in sorted-x order."""
+        G = self.G[: len(self.parents)].T
+        plus, minus = _hinge_sums(ws[:, None], G, self.xc, self.loc, self.tc, self.ip, self.im)
+        return plus[:, 0], minus[:, 0]
+
+    def add_column(self, q: np.ndarray) -> None:
+        """Fold a new basis column into every parent's sums and residual."""
+        if not self.parents:
+            return
+        qs = q[self.order]
+        R = self.R[: len(self.parents)]
+        R -= np.outer(R @ qs, qs)
+        plus, minus = self._sums(qs)
+        self.spp = self.spp + plus**2
+        self.smm = self.smm + minus**2
+        self.spm = self.spm + plus * minus
+
+    def reductions(self, resid: np.ndarray):
+        """SSE reductions (paired, plus only, minus only) of every candidate,
+        for a residual orthogonal to the basis."""
+        u, w = self._sums(resid[self.order])
+        a = self.raw_p - self.spp
+        c = self.raw_m - self.smm
+        b = -self.spm
+        ok_p = a > 1e-12 * np.maximum(self.raw_p, 1e-300)
+        ok_m = c > 1e-12 * np.maximum(self.raw_m, 1e-300)
+        # C+ - C- = g*(x - t) and g is in the span of Q, so the residualized
+        # pair is collinear exactly when the residual of g*x vanishes
+        R = self.R[: len(self.parents)]
+        dres = np.einsum("ij,ij->i", R, R)[self.loc]
+        apart = dres > 1e-12 * (self.raw_p + self.raw_m)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            red_p = np.where(ok_p, u * u / a, 0.0)
+            red_m = np.where(ok_m, w * w / c, 0.0)
+            det = a * c - b * b
+            ok2 = ok_p & ok_m & apart & (det > 1e-12 * a * c)
+            red2 = np.where(ok2, (c * u * u - 2 * b * u * w + a * w * w) / det, 0.0)
+        red2 = np.where(np.isfinite(red2), red2, 0.0)
+        # mirror tie: each hinge is admissible alone but not as a pair, so
+        # the residualized C+ and C- are collinear and reduce the SSE
+        # equally; only plus is scored
+        red_m = np.where(ok_p & ok_m & ~ok2, 0.0, red_m)
+        return red2, red_p, red_m
+
+
+# relative width of a tie between candidate reductions. Against the dense
+# n x K scan the running sums differ by up to ~1e-9 of the top reduction,
+# while distinct top-two reductions of piston fits differ by 2e-7 or more
+_TIE_RTOL = 1e-8
+
+
+class _KnotScan:
+    """Friedman's fast knot update (Friedman 1991, Ann. Stat., sec. 3.9).
+
+    Keeps the orthonormal basis Q of the forward pass and, per variable,
+    running sums from which every candidate knot of every eligible
+    (parent, variable) pair is scored in O(n) per parent and step rather
+    than by projecting a dense n x K hinge block on all of Q.
+    """
+
+    def __init__(self, X: np.ndarray, cfg: FitConfig, capacity: int):
+        n, p = X.shape
+        self.X = X
+        self.cfg = cfg
+        self.Q = np.empty((n, capacity))
+        self.m = 0
+        self.parent_cols: list[np.ndarray] = []
+        self.parent_factors: list[tuple[HingeFactor, ...]] = []
+        self.vars = [_VarScan(X[:, v], capacity) for v in range(p)]
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self.Q[:, : self.m]
+
+    def add_column(self, q: np.ndarray) -> None:
+        self.Q[:, self.m] = q
+        self.m += 1
+        for vs in self.vars:
+            vs.add_column(q)
+
+    def add_parent(self, pcol: np.ndarray, factors: tuple[HingeFactor, ...]) -> None:
+        """A selected term becomes a parent on each variable it leaves free."""
+        pi = len(self.parent_factors)
+        self.parent_cols.append(pcol)
+        self.parent_factors.append(factors)
+        if len(factors) >= self.cfg.max_degree:
+            return
+        used = {f.var for f in factors}
+        p = self.X.shape[1]
+        for v, vs in enumerate(self.vars):
+            if v in used:
+                continue
+            kn = _parent_candidates(self.X[:, v], pcol > 0, self.cfg, p)
+            if kn.size:
+                vs.add_parent(pi, pcol, kn, self.basis)
+
+    def best(self, resid: np.ndarray):
+        """(reduction, parent, var, knot, mode) of the best candidate, or None.
+
+        Reductions within a relative _TIE_RTOL of the largest one tie, and
+        a tie goes to the first candidate in (parent, var, mode, knot)
+        order, modes ordered both, plus, minus. Exact fits tie many
+        candidates up to roundoff (every paired knot on a linear
+        response), so the order, not the roundoff, picks among them.
+        """
+        reds = [vs.reductions(resid) if vs.parents else () for vs in self.vars]
+        top = max((float(r.max()) for rv in reds for r in rv), default=0.0)
+        if not top > 0:
+            return None
+        cut = top * (1.0 - _TIE_RTOL)
+        best = None
+        for v, (vs, rv) in enumerate(zip(self.vars, reds)):
+            for rank, red in enumerate(rv):
+                hits = np.flatnonzero(red >= cut)
+                if hits.size:
+                    i = int(hits[0])
+                    key = (int(vs.par[i]), v, rank)
+                    if best is None or key < best[0]:
+                        best = (key, float(red[i]), float(vs.knot[i]))
+        (pi, v, rank), r, knot = best
+        return r, pi, v, knot, ("both", "plus", "minus")[rank]
+
+
+def _forward_pass(X, y, cfg: FitConfig, sst):
+    """Greedy paired-hinge growth.
+
+    Returns the selected factor sets and the SSE after each step, the
+    intercept-only fit first.
+    """
+    n = X.shape[0]
+    max_cols = min(cfg.max_terms + 1, max(3, int(0.9 * n)))
+    scan = _KnotScan(X, cfg, max_cols)
     q0 = np.full(n, 1.0 / np.sqrt(n))
-    Q = q0[:, None]  # orthonormal basis of the current design
-    raw_cols = [np.ones(n)]
+    scan.add_column(q0)
+    scan.add_parent(np.ones(n), ())
     factor_sets: list[tuple[HingeFactor, ...]] = []
-    parent_cols = [0]  # raw_cols index per parent; parent 0 = intercept
-    parent_factors: list[tuple[HingeFactor, ...]] = [()]
-    cand_cache: dict[tuple[int, int], np.ndarray] = {}
 
     resid = y - q0 * (q0 @ y)
     sse = float(resid @ resid)
+    rss_path = [sse]
     floor = 1e-24 * sst
 
-    while len(factor_sets) + 2 <= cfg.max_terms and Q.shape[1] + 2 <= max_cols and sse > floor:
-        best = None  # (reduction, parent_idx, var, knot, mode)
-        for pi, pf in enumerate(parent_factors):
-            if len(pf) >= cfg.max_degree:
-                continue
-            pcol = raw_cols[parent_cols[pi]]
-            used = {f.var for f in pf}
-            for v in range(p):
-                if v in used:
-                    continue
-                key = (pi, v)
-                if key not in cand_cache:
-                    cand_cache[key] = _parent_candidates(X[:, v], pcol > 0, cfg, p)
-                kn = cand_cache[key]
-                if kn.size == 0:
-                    continue
-                xv = X[:, v]
-                Cp = pcol[:, None] * np.maximum(xv[:, None] - kn[None, :], 0.0)
-                Cm = pcol[:, None] * np.maximum(kn[None, :] - xv[:, None], 0.0)
-                QtCp = Q.T @ Cp
-                QtCm = Q.T @ Cm
-                raw_p = np.einsum("ij,ij->j", Cp, Cp)
-                raw_m = np.einsum("ij,ij->j", Cm, Cm)
-                a = raw_p - np.einsum("ij,ij->j", QtCp, QtCp)
-                c = raw_m - np.einsum("ij,ij->j", QtCm, QtCm)
-                b = np.einsum("ij,ij->j", Cp, Cm) - np.einsum("ij,ij->j", QtCp, QtCm)
-                u = Cp.T @ resid
-                w = Cm.T @ resid
-                scale_p = np.maximum(raw_p, 1e-300)
-                scale_m = np.maximum(raw_m, 1e-300)
-                ok_p = a > 1e-12 * scale_p
-                ok_m = c > 1e-12 * scale_m
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    red_p = np.where(ok_p, u * u / a, 0.0)
-                    red_m = np.where(ok_m, w * w / c, 0.0)
-                    det = a * c - b * b
-                    ok2 = ok_p & ok_m & (det > 1e-12 * a * c)
-                    red2 = np.where(ok2, (c * u * u - 2 * b * u * w + a * w * w) / det, 0.0)
-                red2 = np.where(np.isfinite(red2), red2, 0.0)
-                for red, mode in ((red2, "both"), (red_p, "plus"), (red_m, "minus")):
-                    ki = int(np.argmax(red))
-                    if red[ki] > 0 and (best is None or red[ki] > best[0]):
-                        best = (float(red[ki]), pi, v, float(kn[ki]), mode)
+    while len(factor_sets) + 2 <= cfg.max_terms and scan.m + 2 <= max_cols and sse > floor:
+        best = scan.best(resid)
         if best is None or best[0] <= 1e-13 * sst:
             break
         _, pi, v, knot, mode = best
-        pcol = raw_cols[parent_cols[pi]]
-        pf = parent_factors[pi]
+        pcol = scan.parent_cols[pi]
+        pf = scan.parent_factors[pi]
         xv = X[:, v]
         additions = []
         if mode in ("both", "plus"):
@@ -590,6 +779,7 @@ def _forward_pass(X, y, cfg: FitConfig, sst) -> list[tuple[HingeFactor, ...]]:
             additions.append((-1, pcol * np.maximum(knot - xv, 0.0)))
         added = False
         for sign, col in additions:
+            Q = scan.basis
             r = col - Q @ (Q.T @ col)
             r = r - Q @ (Q.T @ r)  # re-orthogonalize for stability
             nrm2 = float(r @ r)
@@ -597,18 +787,17 @@ def _forward_pass(X, y, cfg: FitConfig, sst) -> list[tuple[HingeFactor, ...]]:
             if nrm2 <= 1e-20 * max(raw2, 1e-300):
                 continue
             qnew = r / np.sqrt(nrm2)
-            Q = np.hstack([Q, qnew[:, None]])
+            scan.add_column(qnew)
             resid = resid - qnew * (qnew @ resid)
-            raw_cols.append(col)
             fs = pf + (HingeFactor(var=v, sign=sign, knot=knot),)
             factor_sets.append(fs)
-            parent_cols.append(len(raw_cols) - 1)
-            parent_factors.append(fs)
+            scan.add_parent(col, fs)
             added = True
         if not added:
             break
         sse = float(resid @ resid)
-    return factor_sets
+        rss_path.append(sse)
+    return factor_sets, tuple(rss_path)
 
 
 def _design_from_factor_sets(X, factor_sets) -> np.ndarray:
@@ -628,8 +817,36 @@ def _lstsq_fit(B: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     return coef, float(r @ r)
 
 
+def _drop_costs(Gs: np.ndarray, gs: np.ndarray, yty: float) -> tuple[float, np.ndarray]:
+    """SSE of the least-squares fit with Gram block Gs, and the SSE increase
+    from dropping each column, coef_j^2 / (Gs^-1)_jj, from one Cholesky
+    factorization. A singular Gs falls back to one lstsq fit per column."""
+    try:
+        L = np.linalg.cholesky(Gs)
+    except np.linalg.LinAlgError:
+        coef = np.linalg.lstsq(Gs, gs, rcond=None)[0]
+        sse = max(yty - float(gs @ coef), 0.0)
+        cost = np.empty(gs.size)
+        for j in range(gs.size):
+            keep = np.arange(gs.size) != j
+            Gj, gj = Gs[np.ix_(keep, keep)], gs[keep]
+            cj = np.linalg.lstsq(Gj, gj, rcond=None)[0]
+            cost[j] = max(yty - float(gj @ cj), 0.0) - sse
+        return sse, cost
+    Linv = np.linalg.inv(L)
+    coef = Linv.T @ (Linv @ gs)
+    sse = max(yty - float(gs @ coef), 0.0)
+    return sse, coef * coef / np.einsum("ij,ij->j", Linv, Linv)
+
+
 def _backward_pass(X, y, factor_sets, cfg: FitConfig):
-    """GCV-pruned subset along the greedy deletion path."""
+    """GCV-pruned subset along the greedy deletion path.
+
+    Each step drops the term whose removal raises the SSE least (ties to
+    the lowest index). Returns the kept factor sets, their coefficients,
+    the intercept, the SSE and the GCV of every subset on the path, the
+    full model first.
+    """
     n = X.shape[0]
     penalty = cfg.effective_penalty()
     B = _design_from_factor_sets(X, factor_sets)
@@ -637,37 +854,26 @@ def _backward_pass(X, y, factor_sets, cfg: FitConfig):
     G = B.T @ B
     g = B.T @ y
 
-    def subset_sse(idx: np.ndarray) -> float:
-        Gs = G[np.ix_(idx, idx)]
-        gs = g[idx]
-        try:
-            coef = np.linalg.solve(Gs, gs)
-        except np.linalg.LinAlgError:
-            coef = np.linalg.lstsq(Gs, gs, rcond=None)[0]
-        return max(yty - float(gs @ coef), 0.0)
-
     active = list(range(B.shape[1]))  # column 0 = intercept, kept always
-    idx = np.asarray(active)
-    sse = subset_sse(idx)
-    best_active = list(active)
-    best_gcv = _gcv(sse, n, len(active), len(active) - 1, penalty)
-    while len(active) > 1:
-        sses = []
-        for j in active[1:]:
-            trial = np.asarray([k for k in active if k != j])
-            sses.append((subset_sse(trial), j))
-        sse_j, drop = min(sses, key=lambda t: (t[0], t[1]))
-        active.remove(drop)
-        gcv_here = _gcv(sse_j, n, len(active), len(active) - 1, penalty)
+    best_active, best_gcv = active, np.inf
+    gcv_path = []
+    while True:
+        idx = np.asarray(active)
+        sse, cost = _drop_costs(G[np.ix_(idx, idx)], g[idx], yty)
+        gcv_here = _gcv(sse, n, len(active), len(active) - 1, penalty)
+        gcv_path.append(float(gcv_here))
         if gcv_here <= best_gcv:
             best_gcv = gcv_here
             best_active = list(active)
+        if len(active) == 1:
+            break
+        del active[1 + int(np.argmin(cost[1:]))]
 
     idx = np.asarray(best_active)
     coef, sse = _lstsq_fit(B[:, idx], y)
     intercept = float(coef[0])
     kept = [factor_sets[j - 1] for j in best_active[1:]]
-    return kept, coef[1:], intercept, sse
+    return kept, coef[1:], intercept, sse, tuple(gcv_path)
 
 
 def fit_ensemble(X, y, cfg: FitConfig, B: int, seed: int) -> Ensemble:

@@ -104,7 +104,7 @@ def check_poly() -> list[CheckResult]:
                 measured=kappa,
                 target=target,
                 tol=5e-4,
-                detail="3-decimal match of concordance from exact matrices",
+                detail="|measured - target| < 5e-4; concordance from formula-exact matrices",
             )
         )
     return out

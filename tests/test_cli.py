@@ -64,6 +64,11 @@ def test_fit_writes_model_and_report(tmp_path, prior2, capsys):
     assert rep["response"] == "y" and rep["inputs"] == ["x1", "x2"]
     assert 0 <= rep["cv_rmspe"] < 0.5
     assert rep["meta"]["version"] and rep["meta"]["config"]
+    # the forward RSS and backward GCV paths of the fit (null: GCV undefined)
+    rss, gcv = rep["forward_rss"], rep["backward_gcv"]
+    assert len(rss) >= 2 and all(b <= a for a, b in zip(rss, rss[1:]))
+    assert len(rss) <= len(gcv) <= 2 * len(rss) - 1  # each step adds one or two terms
+    assert rep["gcv"] == min(g for g in gcv if g is not None)
 
 
 def test_fit_refuses_overwrite_without_force(tmp_path, prior2, capsys):
@@ -140,6 +145,33 @@ def test_cmat_writes_complete_bundle(tmp_path, prior2, fitted_pair, capsys):
     assert mc["B"] == 2000 and mc["seed"] == 3
     # contributions sum to the concordance
     assert sum(rep["contributions"]) == pytest.approx(rep["concordance"], abs=1e-12)
+
+
+def test_cmat_modified_reuses_c_kl(tmp_path, prior2, fitted_pair, monkeypatch):
+    import coactive.cli
+    import coactive.closedform
+    from coactive.closedform import cmat, cmat_modified, load_prior, write_matrix_csv
+
+    ma_path, mb_path = fitted_pair
+    ma, mb, prior = load_model(ma_path), load_model(mb_path), load_prior(prior2)
+    # C_kl + Z_k Z_l^T with C_kl computed inside cmat_modified, as before
+    write_matrix_csv(tmp_path / "ref.csv", cmat_modified(ma, mb, prior).entries)
+
+    calls = []
+
+    def counting_cmat(*args, **kwargs):
+        calls.append(args[:2])
+        return cmat(*args, **kwargs)
+
+    monkeypatch.setattr(coactive.cli, "cmat", counting_cmat)
+    monkeypatch.setattr(coactive.closedform, "cmat", counting_cmat)
+    out = tmp_path / "pair"
+    assert main(["cmat", ma_path, mb_path, "--prior", prior2, "--out-dir", str(out),
+                 "--modified"]) == 0
+    assert len(calls) == 3  # C_kl, C_kk, C_ll; the modified matrix reuses C_kl
+    header, *rows = (out / "c_modified.csv").read_text().splitlines(keepends=True)
+    assert header.startswith("# ")
+    assert "".join(rows) == (tmp_path / "ref.csv").read_text()
 
 
 def test_cmat_rerun_is_bitwise_identical(tmp_path, prior2, fitted_pair):
@@ -354,6 +386,10 @@ def test_verify_poly_prints_lines_and_fails_honestly(tmp_path, capsys):
     assert [c["passed"] for c in rep["checks"]] == [True, True, True]
     assert rep["checks"][2]["name"] == "poly-kappa-beta=-12"
     assert rep["checks"][2]["target"] == -0.1095
+    assert {c["detail"] for c in rep["checks"]} == {
+        "|measured - target| < 5e-4; concordance from formula-exact matrices"
+    }
+    assert all(c["tol"] == 5e-4 for c in rep["checks"])
 
 
 def test_verify_metric_passes(tmp_path, capsys):

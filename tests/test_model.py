@@ -301,6 +301,29 @@ def test_fit_poly_target_accuracy_and_report():
     assert not rep.constant
 
 
+def test_fit_report_forward_rss_and_backward_gcv_paths():
+    X, y = _poly_xy()
+    m, rep = fit_with_report(X, y, FitConfig(domain=UNIT2))
+    sst = float(np.sum((y - y.mean()) ** 2))
+    rss = np.array(rep.forward_rss)
+    assert rss[0] == pytest.approx(sst, rel=1e-12)
+    assert rss.size >= 2 and np.all(np.diff(rss) <= 0.0)
+    # one GCV per subset on the deletion path: all forward terms down to none
+    gcv = rep.backward_gcv
+    assert len(rss) <= len(gcv) <= 2 * len(rss) - 1  # each step adds one or two terms
+    assert len(gcv) >= rep.n_terms + 1
+    assert rep.gcv == min(gcv)
+    again = fit_with_report(X, y, FitConfig(domain=UNIT2))[1]
+    assert again.forward_rss == rep.forward_rss and again.backward_gcv == rep.backward_gcv
+
+
+def test_fit_constant_report_has_empty_paths():
+    X = lhs_design(30, 2, UNIT2, seed=1)
+    with pytest.warns(UserWarning, match="zero variance"):
+        _, rep = fit_with_report(X, np.full(30, 4.2), FitConfig(domain=UNIT2))
+    assert rep.forward_rss == () and rep.backward_gcv == ()
+
+
 def test_fit_is_deterministic():
     X, y = _poly_xy()
     cfg = FitConfig(domain=UNIT2)
