@@ -88,15 +88,6 @@ def _write_rows_csv(path, header, rows, meta: dict) -> None:
             fh.write(",".join(cell(v) for v in row) + "\n")
 
 
-def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        return max(1, args.threads)
-    env = os.environ.get("COAS_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def _domain_from_prior(prior: InputPrior):
     dom = []
     for d in prior.dims:
@@ -375,14 +366,12 @@ def cmd_cluster(args) -> int:
                               "centers.csv", "embedding.json")]
     _guard(paths, args.force)
 
-    threads = _resolve_threads(args)
     t0 = time.perf_counter()
-    grid = pairwise_concordance(ensembles, prior, trace_only=args.trace_only, threads=threads)
+    grid = pairwise_concordance(ensembles, prior, trace_only=args.trace_only)
     n = grid.n_members
     n_pairs = n * (n - 1) // 2
     print(
-        f"grid: {n} members, {n_pairs} cross pairs, "
-        f"{time.perf_counter() - t0:.2f}s ({threads} threads)",
+        f"grid: {n} members, {n_pairs} cross pairs, {time.perf_counter() - t0:.2f}s",
         file=sys.stderr,
     )
 
@@ -417,10 +406,13 @@ def cmd_cluster(args) -> int:
     D = discordance_matrix(grid)
     write_matrix_csv(out("discordance.csv"), D, meta=meta)
 
+    t0 = time.perf_counter()
     emb = mds_embed(D, dims=args.dims, seed=args.seed)
+    print(
+        f"mds: {len(emb.stress_history) - 1} iterations, {time.perf_counter() - t0:.2f}s",
+        file=sys.stderr,
+    )
     centers = model_centers(emb, grid.membership)
-    emb.centers = centers
-    emb.labels = grid.labels
     coords = ["x", "y"] if args.dims == 2 else [f"x{i + 1}" for i in range(args.dims)]
     _write_rows_csv(
         out("embedding.csv"),
@@ -580,8 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--trace-only", action="store_true",
                    help="compute only traces for cross pairs (halves the integral work)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for the grid (default: COAS_THREADS or all cores)")
     p.add_argument("--dims", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true")

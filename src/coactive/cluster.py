@@ -9,13 +9,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import concordance as _concordance
-from .analysis import discordance as _discordance
 from .closedform import InputPrior, cmat, cmat_trace
 from .model import Ensemble
 
@@ -89,14 +87,11 @@ def pairwise_concordance(
     ensembles: list[Ensemble],
     prior: InputPrior,
     trace_only: bool = False,
-    threads: int = 1,
 ) -> PairwiseGrid:
     """Concordance for every member pair across a list of ensembles.
 
     trace_only skips the off-diagonal matrix entries (the concordance
     needs only traces), roughly halving the integral count per pair.
-    Cross-pair work is farmed over `threads` workers; results do not
-    depend on the thread count.
     """
     if not ensembles:
         raise ValueError("need at least one ensemble")
@@ -133,16 +128,10 @@ def pairwise_concordance(
     else:
         cross = lambda a, b: cmat(members[a], members[b], prior).trace
 
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    if threads > 1 and pairs:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            traces = list(ex.map(lambda ab: cross(*ab), pairs))
-    else:
-        traces = [cross(*ab) for ab in pairs]
-
     kappa = np.eye(n)
-    for (a, b), t in zip(pairs, traces):
-        kappa[a, b] = kappa[b, a] = _concordance(t, t_self[a], t_self[b])
+    for a in range(n):
+        for b in range(a + 1, n):
+            kappa[a, b] = kappa[b, a] = _concordance(cross(a, b), t_self[a], t_self[b])
 
     K = len(ensembles)
     summaries = [[None] * K for _ in range(K)]
@@ -187,56 +176,47 @@ def discordance_matrix(grid) -> np.ndarray:
     return D
 
 
-@dataclass
+@dataclass(frozen=True)
 class Embedding:
     """2-D configuration from non-metric MDS.
 
-    points has one row per grid member; centers (filled by
-    model_centers) holds per-model coordinate means; stress is the final
+    points (read-only) has one row per grid member; stress is the final
     Kruskal stress-1 value and stress_history the accepted value per
-    iteration (non-increasing).
+    iteration (non-increasing). model_centers gives per-model means.
     """
 
     points: np.ndarray
     stress: float
     stress_history: list
-    labels: tuple = ()
-    centers: np.ndarray | None = None
+
+    def __post_init__(self):
+        pts = np.array(self.points, dtype=float)
+        pts.flags.writeable = False
+        object.__setattr__(self, "points", pts)
 
 
 def _pava(y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Weighted pool-adjacent-violators: the non-decreasing sequence
     nearest to y in the weighted least-squares sense."""
-    n = y.size
-    vals = np.empty(n)
-    wts = np.empty(n)
-    size = np.empty(n, dtype=int)
-    m = 0
-    for i in range(n):
-        vals[m], wts[m], size[m] = y[i], w[i], 1
-        m += 1
-        while m > 1 and vals[m - 2] > vals[m - 1]:
-            tot = wts[m - 2] + wts[m - 1]
-            vals[m - 2] = (wts[m - 2] * vals[m - 2] + wts[m - 1] * vals[m - 1]) / tot
-            wts[m - 2] = tot
-            size[m - 2] += size[m - 1]
-            m -= 1
-    out = np.empty(n)
-    pos = 0
-    for b in range(m):
-        out[pos : pos + size[b]] = vals[b]
-        pos += size[b]
-    return out
+    vals, wts, size = [], [], []
+    for v, wt in zip(y.tolist(), w.tolist()):
+        s = 1
+        while vals and vals[-1] > v:
+            tot = wts[-1] + wt
+            v = (wts[-1] * vals.pop() + wt * v) / tot
+            wt = tot
+            wts.pop()
+            s += size.pop()
+        vals.append(v)
+        wts.append(wt)
+        size.append(s)
+    return np.repeat(vals, size)
 
 
-def _tie_blocks(d_sorted: np.ndarray):
-    """Start indices of runs of equal dissimilarity values."""
-    starts = [0]
-    for i in range(1, d_sorted.size):
-        if d_sorted[i] != d_sorted[i - 1]:
-            starts.append(i)
-    starts.append(d_sorted.size)
-    return starts
+def _tie_blocks(d_sorted: np.ndarray) -> np.ndarray:
+    """Start indices of runs of equal dissimilarity values, then the size."""
+    inner = np.flatnonzero(np.diff(d_sorted)) + 1
+    return np.concatenate(([0], inner, [d_sorted.size]))
 
 
 def _stress(dist_flat, order, blocks):
@@ -244,15 +224,13 @@ def _stress(dist_flat, order, blocks):
     pooled within equal-dissimilarity blocks before isotonic fitting.
     Returns (stress, fitted disparities in flat order)."""
     d = dist_flat[order]
-    nb = len(blocks) - 1
-    pooled = np.empty(nb)
-    wts = np.empty(nb)
-    for b in range(nb):
-        s, e = blocks[b], blocks[b + 1]
-        pooled[b] = d[s:e].mean()
-        wts[b] = e - s
-    fit_blocks = _pava(pooled, wts)
-    dhat_sorted = np.repeat(fit_blocks, np.diff(blocks).astype(int))
+    starts, counts = blocks[:-1], np.diff(blocks)
+    # reduceat seeds each block's sum with its first element, where np.mean
+    # sums from 0; a zero ahead of every block keeps the block means
+    # bitwise equal to a per-block np.mean
+    padded = np.insert(d, starts, 0.0)
+    pooled = np.add.reduceat(padded, starts + np.arange(starts.size)) / counts
+    dhat_sorted = np.repeat(_pava(pooled, counts.astype(float)), counts)
     denom = float(np.sum(d * d))
     if denom == 0.0:
         return 0.0, np.zeros_like(dist_flat)

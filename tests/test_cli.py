@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -286,13 +287,18 @@ def test_cluster_bundle(tmp_path, prior2, two_ensembles, capsys):
                  "--out-dir", str(out), "--seed", "1"]) == 0
     captured = capsys.readouterr()
     assert "cluster: stress=" in captured.out
-    assert "grid:" in captured.err  # wall-clock note goes to stderr only
+    assert "grid:" in captured.err  # wall-clock notes go to stderr only
+    mds = re.search(r"^mds: (\d+) iterations, \d+\.\d\ds$", captured.err, re.M)
+    assert mds, captured.err
     for name in ("grid_summary.csv", "grid_samples.csv", "discordance.csv",
                  "embedding.csv", "centers.csv", "embedding.json"):
         assert (out / name).exists(), name
     emb = json.loads((out / "embedding.json").read_text())
     assert emb["n_members"] == 4 and emb["n_pairs"] == 6 and emb["n_excluded"] == 0
     assert emb["stress"] == emb["stress_history"][-1]
+    assert int(mds.group(1)) == len(emb["stress_history"]) - 1
+    for path in out.iterdir():
+        assert "mds:" not in path.read_text(), path.name
     assert np.all(np.diff(emb["stress_history"]) <= 1e-12)
     summary = (out / "grid_summary.csv").read_text().splitlines()
     assert len(summary) == 2 + 4  # comment, header, K^2 rows
@@ -316,12 +322,11 @@ def test_cluster_trace_only_same_numbers(tmp_path, prior2, two_ensembles):
     assert json.loads((fast / "embedding.json").read_text())["trace_only"] is True
 
 
-def test_cluster_thread_env_and_rerun_identical(tmp_path, prior2, two_ensembles, monkeypatch):
+def test_cluster_rerun_identical(tmp_path, prior2, two_ensembles):
     out = tmp_path / "clust"
     args = ["cluster", *two_ensembles, "--prior", prior2, "--out-dir", str(out)]
     assert main(args) == 0
     blobs = {n: (out / n).read_bytes() for n in os.listdir(out)}
-    monkeypatch.setenv("COAS_THREADS", "2")
     assert main([*args, "--force"]) == 0
     for name, blob in blobs.items():
         assert (out / name).read_bytes() == blob, name
