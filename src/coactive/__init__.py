@@ -34,7 +34,6 @@ from .closedform import (
     load_prior,
     save_matrix,
     save_prior,
-    truncated_moment,
     write_matrix_csv,
 )
 from .cluster import (
@@ -52,7 +51,6 @@ from .model import (
     FitConfig,
     FitReport,
     HingeFactor,
-    MarsRegressor,
     MarsSurrogate,
     cross_validated_rmspe,
     fit,
@@ -79,14 +77,14 @@ __all__ = [
     "__version__",
     # model
     "HingeFactor", "BasisTerm", "MarsSurrogate", "Ensemble",
-    "FitConfig", "FitReport", "MarsRegressor",
+    "FitConfig", "FitReport",
     "fit", "fit_with_report", "fit_ensemble", "cross_validated_rmspe",
     "save_model", "load_model", "save_ensemble", "load_ensemble",
     "load_training_csv",
     # closedform
     "UniformDim", "NormalDim", "InputPrior", "CoActiveMatrix",
     "cmat", "cmat_trace", "cmat_modified", "expected_gradient",
-    "truncated_moment", "save_prior", "load_prior",
+    "save_prior", "load_prior",
     "save_matrix", "load_matrix", "write_matrix_csv",
     # montecarlo
     "SampledFunction", "MCResult", "lhs_design", "fd_gradient", "mc_cmat",

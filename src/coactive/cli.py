@@ -367,7 +367,7 @@ def cmd_cluster(args) -> int:
     _guard(paths, args.force)
 
     t0 = time.perf_counter()
-    grid = pairwise_concordance(ensembles, prior, trace_only=args.trace_only)
+    grid = pairwise_concordance(ensembles, prior)
     n = grid.n_members
     n_pairs = n * (n - 1) // 2
     print(
@@ -437,7 +437,6 @@ def cmd_cluster(args) -> int:
             "n_members": n,
             "n_pairs": n_pairs,
             "n_excluded": grid.n_excluded,
-            "trace_only": grid.trace_only,
             "meta": meta,
         },
     )
@@ -570,8 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("models", nargs="+", help="model JSON files and/or ensemble directories")
     p.add_argument("--prior", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--trace-only", action="store_true",
-                   help="compute only traces for cross pairs (halves the integral work)")
     p.add_argument("--dims", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true")

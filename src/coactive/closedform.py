@@ -1,13 +1,20 @@
 """Exact gradient outer-product matrices for hinge-spline surrogates.
 
 Every entry of C_kl = E[grad f_k grad f_l^T] reduces, for independent
-product priors, to sums of products of univariate integrals I1/I2/I3 over
-hinge supports. Those integrals in turn reduce to truncated moments
-xi(r | a, b) = int_a^b x^r mu_i(x) dx of order r in {0, 1, 2}, available in
-closed form for uniform and (truncated) normal marginals. This module
-implements the moments, the support bounds, the I-tables, the full matrix
-assembly, the expected gradient Z_k, and the rank-one modified matrix
-C + Z_k Z_l^T.
+product priors, to sums over term pairs of products of univariate
+integrals over hinge supports: the derivative-value tables i1_kl and
+i1_lk, the value-value table i2 and the derivative-derivative table i3.
+Those integrals in turn reduce to truncated moments
+xi(r | a, b) = int_a^b x^r mu_i(x) dx of order r in {0, 1, 2}, available
+in closed form for uniform and (truncated) normal marginals.
+
+One kernel, _gradient_products, assembles every expected gradient
+product: the entries of cmat, the diagonal behind cmat_trace, and the
+expected gradient Z_k (the kernel against the constant 1). Entry (i, j)
+multiplies out only the term pairs whose f_k term has a factor on x_i and
+whose f_l term has one on x_j, since every other pair contributes an exact
+zero, and sums them with math.fsum. The module also holds the priors, the
+rank-one modified matrix C + Z_k Z_l^T and the matrix file formats.
 """
 
 from __future__ import annotations
@@ -15,22 +22,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .model import HingeFactor, MarsSurrogate
+from .model import BasisTerm, MarsSurrogate
 
 __all__ = [
     "UniformDim",
     "NormalDim",
     "InputPrior",
     "CoActiveMatrix",
-    "truncated_moment",
-    "integration_bounds",
-    "I1",
-    "I2",
-    "I3",
     "cmat",
     "cmat_trace",
     "expected_gradient",
@@ -54,6 +57,14 @@ def _zphi(z):
     z = np.asarray(z, dtype=float)
     out = np.where(np.isinf(z), 0.0, z * _phi(np.where(np.isinf(z), 0.0, z)))
     return out
+
+
+def _ndtr_diff(alpha, beta):
+    """ndtr(beta) - ndtr(alpha), reflected to ndtr(-alpha) - ndtr(-beta)
+    where alpha > 0: in the upper tail ndtr rounds to 1 and the direct
+    difference loses every digit."""
+    sgn = np.where(alpha > 0, -1.0, 1.0)
+    return sgn * (ndtr(sgn * beta) - ndtr(sgn * alpha))
 
 
 @dataclass(frozen=True)
@@ -110,7 +121,7 @@ class NormalDim:
         return (np.asarray(x, dtype=float) - self.mean) / self.sd
 
     def _raw_mass(self, a, b) -> float:
-        return float(ndtr(self._std(b)) - ndtr(self._std(a)))
+        return float(_ndtr_diff(self._std(a), self._std(b)))
 
     def moment(self, r: int, a, b):
         """xi(r | a, b) for the (possibly truncated) normal, vectorized."""
@@ -120,7 +131,7 @@ class NormalDim:
         B = np.minimum(np.asarray(b, dtype=float), self.trunc_hi)
         alpha = self._std(A)
         beta = self._std(B)
-        z0 = ndtr(beta) - ndtr(alpha)
+        z0 = _ndtr_diff(alpha, beta)
         if r == 0:
             val = z0
         else:
@@ -135,10 +146,11 @@ class NormalDim:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if np.isinf(self.trunc_lo) and np.isinf(self.trunc_hi):
             return rng.normal(self.mean, self.sd, size=n)
-        lo = ndtr(self._std(self.trunc_lo))
-        hi = ndtr(self._std(self.trunc_hi))
-        u = rng.uniform(lo, hi, size=n)
-        return self.mean + self.sd * ndtri(u)
+        alpha, beta = self._std(self.trunc_lo), self._std(self.trunc_hi)
+        if alpha > 0:
+            # the reflected draw, for the same reason as _ndtr_diff
+            return self.mean - self.sd * ndtri(rng.uniform(ndtr(-beta), ndtr(-alpha), size=n))
+        return self.mean + self.sd * ndtri(rng.uniform(ndtr(alpha), ndtr(beta), size=n))
 
     def support(self) -> tuple[float, float]:
         return (float(self.trunc_lo), float(self.trunc_hi))
@@ -230,106 +242,36 @@ def load_prior(path) -> InputPrior:
 
 
 # ---------------------------------------------------------------------------
-# Truncated moments and hinge-support integrals
+# The closed-form kernel: hinge-support I-tables and sparse gradient products
 # ---------------------------------------------------------------------------
 
 
-def truncated_moment(prior_dim, r: int, a: float, b: float) -> float:
-    """xi(r | a, b) = int_a^b x^r mu_i(x) dx; empty or inverted intervals
-    integrate to 0."""
-    return float(prior_dim.moment(r, a, b))
+def _factor_arrays(m: MarsSurrogate):
+    """(u, s, tb, tv), each (p, M): u[i] marks the terms with a factor on
+    x_i, s and tb carry its sign and knot, tv its knot for the value
+    formulas.
 
-
-def integration_bounds(f1: HingeFactor | None, f2: HingeFactor | None) -> tuple[float, float]:
-    """Support (a, b) of the product of two hinge indicator regions.
-
-    An absent factor behaves as sign +1 with knot -inf (full support); the
-    upper bound is clamped to b = max(b*, a) so empty overlaps integrate
-    to zero.
+    Absent factors carry s=+1 and tb=-inf so the four-case support bounds
+    give the full support; tv=0 keeps the value formulas finite where
+    masked out.
     """
-    if f1 is not None and f2 is not None and f1.var != f2.var:
-        raise ValueError("factors must refer to the same variable")
-    s1, t1 = (f1.sign, f1.knot) if f1 is not None else (1, -np.inf)
-    s2, t2 = (f2.sign, f2.knot) if f2 is not None else (1, -np.inf)
-    if s1 > 0 and s2 > 0:
-        a, b = max(t1, t2), np.inf
-    elif s1 > 0:
-        a, b = t1, t2
-    elif s2 > 0:
-        a, b = t2, t1
-    else:
-        a, b = -np.inf, min(t1, t2)
-    return (a, max(b, a))
-
-
-def _xi(prior_dim, a, b):
-    return (prior_dim.moment(0, a, b), prior_dim.moment(1, a, b), prior_dim.moment(2, a, b))
-
-
-def I1(f_k: HingeFactor | None, f_l: HingeFactor | None, prior_dim) -> float:
-    """int (dh_k/dx) h_l dmu over the joint support. Asymmetric in (k, l)."""
-    if f_k is None:
-        return 0.0
-    a, b = integration_bounds(f_k, f_l)
-    xi0 = truncated_moment(prior_dim, 0, a, b)
-    if f_l is None:
-        return f_k.sign * xi0
-    xi1 = truncated_moment(prior_dim, 1, a, b)
-    return f_k.sign * f_l.sign * (xi1 - f_l.knot * xi0)
-
-
-def I2(f_k: HingeFactor | None, f_l: HingeFactor | None, prior_dim) -> float:
-    """int h_k h_l dmu over the joint support; 1 when both are absent."""
-    a, b = integration_bounds(f_k, f_l)
-    if f_k is None and f_l is None:
-        return 1.0
-    xi0 = truncated_moment(prior_dim, 0, a, b)
-    xi1 = truncated_moment(prior_dim, 1, a, b)
-    if f_k is not None and f_l is not None:
-        xi2 = truncated_moment(prior_dim, 2, a, b)
-        return f_k.sign * f_l.sign * (
-            xi2 - (f_k.knot + f_l.knot) * xi1 + f_k.knot * f_l.knot * xi0
-        )
-    f = f_k if f_k is not None else f_l
-    return f.sign * (xi1 - f.knot * xi0)
-
-
-def I3(f_k: HingeFactor | None, f_l: HingeFactor | None, prior_dim) -> float:
-    """int (dh_k/dx)(dh_l/dx) dmu over the joint support."""
-    if f_k is None or f_l is None:
-        return 0.0
-    a, b = integration_bounds(f_k, f_l)
-    return f_k.sign * f_l.sign * truncated_moment(prior_dim, 0, a, b)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized I-tables (one (M_k x M_l) grid per variable)
-# ---------------------------------------------------------------------------
-
-
-def _factor_grids(m: MarsSurrogate, i: int):
-    """(u, s, t_bound, t_val) arrays over terms for variable i.
-
-    Absent factors carry s=+1 and t_bound=-inf so the four-case sign
-    bounds reproduce the u=0 integral rows exactly; t_val=0 keeps the
-    value formulas finite where masked out.
-    """
-    M = len(m.terms)
-    u = np.zeros(M, dtype=bool)
-    s = np.ones(M)
-    tb = np.full(M, -np.inf)
-    tv = np.zeros(M)
+    shape = (m.p, len(m.terms))
+    u = np.zeros(shape, dtype=bool)
+    s = np.ones(shape)
+    tb = np.full(shape, -np.inf)
+    tv = np.zeros(shape)
     for mi, term in enumerate(m.terms):
         for f in term.factors:
-            if f.var == i:
-                u[mi] = True
-                s[mi] = float(f.sign)
-                tb[mi] = f.knot
-                tv[mi] = f.knot
+            u[f.var, mi] = True
+            s[f.var, mi] = float(f.sign)
+            tb[f.var, mi] = f.knot
+            tv[f.var, mi] = f.knot
     return u, s, tb, tv
 
 
 def _bounds_grids(sk, tk, sl, tl):
+    """Support (a, b) of each product of two hinge regions on one variable;
+    b = max(b*, a) so empty overlaps integrate to zero."""
     SK = sk[:, None]
     TK = tk[:, None]
     SL = sl[None, :]
@@ -349,42 +291,93 @@ def _bounds_grids(sk, tk, sl, tl):
     return a, np.maximum(b_star, a)
 
 
-def _itables(mk: MarsSurrogate, ml: MarsSurrogate, prior: InputPrior, i: int, with_i1: bool):
-    """I-tables for variable i: (I1_kl, I1_lk, I2, I3), each (M_k, M_l);
-    the I1 grids are None when with_i1 is False (trace-only mode)."""
-    uk, sk, tkb, tkv = _factor_grids(mk, i)
-    ul, sl, tlb, tlv = _factor_grids(ml, i)
-    a, b = _bounds_grids(sk, tkb, sl, tlb)
-    dim = prior.dims[i]
-    xi0 = dim.moment(0, a, b)
-    xi1 = dim.moment(1, a, b)
-    UK = uk[:, None]
-    UL = ul[None, :]
-    SS = sk[:, None] * sl[None, :]
-    TK = tkv[:, None]
-    TL = tlv[None, :]
-    both = UK & UL
-    only_k = UK & ~UL
-    only_l = ~UK & UL
-    xi2 = dim.moment(2, a, b)
-    i2 = SS * np.where(
-        both,
-        xi2 - (TK + TL) * xi1 + TK * TL * xi0,
-        np.where(only_k, xi1 - TK * xi0, np.where(only_l, xi1 - TL * xi0, 1.0)),
-    )
-    i3 = np.where(both, SS * xi0, 0.0)
-    if not with_i1:
-        return None, None, i2, i3
-    i1_kl = np.where(both, SS * (xi1 - TL * xi0), np.where(only_k, SS * xi0, 0.0))
-    i1_lk = np.where(both, SS * (xi1 - TK * xi0), np.where(only_l, SS * xi0, 0.0))
-    return i1_kl, i1_lk, i2, i3
+class _ITables:
+    """Hinge integrals over x_i for every (f_k term, f_l term) pair, each
+    (M_k, M_l): i2 = int h_k h_l dmu (1 where neither term has a factor on
+    x_i), and, on first use, i1_kl = int h_k' h_l dmu, i1_lk =
+    int h_k h_l' dmu and i3 = int h_k' h_l' dmu.
+    """
+
+    def __init__(self, k, l, i: int, dim):
+        uk, sk, tkb, tkv = (arr[i] for arr in k)
+        ul, sl, tlb, tlv = (arr[i] for arr in l)
+        a, b = _bounds_grids(sk, tkb, sl, tlb)
+        self.xi0 = xi0 = dim.moment(0, a, b)
+        self.xi1 = xi1 = dim.moment(1, a, b)
+        xi2 = dim.moment(2, a, b)
+        UK = uk[:, None]
+        UL = ul[None, :]
+        self.SS = sk[:, None] * sl[None, :]
+        self.TK = TK = tkv[:, None]
+        self.TL = TL = tlv[None, :]
+        self.both = UK & UL
+        self.only_k = UK & ~UL
+        self.only_l = ~UK & UL
+        self.i2 = self.SS * np.where(
+            self.both,
+            xi2 - (TK + TL) * xi1 + TK * TL * xi0,
+            np.where(self.only_k, xi1 - TK * xi0, np.where(self.only_l, xi1 - TL * xi0, 1.0)),
+        )
+
+    @cached_property
+    def i1_kl(self):
+        return np.where(
+            self.both,
+            self.SS * (self.xi1 - self.TL * self.xi0),
+            np.where(self.only_k, self.SS * self.xi0, 0.0),
+        )
+
+    @cached_property
+    def i1_lk(self):
+        return np.where(
+            self.both,
+            self.SS * (self.xi1 - self.TK * self.xi0),
+            np.where(self.only_l, self.SS * self.xi0, 0.0),
+        )
+
+    @cached_property
+    def i3(self):
+        return np.where(self.both, self.SS * self.xi0, 0.0)
 
 
-def _entry_sum(grid: np.ndarray) -> float:
-    # compensated summation once the signed product grids get large
-    if grid.size > 10_000:
-        return math.fsum(grid.ravel().tolist())
-    return float(grid.sum())
+def _gradient_products(mk: MarsSurrogate, ml: MarsSurrogate, prior: InputPrior, entries) -> list:
+    """E[df_k/dx_i * df_l/dx_j] for each (i, j) in entries; j=None leaves
+    f_l undifferentiated, giving E[df_k/dx_i * f_l].
+
+    Over the term pairs, entry (i, j) sums coef_k coef_l * i1_kl[x_i] *
+    i1_lk[x_j] * prod_{q != i, j} i2[x_q], with i3[x_i] in place of the
+    two derivative tables on the diagonal and no i1_lk factor when j is
+    None. i1_kl[x_i] and i3[x_i] vanish unless the f_k term has a factor
+    on x_i, and i1_lk[x_j] unless the f_l term has one on x_j, so only the
+    rows R_i and the columns C_j (every column when j is None) are
+    multiplied out. The cells left out are exact zeros, and math.fsum is
+    correctly rounded, so each entry equals the fsum of the dense grid
+    bitwise.
+    """
+    k, l = _factor_arrays(mk), _factor_arrays(ml)
+    ck = np.array([t.coef for t in mk.terms])
+    cl = np.array([t.coef for t in ml.terms])
+    coef = ck[:, None] * cl[None, :]
+    tables = [_ITables(k, l, i, dim) for i, dim in enumerate(prior.dims)]
+    i2 = np.stack([t.i2 for t in tables])
+    rows = [np.flatnonzero(u) for u in k[0]]
+    cols = [np.flatnonzero(u) for u in l[0]]
+    every = np.arange(len(ml.terms))
+    out = []
+    for i, j in entries:
+        sub = (rows[i][:, None], every if j is None else cols[j])
+        if i == j:
+            grid = coef[sub] * tables[i].i3[sub]
+        else:
+            grid = coef[sub] * tables[i].i1_kl[sub]
+            if j is not None:
+                grid = grid * tables[j].i1_lk[sub]
+        block = i2[(slice(None), *sub)]
+        for q in range(len(tables)):
+            if q != i and q != j:
+                grid = grid * block[q]
+        out.append(math.fsum(grid.ravel().tolist()))
+    return out
 
 
 def _check_pair(mk: MarsSurrogate, ml: MarsSurrogate, prior: InputPrior) -> None:
@@ -438,99 +431,47 @@ def _validate_self_matrix(entries: np.ndarray) -> None:
 def cmat(mk: MarsSurrogate, ml: MarsSurrogate, prior: InputPrior) -> CoActiveMatrix:
     """Closed-form C_kl: entry (i, j) = E[df_k/dx_i * df_l/dx_j].
 
-    The I-tables are built once per (pair, variable) and reused across all
-    (i, j) entries: diagonal entries combine I3 with the product of the
-    other variables' I2 grids, off-diagonal entries combine the two
-    derivative-side I1 grids with the remaining I2 grids.
+    Every entry comes from the sparse kernel; the trace is the sum of the
+    diagonal, taken as cmat_trace takes it.
     """
     _check_pair(mk, ml, prior)
     p = mk.p
-    Mk, Ml = len(mk.terms), len(ml.terms)
-    ck = np.array([t.coef for t in mk.terms])
-    cl = np.array([t.coef for t in ml.terms])
-    entries = np.zeros((p, p))
-    if Mk == 0 or Ml == 0:
-        return CoActiveMatrix(entries=entries, trace=0.0, labels=(mk.label, ml.label))
-    GG = ck[:, None] * cl[None, :]
-    tables = [_itables(mk, ml, prior, i, with_i1=True) for i in range(p)]
-    i2 = [t[2] for t in tables]
-    for i in range(p):
-        for j in range(p):
-            if i == j:
-                grid = GG * tables[i][3]
-            else:
-                grid = GG * tables[i][0] * tables[j][1]
-            for ip in range(p):
-                if ip != i and ip != j:
-                    grid = grid * i2[ip]
-            entries[i, j] = _entry_sum(grid)
-    trace = float(entries.diagonal().sum())
+    values = _gradient_products(mk, ml, prior, [(i, j) for i in range(p) for j in range(p)])
+    entries = np.array(values).reshape(p, p)
     if mk is ml:
         _validate_self_matrix(entries)
-    return CoActiveMatrix(entries=entries, trace=trace, labels=(mk.label, ml.label))
+    return CoActiveMatrix(
+        entries=entries, trace=float(np.sum(entries.diagonal())), labels=(mk.label, ml.label)
+    )
 
 
 def cmat_trace(mk: MarsSurrogate, ml: MarsSurrogate, prior: InputPrior) -> float:
-    """t_kl = trace(C_kl) without assembling off-diagonal entries.
+    """t_kl = trace(C_kl) from the diagonal entries alone.
 
-    Skips both I1 grids, halving the number of univariate integrals; the
-    diagonal entries are computed exactly as in cmat, so the value matches
-    cmat(...).trace bitwise.
+    Builds no i1 tables; the diagonal entries and their sum are computed
+    as in cmat, so the value equals cmat(...).trace bitwise.
     """
     _check_pair(mk, ml, prior)
-    p = mk.p
-    if len(mk.terms) == 0 or len(ml.terms) == 0:
-        return 0.0
-    ck = np.array([t.coef for t in mk.terms])
-    cl = np.array([t.coef for t in ml.terms])
-    GG = ck[:, None] * cl[None, :]
-    tables = [_itables(mk, ml, prior, i, with_i1=False) for i in range(p)]
-    i2 = [t[2] for t in tables]
-    total = 0.0
-    for i in range(p):
-        grid = GG * tables[i][3]
-        for ip in range(p):
-            if ip != i:
-                grid = grid * i2[ip]
-        total += _entry_sum(grid)
-    return float(total)
+    diag = _gradient_products(mk, ml, prior, [(i, i) for i in range(mk.p)])
+    return float(np.sum(diag))
 
 
 def expected_gradient(m: MarsSurrogate, prior: InputPrior) -> np.ndarray:
-    """Z_k = E[grad f_k] assembled from per-factor integrals.
+    """Z_k = E[grad f_k], the kernel against the constant 1.
 
-    Each coordinate is sum_m coef_m * I4^(i)[m] * prod_{j != i} I5^(j)[m]
-    with I4 = E[dh/dx] = s * xi(0 | support) and I5 = E[h] =
-    s * (xi(1 | support) - t * xi(0 | support)); an absent factor
-    contributes I4 = 0 and I5 = 1. (The printed form of I5 with the knot
-    outside the moment is dimensionally inconsistent; this reading matches
-    direct quadrature.)
+    Against a one-term model with no factors and coefficient 1, the
+    kernel's i1_kl is I4 = E[dh/dx] = s * xi(0 | support) and its i2 is
+    I5 = E[h] = s * (xi(1 | support) - t * xi(0 | support)); an absent
+    factor contributes I4 = 0 and I5 = 1. (The printed form of I5 with the
+    knot outside the moment is dimensionally inconsistent; this reading
+    matches direct quadrature.)
     """
     if m.p != prior.p:
         raise ValueError(f"model has p={m.p} but prior has p={prior.p}")
-    M = len(m.terms)
-    Z = np.zeros(m.p)
-    if M == 0:
-        return Z
-    coefs = np.array([t.coef for t in m.terms])
-    I4 = np.zeros((m.p, M))
-    I5 = np.ones((m.p, M))
-    for i in range(m.p):
-        u, s, tb, tv = _factor_grids(m, i)
-        a = np.where(u & (s > 0), tb, -np.inf)
-        b = np.where(u & (s < 0), tb, np.inf)
-        dim = prior.dims[i]
-        xi0 = dim.moment(0, a, b)
-        xi1 = dim.moment(1, a, b)
-        I4[i] = np.where(u, s * xi0, 0.0)
-        I5[i] = np.where(u, s * (xi1 - tv * xi0), 1.0)
-    for i in range(m.p):
-        prod = np.ones(M)
-        for j in range(m.p):
-            if j != i:
-                prod = prod * I5[j]
-        Z[i] = float(np.sum(coefs * I4[i] * prod))
-    return Z
+    one = MarsSurrogate(
+        intercept=0.0, terms=(BasisTerm(coef=1.0, factors=()),), p=m.p, domain=m.domain
+    )
+    return np.array(_gradient_products(m, one, prior, [(i, None) for i in range(m.p)]))
 
 
 def cmat_modified(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import concordance as _concordance
-from .closedform import InputPrior, cmat, cmat_trace
+from .closedform import InputPrior, cmat_trace
 from .model import Ensemble
 
 __all__ = [
@@ -62,7 +62,6 @@ class PairwiseGrid:
     summaries: list
     n_exact_self: int
     n_excluded: int = 0
-    trace_only: bool = False
 
     def __post_init__(self):
         for name in ("membership", "kappa"):
@@ -86,12 +85,11 @@ def _member_traces(members, prior):
 def pairwise_concordance(
     ensembles: list[Ensemble],
     prior: InputPrior,
-    trace_only: bool = False,
 ) -> PairwiseGrid:
     """Concordance for every member pair across a list of ensembles.
 
-    trace_only skips the off-diagonal matrix entries (the concordance
-    needs only traces), roughly halving the integral count per pair.
+    The concordance needs only traces, so every pair goes through
+    cmat_trace and no off-diagonal entry is computed.
     """
     if not ensembles:
         raise ValueError("need at least one ensemble")
@@ -123,15 +121,11 @@ def pairwise_concordance(
     if n == 0:
         raise ValueError("all members are constant; no grid to compute")
 
-    if trace_only:
-        cross = lambda a, b: cmat_trace(members[a], members[b], prior)
-    else:
-        cross = lambda a, b: cmat(members[a], members[b], prior).trace
-
     kappa = np.eye(n)
     for a in range(n):
         for b in range(a + 1, n):
-            kappa[a, b] = kappa[b, a] = _concordance(cross(a, b), t_self[a], t_self[b])
+            t_ab = cmat_trace(members[a], members[b], prior)
+            kappa[a, b] = kappa[b, a] = _concordance(t_ab, t_self[a], t_self[b])
 
     K = len(ensembles)
     summaries = [[None] * K for _ in range(K)]
@@ -155,7 +149,6 @@ def pairwise_concordance(
         summaries=summaries,
         n_exact_self=n,
         n_excluded=n_excluded,
-        trace_only=trace_only,
     )
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "Ensemble",
     "FitConfig",
     "FitReport",
-    "MarsRegressor",
     "evaluate",
     "gradient",
     "fit",
@@ -920,75 +919,3 @@ def cross_validated_rmspe(X, y, cfg: FitConfig, k: int) -> float:
     if sd == 0:
         return 0.0
     return float(np.sqrt(np.mean((y - pred) ** 2)) / sd)
-
-
-class MarsRegressor:
-    """scikit-learn-style front end for the stepwise fitter.
-
-    Parameters mirror FitConfig; fit(X, y) stores the frozen surrogate in
-    surrogate_ and the fit report in report_.
-    """
-
-    def __init__(
-        self,
-        max_terms: int = 50,
-        max_degree: int = 3,
-        min_samples: int = 10,
-        max_knots: int = 64,
-        penalty: float | None = None,
-        domain=None,
-    ):
-        self.max_terms = max_terms
-        self.max_degree = max_degree
-        self.min_samples = min_samples
-        self.max_knots = max_knots
-        self.penalty = penalty
-        self.domain = domain
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {
-            "max_terms": self.max_terms,
-            "max_degree": self.max_degree,
-            "min_samples": self.min_samples,
-            "max_knots": self.max_knots,
-            "penalty": self.penalty,
-            "domain": self.domain,
-        }
-
-    def set_params(self, **params):
-        for key, val in params.items():
-            if key not in self.get_params():
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, val)
-        return self
-
-    def _config(self) -> FitConfig:
-        domain = self.domain
-        if domain is not None:
-            domain = tuple((float(lo), float(hi)) for lo, hi in domain)
-        return FitConfig(
-            max_terms=self.max_terms,
-            max_degree=self.max_degree,
-            min_samples=self.min_samples,
-            max_knots=self.max_knots,
-            penalty=self.penalty,
-            domain=domain,
-        )
-
-    def fit(self, X, y):
-        self.surrogate_, self.report_ = fit_with_report(X, y, self._config())
-        self.n_features_in_ = self.surrogate_.p
-        return self
-
-    def predict(self, X) -> np.ndarray:
-        if not hasattr(self, "surrogate_"):
-            raise RuntimeError("call fit before predict")
-        return self.surrogate_.evaluate_batch(np.asarray(X, dtype=float))
-
-    def score(self, X, y) -> float:
-        y = np.asarray(y, dtype=float).ravel()
-        pred = self.predict(X)
-        sst = float(np.sum((y - y.mean()) ** 2))
-        if sst == 0:
-            return 1.0
-        return 1.0 - float(np.sum((y - pred) ** 2)) / sst

@@ -185,7 +185,7 @@ def check_metric(n_models: int = 12, seed: int = 7) -> list[CheckResult]:
     models = random_surrogate_corpus(n_models, seed=seed)
     prior = InputPrior.uniform_box(models[0].domain)
     ens = [Ensemble(members=(m,), label=m.label) for m in models]
-    grid = pairwise_concordance(ens, prior, trace_only=True)
+    grid = pairwise_concordance(ens, prior)
     D = discordance_matrix(grid)
     n = D.shape[0]
 

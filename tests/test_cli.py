@@ -310,18 +310,6 @@ def test_cluster_bundle(tmp_path, prior2, two_ensembles, capsys):
     assert centers[1] == "label,cx,cy"
 
 
-def test_cluster_trace_only_same_numbers(tmp_path, prior2, two_ensembles):
-    full = tmp_path / "full"
-    fast = tmp_path / "fast"
-    assert main(["cluster", *two_ensembles, "--prior", prior2, "--out-dir", str(full)]) == 0
-    assert main(["cluster", *two_ensembles, "--prior", prior2, "--out-dir", str(fast),
-                 "--trace-only"]) == 0
-    # identical numbers; only the meta comment line (config hash) may differ
-    rows = lambda p: (p / "discordance.csv").read_text().splitlines()[1:]
-    assert rows(full) == rows(fast)
-    assert json.loads((fast / "embedding.json").read_text())["trace_only"] is True
-
-
 def test_cluster_rerun_identical(tmp_path, prior2, two_ensembles):
     out = tmp_path / "clust"
     args = ["cluster", *two_ensembles, "--prior", prior2, "--out-dir", str(out)]

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.stats import truncnorm
 
 from coactive import (
     BasisTerm,
@@ -27,20 +28,19 @@ from coactive import (
     save_prior,
 )
 from coactive.closedform import (
-    I1,
-    I2,
-    I3,
-    integration_bounds,
+    _bounds_grids,
+    _factor_arrays,
+    _ITables,
     load_matrix,
     matrix_from_dict,
     matrix_to_dict,
     prior_from_dict,
     prior_to_dict,
     save_matrix,
-    truncated_moment,
     write_matrix_csv,
 )
 
+from closedform_reference import dense_cmat, loop_expected_gradient
 from conftest import both_priors, fitted_pair_corpus, quadrature_cmat
 
 UNIT2 = ((0.0, 1.0), (0.0, 1.0))
@@ -61,21 +61,40 @@ def _model(terms, p=2, intercept=0.0, domain=None, label=""):
     )
 
 
+def _one_term(f):
+    """p=1 model with the single factor f (None: the constant 1)."""
+    return _model([BasisTerm(coef=1.0, factors=(f,) if f else ())], p=1)
+
+
+def _cells(fk, fl, dim):
+    """(i1_kl, i1_lk, i2, i3) of one f_k factor against one f_l factor on x_0."""
+    t = _ITables(_factor_arrays(_one_term(fk)), _factor_arrays(_one_term(fl)), 0, dim)
+    return tuple(float(g[0, 0]) for g in (t.i1_kl, t.i1_lk, t.i2, t.i3))
+
+
+def _support(fk, fl):
+    """Support (a, b) of one factor pair, as the table builder takes it."""
+    _, sk, tk, _ = _factor_arrays(_one_term(fk))
+    _, sl, tl, _ = _factor_arrays(_one_term(fl))
+    a, b = _bounds_grids(sk[0], tk[0], sl[0], tl[0])
+    return float(a[0, 0]), float(b[0, 0])
+
+
 # -- truncated moments --------------------------------------------------------
 
 
 def test_uniform_moments_basic():
-    assert truncated_moment(U01, 0, 0.0, 1.0) == pytest.approx(1.0)
-    assert truncated_moment(U01, 1, 0.0, 1.0) == pytest.approx(0.5)
-    assert truncated_moment(U01, 2, 0.2, 0.7) == pytest.approx((0.7**3 - 0.2**3) / 3.0)
+    assert U01.moment(0, 0.0, 1.0) == pytest.approx(1.0)
+    assert U01.moment(1, 0.0, 1.0) == pytest.approx(0.5)
+    assert U01.moment(2, 0.2, 0.7) == pytest.approx((0.7**3 - 0.2**3) / 3.0)
 
 
 def test_uniform_moments_clip_and_empty():
-    assert truncated_moment(U01, 0, -5.0, 0.5) == pytest.approx(0.5)
-    assert truncated_moment(U01, 0, 2.0, 3.0) == 0.0
-    assert truncated_moment(U01, 1, 0.8, 0.3) == 0.0
+    assert U01.moment(0, -5.0, 0.5) == pytest.approx(0.5)
+    assert U01.moment(0, 2.0, 3.0) == 0.0
+    assert U01.moment(1, 0.8, 0.3) == 0.0
     wide = UniformDim(0.2, 0.8)
-    assert truncated_moment(wide, 1, -np.inf, np.inf) == pytest.approx(0.5)
+    assert wide.moment(1, -np.inf, np.inf) == pytest.approx(0.5)
 
 
 def test_uniform_validation_and_order():
@@ -87,10 +106,10 @@ def test_uniform_validation_and_order():
 
 def test_normal_moments_closed_form():
     std = NormalDim(mean=0.0, sd=1.0)
-    assert truncated_moment(std, 0, -np.inf, np.inf) == pytest.approx(1.0)
-    assert truncated_moment(std, 1, -np.inf, np.inf) == pytest.approx(0.0, abs=1e-15)
-    assert truncated_moment(std, 2, -np.inf, np.inf) == pytest.approx(1.0)
-    assert truncated_moment(std, 1, 0.0, np.inf) == pytest.approx(0.3989422804014327)
+    assert std.moment(0, -np.inf, np.inf) == pytest.approx(1.0)
+    assert std.moment(1, -np.inf, np.inf) == pytest.approx(0.0, abs=1e-15)
+    assert std.moment(2, -np.inf, np.inf) == pytest.approx(1.0)
+    assert std.moment(1, 0.0, np.inf) == pytest.approx(0.3989422804014327)
 
 
 @pytest.mark.parametrize("r", [0, 1, 2])
@@ -114,7 +133,19 @@ def test_moments_match_quadrature(dim, a, b, r):
             dim.sd * math.sqrt(2 * math.pi) * mass
         )
     val, _ = integrate.quad(lambda x: x**r * pdf(x), max(a, lo), min(b, hi))
-    assert truncated_moment(dim, r, a, b) == pytest.approx(val, abs=1e-12)
+    assert dim.moment(r, a, b) == pytest.approx(val, abs=1e-12)
+
+
+@pytest.mark.parametrize("a", [6.0, 8.0, 9.0])
+def test_normal_upper_tail_matches_truncnorm(a):
+    # ndtr rounds to 1 this far up, so the mass must come from the lower tail
+    dim = NormalDim(mean=0.0, sd=1.0, trunc_lo=a)
+    ref = truncnorm(a, np.inf)
+    for r in (0, 1, 2):
+        assert float(dim.moment(r, -np.inf, np.inf)) == pytest.approx(ref.moment(r), rel=1e-12)
+    x = dim.sample(np.random.default_rng(3), 20_000)
+    assert x.min() >= a
+    assert x.mean() == pytest.approx(ref.mean(), rel=1e-3)
 
 
 def test_normal_validation():
@@ -134,54 +165,55 @@ def test_integration_bounds_four_cases():
     up5 = HingeFactor(var=0, sign=1, knot=0.5)
     dn4 = HingeFactor(var=0, sign=-1, knot=0.4)
     dn7 = HingeFactor(var=0, sign=-1, knot=0.7)
-    assert integration_bounds(up3, up5) == (0.5, np.inf)
-    assert integration_bounds(up3, dn7) == (0.3, 0.7)
-    assert integration_bounds(dn7, up3) == (0.3, 0.7)
-    assert integration_bounds(dn4, dn7) == (-np.inf, 0.4)
+    assert _support(up3, up5) == (0.5, np.inf)
+    assert _support(up3, dn7) == (0.3, 0.7)
+    assert _support(dn7, up3) == (0.3, 0.7)
+    assert _support(dn4, dn7) == (-np.inf, 0.4)
     # empty overlap clamps to a zero-length interval
-    a, b = integration_bounds(HingeFactor(var=0, sign=1, knot=0.6), dn4)
+    a, b = _support(HingeFactor(var=0, sign=1, knot=0.6), dn4)
     assert a == b == 0.6
     # absent factor = full support
-    assert integration_bounds(None, None) == (-np.inf, np.inf)
-    assert integration_bounds(up3, None) == (0.3, np.inf)
-    with pytest.raises(ValueError, match="same variable"):
-        integration_bounds(up3, HingeFactor(var=1, sign=1, knot=0.5))
+    assert _support(None, None) == (-np.inf, np.inf)
+    assert _support(up3, None) == (0.3, np.inf)
 
 
 def test_scalar_integrals_hand_values():
     fk = HingeFactor(var=0, sign=1, knot=0.3)
     fl = HingeFactor(var=0, sign=1, knot=0.5)
+    i1_kl, i1_lk, i2, i3 = _cells(fk, fl, U01)
     # int_{.5}^{1} (x - .5) dx and int_{.5}^{1} (x - .3) dx
-    assert I1(fk, fl, U01) == pytest.approx(0.125)
-    assert I1(fl, fk, U01) == pytest.approx(0.225)
+    assert i1_kl == pytest.approx(0.125)
+    assert i1_lk == pytest.approx(0.225)
+    assert _cells(fl, fk, U01)[0] == i1_lk
     # int_{.5}^{1} (x - .3)(x - .5) dx = 1/15
-    assert I2(fk, fl, U01) == pytest.approx(1.0 / 15.0)
-    assert I3(fk, fl, U01) == pytest.approx(0.5)
+    assert i2 == pytest.approx(1.0 / 15.0)
+    assert i3 == pytest.approx(0.5)
 
 
 def test_scalar_integrals_mixed_signs():
     fk = HingeFactor(var=0, sign=-1, knot=0.7)
     fl = HingeFactor(var=0, sign=1, knot=0.2)
+    _, _, i2, i3 = _cells(fk, fl, U01)
     # int_{.2}^{.7} (.7 - x)(x - .2) dx = 0.5^3 / 6
-    assert I2(fk, fl, U01) == pytest.approx(0.5**3 / 6.0)
-    assert I3(fk, fl, U01) == pytest.approx(-0.5)
+    assert i2 == pytest.approx(0.5**3 / 6.0)
+    assert i3 == pytest.approx(-0.5)
     # disjoint supports integrate to zero
     gk = HingeFactor(var=0, sign=1, knot=0.6)
     gl = HingeFactor(var=0, sign=-1, knot=0.4)
-    assert I2(gk, gl, U01) == 0.0
-    assert I3(gk, gl, U01) == 0.0
-    assert I1(gk, gl, U01) == 0.0
+    assert _cells(gk, gl, U01) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_scalar_integrals_absent_factor():
     fl = HingeFactor(var=0, sign=1, knot=0.5)
     fk = HingeFactor(var=0, sign=1, knot=0.3)
-    assert I2(None, None, U01) == 1.0
-    assert I2(None, fl, U01) == pytest.approx(0.125)
-    assert I2(fk, None, U01) == pytest.approx(0.245)  # int_{.3}^{1}(x-.3)
-    assert I1(None, fl, U01) == 0.0
-    assert I1(fk, None, U01) == pytest.approx(0.7)
-    assert I3(fk, None, U01) == 0.0
+    assert _cells(None, None, U01)[2] == 1.0
+    assert _cells(None, fl, U01)[2] == pytest.approx(0.125)
+    i1_kl, i1_lk, i2, i3 = _cells(fk, None, U01)
+    assert i2 == pytest.approx(0.245)  # int_{.3}^{1}(x-.3)
+    assert _cells(None, fl, U01)[0] == 0.0
+    assert i1_kl == pytest.approx(0.7)
+    assert i1_lk == 0.0
+    assert i3 == 0.0
 
 
 def test_scalar_integrals_match_quadrature_randomized():
@@ -210,8 +242,9 @@ def test_scalar_integrals_match_quadrature_randomized():
             integrate.quad(lambda x: dk(x) * hl(x) * pdf(x), a, b)[0]
             for a, b in zip(pts[:-1], pts[1:])
         )
-        assert I2(fk, fl, dim) == pytest.approx(ref_i2, abs=1e-10)
-        assert I1(fk, fl, dim) == pytest.approx(ref_i1, abs=1e-10)
+        i1_kl, _, i2, _ = _cells(fk, fl, dim)
+        assert i2 == pytest.approx(ref_i2, abs=1e-10)
+        assert i1_kl == pytest.approx(ref_i1, abs=1e-10)
 
 
 # -- pair matrices -------------------------------------------------------------
@@ -300,6 +333,56 @@ def test_cmat_agrees_with_quadrature_spot_checks():
             Q = quadrature_cmat(mk, ml, prior)
             scale = max(np.abs(Q).max(), 1e-300)
             assert np.abs(C - Q).max() <= 1e-10 * scale, f"{name} prior disagrees"
+
+
+def _wide_pair(p=14, n_terms=40, seed=21):
+    """Two generated surrogates of degree-1 to 3 terms that share a third
+    of their terms, under a prior mixing uniform, truncated-normal and
+    normal inputs."""
+    rng = np.random.default_rng(seed)
+
+    def terms(n):
+        out = []
+        for _ in range(n):
+            deg = int(rng.integers(1, 4))
+            factors = [
+                HingeFactor(int(v), int(rng.choice([-1, 1])), float(rng.uniform(0.05, 0.95)))
+                for v in rng.choice(p, size=deg, replace=False)
+            ]
+            out.append(BasisTerm(coef=float(rng.normal()), factors=tuple(factors)))
+        return out
+
+    ta = terms(n_terms)
+    tb = ta[: n_terms // 3] + terms(n_terms - n_terms // 3 + 3)
+    mk, ml = _model(ta, p=p, label="a"), _model(tb, p=p, label="b")
+    kinds = [
+        UniformDim(0.0, 1.0),
+        NormalDim(mean=0.5, sd=0.25, trunc_lo=0.0, trunc_hi=1.0),
+        NormalDim(mean=0.6, sd=0.3),
+    ]
+    return mk, ml, InputPrior(dims=tuple(kinds[i % 3] for i in range(p)))
+
+
+def _reference_cases(corpus):
+    for mk, ml, p in corpus:
+        for _, prior in both_priors(p):
+            yield mk, ml, prior
+    yield _wide_pair()
+
+
+def test_cmat_matches_dense_reference_bitwise(small_pair_corpus):
+    for mk, ml, prior in _reference_cases(small_pair_corpus):
+        for a, b in ((mk, ml), (mk, mk)):
+            C = cmat(a, b, prior)
+            np.testing.assert_array_equal(C.entries, dense_cmat(a, b, prior))
+            assert cmat_trace(a, b, prior) == C.trace
+
+
+def test_expected_gradient_matches_reference_loop(small_pair_corpus):
+    for mk, ml, prior in _reference_cases(small_pair_corpus):
+        for m in (mk, ml):
+            Z, ref = expected_gradient(m, prior), loop_expected_gradient(m, prior)
+            assert np.abs(Z - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def test_cmat_fitted_self_matrix_matches_analytic_target():

@@ -17,6 +17,8 @@ from coactive import (
     FitConfig,
     InputPrior,
     MarsSurrogate,
+    cmat,
+    concordance,
     discordance_matrix,
     fit,
     fit_ensemble,
@@ -93,13 +95,17 @@ def test_grid_symmetry_and_membership():
     assert not grid.kappa.flags.writeable
 
 
-def test_grid_trace_only_changes_nothing():
+def test_grid_kappa_matches_cmat_trace():
+    # the grid takes traces alone; they must give the full matrices' kappa
     e1 = _beta_ensemble(0.5, B=2, seed=7)
     e2 = _beta_ensemble(2.0, B=2, seed=8)
-    base = pairwise_concordance([e1, e2], PRIOR2)
-    fast = pairwise_concordance([e1, e2], PRIOR2, trace_only=True)
-    np.testing.assert_array_equal(base.kappa, fast.kappa)
-    assert fast.trace_only and not base.trace_only
+    grid = pairwise_concordance([e1, e2], PRIOR2)
+    members = [*e1.members, *e2.members]
+    trace = lambda a, b: cmat(members[a], members[b], PRIOR2).trace
+    for a in range(len(members)):
+        for b in range(a + 1, len(members)):
+            want = concordance(trace(a, b), trace(a, a), trace(b, b))
+            assert grid.kappa[a, b] == grid.kappa[b, a] == want
 
 
 def test_grid_excludes_constant_members_with_warning():

@@ -12,7 +12,6 @@ from coactive import (
     Ensemble,
     FitConfig,
     HingeFactor,
-    MarsRegressor,
     MarsSurrogate,
     fit,
     fit_ensemble,
@@ -447,23 +446,3 @@ def test_cv_rmspe_is_dimensionless():
     b = cross_validated_rmspe(X, 5.0 * y, cfg, k=4)
     assert a < 0.05 and b < 0.05
     assert b == pytest.approx(a, rel=0.5)
-
-
-# -- estimator front end -------------------------------------------------------
-
-
-def test_mars_regressor_roundtrip():
-    X, y = _poly_xy(n=150)
-    reg = MarsRegressor(max_terms=20, domain=UNIT2)
-    params = reg.get_params()
-    assert params["max_terms"] == 20
-    reg.set_params(max_terms=30)
-    assert reg.get_params()["max_terms"] == 30
-    with pytest.raises(ValueError, match="unknown parameter"):
-        reg.set_params(bogus=1)
-    with pytest.raises(RuntimeError, match="fit before predict"):
-        reg.predict(X)
-    reg.fit(X, y)
-    assert reg.n_features_in_ == 2
-    assert reg.score(X, y) > 0.99
-    np.testing.assert_array_equal(reg.predict(X), reg.surrogate_.evaluate_batch(X))
