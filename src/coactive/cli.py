@@ -409,7 +409,8 @@ def cmd_cluster(args) -> int:
     t0 = time.perf_counter()
     emb = mds_embed(D, dims=args.dims, seed=args.seed)
     print(
-        f"mds: {len(emb.stress_history) - 1} iterations, {time.perf_counter() - t0:.2f}s",
+        f"mds: {len(emb.stress_history) - 1} iterations, {emb.halvings} halvings, "
+        f"{time.perf_counter() - t0:.2f}s",
         file=sys.stderr,
     )
     centers = model_centers(emb, grid.membership)

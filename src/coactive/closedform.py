@@ -8,13 +8,11 @@ Those integrals in turn reduce to truncated moments
 xi(r | a, b) = int_a^b x^r mu_i(x) dx of order r in {0, 1, 2}, available
 in closed form for uniform and (truncated) normal marginals.
 
-One kernel, _gradient_products, assembles every expected gradient
-product: the entries of cmat, the diagonal behind cmat_trace, and the
-expected gradient Z_k (the kernel against the constant 1). Entry (i, j)
-multiplies out only the term pairs whose f_k term has a factor on x_i and
-whose f_l term has one on x_j, since every other pair contributes an exact
-zero, and sums them with math.fsum. The module also holds the priors, the
-rank-one modified matrix C + Z_k Z_l^T and the matrix file formats.
+One kernel, _pair_sums, multiplies out each pair of an f_k factor (on
+x_i) and an f_l factor (on x_j), skipping the i2 of variables neither term
+uses, which are exactly 1, and sums them by key with math.fsum: (i, j) for
+cmat, i = j for cmat_trace and the stacked cluster grid, and i for
+expected_gradient (the kernel against the constant 1).
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -242,142 +239,157 @@ def load_prior(path) -> InputPrior:
 
 
 # ---------------------------------------------------------------------------
-# The closed-form kernel: hinge-support I-tables and sparse gradient products
+# The closed-form kernel: factor pairs and the hinge integrals they need
 # ---------------------------------------------------------------------------
 
-
-def _factor_arrays(m: MarsSurrogate):
-    """(u, s, tb, tv), each (p, M): u[i] marks the terms with a factor on
-    x_i, s and tb carry its sign and knot, tv its knot for the value
-    formulas.
-
-    Absent factors carry s=+1 and tb=-inf so the four-case support bounds
-    give the full support; tv=0 keeps the value formulas finite where
-    masked out.
-    """
-    shape = (m.p, len(m.terms))
-    u = np.zeros(shape, dtype=bool)
-    s = np.ones(shape)
-    tb = np.full(shape, -np.inf)
-    tv = np.zeros(shape)
-    for mi, term in enumerate(m.terms):
-        for f in term.factors:
-            u[f.var, mi] = True
-            s[f.var, mi] = float(f.sign)
-            tb[f.var, mi] = f.knot
-            tv[f.var, mi] = f.knot
-    return u, s, tb, tv
+# Most factor pairs one kernel pass multiplies out, and most diagonal factor
+# pairs one block of grid rows holds; small passes keep every array small.
+_PAIR_BUDGET = 1 << 12
 
 
-def _bounds_grids(sk, tk, sl, tl):
-    """Support (a, b) of each product of two hinge regions on one variable;
-    b = max(b*, a) so empty overlaps integrate to zero."""
-    SK = sk[:, None]
-    TK = tk[:, None]
-    SL = sl[None, :]
-    TL = tl[None, :]
-    kp = SK > 0
-    lp = SL > 0
-    a = np.where(
-        kp & lp,
-        np.maximum(TK, TL),
-        np.where(kp, TK, np.where(lp, TL, -np.inf)),
-    )
-    b_star = np.where(
-        kp & lp,
-        np.inf,
-        np.where(kp, TL, np.where(lp, TK, np.minimum(TK, TL))),
-    )
+def _hinge_support(sk, tk, sl, tl):
+    """Support (a, b) of the product of two hinge regions on one variable,
+    elementwise; b = max(b*, a) so empty overlaps integrate to zero. An
+    absent factor is sign +1 at knot -inf, the full support."""
+    kp, lp = sk > 0, sl > 0
+    a = np.where(kp & lp, np.maximum(tk, tl), np.where(kp, tk, np.where(lp, tl, -np.inf)))
+    b_star = np.where(kp & lp, np.inf, np.where(kp, tl, np.where(lp, tk, np.minimum(tk, tl))))
     return a, np.maximum(b_star, a)
 
 
-class _ITables:
-    """Hinge integrals over x_i for every (f_k term, f_l term) pair, each
-    (M_k, M_l): i2 = int h_k h_l dmu (1 where neither term has a factor on
-    x_i), and, on first use, i1_kl = int h_k' h_l dmu, i1_lk =
-    int h_k h_l' dmu and i3 = int h_k' h_l' dmu.
-    """
+def _hinge_integrals(dim, sk, tk, sl, tl):
+    """(i1_kl, i1_lk, i2, i3) = int (h_k' h_l, h_k h_l', h_k h_l, h_k' h_l')
+    dmu of hinge pairs on one variable, elementwise; an absent factor (sign
+    +1, knot -inf) is the constant 1."""
+    a, b = _hinge_support(sk, tk, sl, tl)
+    xi0, xi1, xi2 = (dim.moment(r, a, b) for r in range(3))
+    uk, ul = tk > -np.inf, tl > -np.inf
+    tk, tl = np.where(uk, tk, 0.0), np.where(ul, tl, 0.0)
+    ss = sk * sl
+    both, only_k, only_l = uk & ul, uk & ~ul, ~uk & ul
+    i2 = ss * np.where(
+        both,
+        xi2 - (tk + tl) * xi1 + tk * tl * xi0,
+        np.where(only_k, xi1 - tk * xi0, np.where(only_l, xi1 - tl * xi0, 1.0)),
+    )
+    i1_kl = np.where(both, ss * (xi1 - tl * xi0), np.where(only_k, ss * xi0, 0.0))
+    i1_lk = np.where(both, ss * (xi1 - tk * xi0), np.where(only_l, ss * xi0, 0.0))
+    return i1_kl, i1_lk, i2, np.where(both, ss * xi0, 0.0)
 
-    def __init__(self, k, l, i: int, dim):
-        uk, sk, tkb, tkv = (arr[i] for arr in k)
-        ul, sl, tlb, tlv = (arr[i] for arr in l)
-        a, b = _bounds_grids(sk, tkb, sl, tlb)
-        self.xi0 = xi0 = dim.moment(0, a, b)
-        self.xi1 = xi1 = dim.moment(1, a, b)
-        xi2 = dim.moment(2, a, b)
-        UK = uk[:, None]
-        UL = ul[None, :]
-        self.SS = sk[:, None] * sl[None, :]
-        self.TK = TK = tkv[:, None]
-        self.TL = TL = tlv[None, :]
-        self.both = UK & UL
-        self.only_k = UK & ~UL
-        self.only_l = ~UK & UL
-        self.i2 = self.SS * np.where(
-            self.both,
-            xi2 - (TK + TL) * xi1 + TK * TL * xi0,
-            np.where(self.only_k, xi1 - TK * xi0, np.where(self.only_l, xi1 - TL * xi0, 1.0)),
+
+class _Stack:
+    """Terms of models stacked with their owner (model position); factors
+    listed in (owner, var) blocks, each led by a virtual factor, the
+    constant 1 (term -1), at first[o, q], of count[o, q]. fidx[q, m] is
+    term m's factor on x_q, the virtual one where has[q, m] is False."""
+
+    def __init__(self, models, p: int):
+        terms = [(o, t) for o, m in enumerate(models) for t in m.terms]
+        facs = sorted(
+            [(o, f.var, m, f.sign, f.knot) for m, (o, t) in enumerate(terms) for f in t.factors]
+            + [(o, q, -1, 1, -np.inf) for o in range(len(models)) for q in range(p)]
         )
-
-    @cached_property
-    def i1_kl(self):
-        return np.where(
-            self.both,
-            self.SS * (self.xi1 - self.TL * self.xi0),
-            np.where(self.only_k, self.SS * self.xi0, 0.0),
-        )
-
-    @cached_property
-    def i1_lk(self):
-        return np.where(
-            self.both,
-            self.SS * (self.xi1 - self.TK * self.xi0),
-            np.where(self.only_l, self.SS * self.xi0, 0.0),
-        )
-
-    @cached_property
-    def i3(self):
-        return np.where(self.both, self.SS * self.xi0, 0.0)
+        cols = list(zip(*facs))
+        owner, self.var, self.term = (np.array(c, dtype=np.intp) for c in cols[:3])
+        self.sign, self.knot = (np.array(c, dtype=float) for c in cols[3:])
+        self.p, self.coef = p, np.array([t.coef for _, t in terms], dtype=float)
+        edges = np.searchsorted(owner * p + self.var, np.arange(len(models) * p + 1))
+        self.first, self.count = edges[:-1].reshape(-1, p), np.diff(edges).reshape(-1, p)
+        self.fidx = np.repeat(self.first.T, [len(m.terms) for m in models], axis=1)
+        real = np.flatnonzero(self.term >= 0)
+        self.fidx[self.var[real], self.term[real]] = real
+        self.has = np.zeros(self.fidx.shape, dtype=bool)
+        self.has[self.var[real], self.term[real]] = True
 
 
-def _gradient_products(mk: MarsSurrogate, ml: MarsSurrogate, prior: InputPrior, entries) -> list:
-    """E[df_k/dx_i * df_l/dx_j] for each (i, j) in entries; j=None leaves
-    f_l undifferentiated, giving E[df_k/dx_i * f_l].
+def _blocks(r0, nr, c0, nc):
+    """Row-major index pairs of blocks [r0, r0+nr) x [c0, c0+nc) in turn."""
+    size = nr * nc
+    blk = np.repeat(np.arange(size.size), size)
+    hi, lo = np.divmod(np.arange(blk.size) - (np.cumsum(size) - size)[blk], nc[blk])
+    return r0[blk] + hi, c0[blk] + lo, blk
 
-    Over the term pairs, entry (i, j) sums coef_k coef_l * i1_kl[x_i] *
-    i1_lk[x_j] * prod_{q != i, j} i2[x_q], with i3[x_i] in place of the
-    two derivative tables on the diagonal and no i1_lk factor when j is
-    None. i1_kl[x_i] and i3[x_i] vanish unless the f_k term has a factor
-    on x_i, and i1_lk[x_j] unless the f_l term has one on x_j, so only the
-    rows R_i and the columns C_j (every column when j is None) are
-    multiplied out. The cells left out are exact zeros, and math.fsum is
-    correctly rounded, so each entry equals the fsum of the dense grid
-    bitwise.
-    """
-    k, l = _factor_arrays(mk), _factor_arrays(ml)
-    ck = np.array([t.coef for t in mk.terms])
-    cl = np.array([t.coef for t in ml.terms])
-    coef = ck[:, None] * cl[None, :]
-    tables = [_ITables(k, l, i, dim) for i, dim in enumerate(prior.dims)]
-    i2 = np.stack([t.i2 for t in tables])
-    rows = [np.flatnonzero(u) for u in k[0]]
-    cols = [np.flatnonzero(u) for u in l[0]]
-    every = np.arange(len(ml.terms))
-    out = []
-    for i, j in entries:
-        sub = (rows[i][:, None], every if j is None else cols[j])
-        if i == j:
-            grid = coef[sub] * tables[i].i3[sub]
-        else:
-            grid = coef[sub] * tables[i].i1_kl[sub]
-            if j is not None:
-                grid = grid * tables[j].i1_lk[sub]
-        block = i2[(slice(None), *sub)]
-        for q in range(len(tables)):
-            if q != i and q != j:
-                grid = grid * block[q]
-        out.append(math.fsum(grid.ravel().tolist()))
-    return out
+
+def _pair_sums(K, L, prior, pairs, diagonal=False, deriv_l=True) -> np.ndarray:
+    """fsum of factor-pair products by owner pair o (K owner by L owner,
+    where pairs is True) and key (o, i, j), or (o, i) if diagonal (i = j)
+    or not deriv_l (L terms as undifferentiated columns). A factor of f_k
+    term r on x_i with one of f_l term c on x_j gives coef_r coef_c *
+    i1_kl[x_i] * i1_lk[x_j] (i3[x_i] if i = j) times i2[x_q] for each q in
+    vars(r) | vars(c) - {i, j}, ascending; each i2 skipped is exactly 1.
+    Whole keys go in passes under _PAIR_BUDGET, and each is summed once."""
+    p = K.p
+    orow, ocol = np.nonzero(pairs)
+    r0, nr, c0, nc = K.first[orow], K.count[orow], L.first[ocol], L.count[ocol]
+    # integrals of every two factors (virtual ones too) on one variable x_q;
+    # those of (a, b) for owner pair o are at two(o * p + q, a, b)
+    ta, tb, _ = _blocks(r0.ravel(), nr.ravel(), c0.ravel(), nc.ravel())
+    at = (np.cumsum(nr * nc) - (nr * nc).ravel()).reshape(nr.shape) - r0 * nc - c0
+    two = lambda oq, a, b: at.take(oq) + a * nc.take(oq) + b
+    tabs = np.empty((4, ta.size))
+    marginals = list(dict.fromkeys(prior.dims))  # one call per distinct marginal
+    which = np.array([marginals.index(d) for d in prior.dims])[K.var[ta]]
+    for g, dim in enumerate(marginals):
+        s = np.flatnonzero(which == g)
+        sides = (K.sign[ta[s]], K.knot[ta[s]], L.sign[tb[s]], L.knot[tb[s]])
+        for row, v in zip(tabs, _hinge_integrals(dim, *sides)):
+            row[s] = v
+    i1_kl, i1_lk, i2, i3 = tabs
+
+    # output keys (o, i[, j]): real f_k factors by real f_l factors or L terms
+    o, i = np.divmod(np.arange(nr.size), p)
+    kr0, knr = r0.ravel() + 1, nr.ravel() - 1
+    if deriv_l and not diagonal:
+        o, i, j = o.repeat(p), i.repeat(p), np.tile(np.arange(p), nr.size)
+        keys = (o, i, j, kr0[o * p + i], knr[o * p + i], c0[o, j] + 1, nc[o, j] - 1)
+    else:
+        cols = (c0.ravel() + 1, nc.ravel() - 1) if deriv_l else (0 * kr0, 0 * kr0 + L.coef.size)
+        keys = (o, i, i if deriv_l else np.full_like(i, -1), kr0, knr, *cols)
+    size = keys[4] * keys[6]
+    values = np.empty(int(size.sum()))
+    ends = np.cumsum(size)
+    lo = 0
+    while lo < size.size:
+        cap = ends[lo] - size[lo] + _PAIR_BUDGET
+        hi = lo + max(1, int(np.searchsorted(ends[lo:], cap, "right")))
+        a, b, blk = _blocks(*(k[lo:hi] for k in keys[3:]))
+        ok, j = keys[0][lo:hi].take(blk), keys[2][lo:hi].take(blk)
+        r, i = K.term.take(a), K.var.take(a)
+        c = L.term.take(b) if deriv_l else b
+        prod = K.coef.take(r) * L.coef.take(c)
+        at_i = two(ok * p + i, a, L.fidx.take(i * L.coef.size + c))
+        prod *= np.where(i == j, i3.take(at_i), i1_kl.take(at_i))
+        if deriv_l:
+            at_j = two(ok * p + j, K.fidx.take(j * K.coef.size + r), b)
+            prod *= np.where(i == j, 1.0, i1_lk.take(at_j))
+        for q in range(p):  # i2 where either term has x_q, other than x_i, x_j
+            s = np.flatnonzero((K.has[q].take(r) | L.has[q].take(c)) & (i != q) & (j != q))
+            hr, hc = K.fidx[q].take(r.take(s)), L.fidx[q].take(c.take(s))
+            prod[s] *= i2.take(two(ok.take(s) * p + q, hr, hc))
+        values[ends[lo] - size[lo] : ends[hi - 1]] = prod
+        lo = hi
+    sums = [math.fsum(values[e - k : e].tolist()) for e, k in zip(ends.tolist(), size.tolist())]
+    return np.array(sums).reshape(nr.shape if diagonal or not deriv_l else nr.shape + (p,))
+
+
+def _pair_traces(models, prior) -> np.ndarray:
+    """t[a, b] = t[b, a] = cmat_trace(models[a], models[b], prior), a <= b,
+    from one stacked pass keyed by (row model, column model, x_i). It runs
+    over blocks of row models of at most _PAIR_BUDGET diagonal factor
+    pairs (or one model), so its memory does not grow with their number."""
+    n = len(models)
+    S = _Stack(models, prior.p)
+    work = np.triu(S.count @ S.count.T).sum(axis=1)
+    t = np.zeros((n, n))
+    lo = 0
+    while lo < n:
+        hi = lo + max(1, int(np.searchsorted(np.cumsum(work[lo:]), _PAIR_BUDGET, side="right")))
+        pairs = np.zeros((n, n), dtype=bool)
+        pairs[lo:hi] = np.triu(np.ones((hi - lo, n), dtype=bool), k=lo)
+        for a, b, d in zip(*np.nonzero(pairs), _pair_sums(S, S, prior, pairs, diagonal=True)):
+            t[a, b] = t[b, a] = float(np.sum(d))
+        lo = hi
+    return t
 
 
 def _check_pair(mk: MarsSurrogate, ml: MarsSurrogate, prior: InputPrior) -> None:
@@ -428,16 +440,15 @@ def _validate_self_matrix(entries: np.ndarray) -> None:
         raise ValueError("self matrix is not positive semi-definite")
 
 
-def cmat(mk: MarsSurrogate, ml: MarsSurrogate, prior: InputPrior) -> CoActiveMatrix:
-    """Closed-form C_kl: entry (i, j) = E[df_k/dx_i * df_l/dx_j].
+_ONE_PAIR = np.ones((1, 1), dtype=bool)
 
-    Every entry comes from the sparse kernel; the trace is the sum of the
-    diagonal, taken as cmat_trace takes it.
-    """
+
+def cmat(mk: MarsSurrogate, ml: MarsSurrogate, prior: InputPrior) -> CoActiveMatrix:
+    """Closed-form C_kl: entry (i, j) = E[df_k/dx_i * df_l/dx_j]; the trace
+    is the sum of the diagonal, taken as cmat_trace takes it."""
     _check_pair(mk, ml, prior)
-    p = mk.p
-    values = _gradient_products(mk, ml, prior, [(i, j) for i in range(p) for j in range(p)])
-    entries = np.array(values).reshape(p, p)
+    K = _Stack([mk], mk.p)
+    entries = _pair_sums(K, K if ml is mk else _Stack([ml], ml.p), prior, _ONE_PAIR)[0]
     if mk is ml:
         _validate_self_matrix(entries)
     return CoActiveMatrix(
@@ -446,32 +457,24 @@ def cmat(mk: MarsSurrogate, ml: MarsSurrogate, prior: InputPrior) -> CoActiveMat
 
 
 def cmat_trace(mk: MarsSurrogate, ml: MarsSurrogate, prior: InputPrior) -> float:
-    """t_kl = trace(C_kl) from the diagonal entries alone.
-
-    Builds no i1 tables; the diagonal entries and their sum are computed
-    as in cmat, so the value equals cmat(...).trace bitwise.
-    """
+    """t_kl = trace(C_kl) from same-variable factor pairs; cmat(...).trace bitwise."""
     _check_pair(mk, ml, prior)
-    diag = _gradient_products(mk, ml, prior, [(i, i) for i in range(mk.p)])
-    return float(np.sum(diag))
+    K = _Stack([mk], mk.p)
+    L = K if ml is mk else _Stack([ml], ml.p)
+    return float(np.sum(_pair_sums(K, L, prior, _ONE_PAIR, diagonal=True)[0]))
 
 
 def expected_gradient(m: MarsSurrogate, prior: InputPrior) -> np.ndarray:
-    """Z_k = E[grad f_k], the kernel against the constant 1.
-
-    Against a one-term model with no factors and coefficient 1, the
-    kernel's i1_kl is I4 = E[dh/dx] = s * xi(0 | support) and its i2 is
-    I5 = E[h] = s * (xi(1 | support) - t * xi(0 | support)); an absent
-    factor contributes I4 = 0 and I5 = 1. (The printed form of I5 with the
-    knot outside the moment is dimensionally inconsistent; this reading
-    matches direct quadrature.)
-    """
+    """Z_k = E[grad f_k], the kernel against the constant 1: a factor's
+    i1_kl is then I4 = s * xi(0 | support) and its i2 I5 = s * (xi(1 |
+    support) - t * xi(0 | support)). (The printed I5, with the knot outside
+    the moment, is dimensionally inconsistent; this matches quadrature.)"""
     if m.p != prior.p:
         raise ValueError(f"model has p={m.p} but prior has p={prior.p}")
     one = MarsSurrogate(
         intercept=0.0, terms=(BasisTerm(coef=1.0, factors=()),), p=m.p, domain=m.domain
     )
-    return np.array(_gradient_products(m, one, prior, [(i, None) for i in range(m.p)]))
+    return _pair_sums(_Stack([m], m.p), _Stack([one], m.p), prior, _ONE_PAIR, deriv_l=False)[0]
 
 
 def cmat_modified(

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import concordance as _concordance
-from .closedform import InputPrior, cmat_trace
+from .closedform import InputPrior, _pair_traces
 from .model import Ensemble
 
 __all__ = [
@@ -78,18 +77,14 @@ class PairwiseGrid:
         return self.summaries[k][l]
 
 
-def _member_traces(members, prior):
-    return np.array([cmat_trace(m, m, prior) for m in members])
-
-
 def pairwise_concordance(
     ensembles: list[Ensemble],
     prior: InputPrior,
 ) -> PairwiseGrid:
     """Concordance for every member pair across a list of ensembles.
 
-    The concordance needs only traces, so every pair goes through
-    cmat_trace and no off-diagonal entry is computed.
+    The concordance needs only traces: one stacked closed-form pass gives
+    every pair's trace bitwise as cmat_trace does.
     """
     if not ensembles:
         raise ValueError("need at least one ensemble")
@@ -100,32 +95,28 @@ def pairwise_concordance(
     if prior.p != p:
         raise ValueError(f"prior has p={prior.p}, models have p={p}")
 
-    members, membership = [], []
-    for k, e in enumerate(ensembles):
-        members.extend(e.members)
-        membership.extend([k] * len(e.members))
-    membership = np.array(membership, dtype=int)
-
-    t_self = _member_traces(members, prior)
-    scale = float(t_self.max(initial=0.0))
-    included = t_self > 1e-12 * scale
+    members = [m for e in ensembles for m in e.members]
+    membership = np.repeat(np.arange(len(ensembles)), [len(e.members) for e in ensembles])
+    traces = _pair_traces(members, prior)
+    included = traces.diagonal() > 1e-12 * float(traces.diagonal().max(initial=0.0))
     n_excluded = int(np.sum(~included))
     if n_excluded:
         warnings.warn(
             f"excluded {n_excluded} constant member(s) from the grid", stacklevel=2
         )
-    members = [m for m, ok in zip(members, included) if ok]
     membership = membership[included]
-    t_self = t_self[included]
-    n = len(members)
+    traces = traces[np.ix_(included, included)]
+    t_self = traces.diagonal()
+    n = len(t_self)
     if n == 0:
         raise ValueError("all members are constant; no grid to compute")
 
-    kappa = np.eye(n)
-    for a in range(n):
-        for b in range(a + 1, n):
-            t_ab = cmat_trace(members[a], members[b], prior)
-            kappa[a, b] = kappa[b, a] = _concordance(t_ab, t_self[a], t_self[b])
+    # concordance() elementwise; included members pass its constant check
+    kappa = traces / np.sqrt(np.multiply.outer(t_self, t_self))
+    if np.any(np.abs(kappa) > 1.0 + 1e-12):
+        raise ValueError("traces violate the Cauchy-Schwarz bound")
+    kappa = np.clip(kappa, -1.0, 1.0)
+    np.fill_diagonal(kappa, 1.0)
 
     K = len(ensembles)
     summaries = [[None] * K for _ in range(K)]
@@ -133,8 +124,7 @@ def pairwise_concordance(
         ik = np.flatnonzero(membership == k)
         for l in range(K):
             il = np.flatnonzero(membership == l)
-            block = kappa[np.ix_(ik, il)]
-            samples = block.ravel()
+            samples = kappa[np.ix_(ik, il)].ravel()
             summaries[k][l] = ConcordanceSummary(
                 labels=(ensembles[k].label, ensembles[l].label),
                 samples=samples,
@@ -175,12 +165,14 @@ class Embedding:
 
     points (read-only) has one row per grid member; stress is the final
     Kruskal stress-1 value and stress_history the accepted value per
-    iteration (non-increasing). model_centers gives per-model means.
+    iteration (non-increasing); halvings counts the rejected, halved
+    steps (a diagnostic, in no artifact). model_centers gives model means.
     """
 
     points: np.ndarray
     stress: float
     stress_history: list
+    halvings: int = 0
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
@@ -281,6 +273,7 @@ def mds_embed(D, dims: int = 2, seed: int = 0, max_iter: int = 500) -> Embedding
     dist = _pair_distances(X, iu)
     stress, dhat = _stress(dist, order, blocks)
     history = [stress]
+    halvings = 0
 
     for _ in range(max_iter):
         if stress == 0.0:
@@ -303,6 +296,7 @@ def mds_embed(D, dims: int = 2, seed: int = 0, max_iter: int = 500) -> Embedding
                 accepted = (cand, cand_dist, cand_stress, cand_dhat)
                 break
             cand = 0.5 * (cand + X)
+            halvings += 1
         if accepted is None:
             break
         X, dist, new_stress, dhat = accepted
@@ -313,7 +307,7 @@ def mds_embed(D, dims: int = 2, seed: int = 0, max_iter: int = 500) -> Embedding
             break
 
     X = X - X.mean(axis=0)
-    return Embedding(points=X, stress=stress, stress_history=history)
+    return Embedding(points=X, stress=stress, stress_history=history, halvings=halvings)
 
 
 def model_centers(embedding, membership) -> np.ndarray:

@@ -816,10 +816,10 @@ def _lstsq_fit(B: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     return coef, float(r @ r)
 
 
-def _drop_costs(Gs: np.ndarray, gs: np.ndarray, yty: float) -> tuple[float, np.ndarray]:
-    """SSE of the least-squares fit with Gram block Gs, and the SSE increase
-    from dropping each column, coef_j^2 / (Gs^-1)_jj, from one Cholesky
-    factorization. A singular Gs falls back to one lstsq fit per column."""
+def _drop_costs(Gs: np.ndarray, gs: np.ndarray, yty: float) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of the least-squares fit with Gram block Gs, and the SSE
+    increase from dropping each column, coef_j^2 / (Gs^-1)_jj, from one
+    Cholesky factorization. A singular Gs falls back to one lstsq fit per column."""
     try:
         L = np.linalg.cholesky(Gs)
     except np.linalg.LinAlgError:
@@ -831,20 +831,20 @@ def _drop_costs(Gs: np.ndarray, gs: np.ndarray, yty: float) -> tuple[float, np.n
             Gj, gj = Gs[np.ix_(keep, keep)], gs[keep]
             cj = np.linalg.lstsq(Gj, gj, rcond=None)[0]
             cost[j] = max(yty - float(gj @ cj), 0.0) - sse
-        return sse, cost
+        return coef, cost
     Linv = np.linalg.inv(L)
     coef = Linv.T @ (Linv @ gs)
-    sse = max(yty - float(gs @ coef), 0.0)
-    return sse, coef * coef / np.einsum("ij,ij->j", Linv, Linv)
+    return coef, coef * coef / np.einsum("ij,ij->j", Linv, Linv)
 
 
 def _backward_pass(X, y, factor_sets, cfg: FitConfig):
     """GCV-pruned subset along the greedy deletion path.
 
     Each step drops the term whose removal raises the SSE least (ties to
-    the lowest index). Returns the kept factor sets, their coefficients,
-    the intercept, the SSE and the GCV of every subset on the path, the
-    full model first.
+    the lowest index); each subset's SSE is ||y - B_s coef||^2, which does
+    not cancel to 0 on a near-exact fit as y'y - g'coef does. Returns the
+    kept factor sets, their coefficients, the intercept, the SSE and the
+    GCV of every subset on the path, the full model first.
     """
     n = X.shape[0]
     penalty = cfg.effective_penalty()
@@ -858,7 +858,9 @@ def _backward_pass(X, y, factor_sets, cfg: FitConfig):
     gcv_path = []
     while True:
         idx = np.asarray(active)
-        sse, cost = _drop_costs(G[np.ix_(idx, idx)], g[idx], yty)
+        coef, cost = _drop_costs(G[np.ix_(idx, idx)], g[idx], yty)
+        resid = y - B[:, idx] @ coef
+        sse = float(resid @ resid)
         gcv_here = _gcv(sse, n, len(active), len(active) - 1, penalty)
         gcv_path.append(float(gcv_here))
         if gcv_here <= best_gcv:

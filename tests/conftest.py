@@ -30,7 +30,10 @@ def _dim_pdf(d, x):
     from scipy.special import ndtr
 
     z = (x - d.mean) / d.sd
-    mass = ndtr((d.trunc_hi - d.mean) / d.sd) - ndtr((d.trunc_lo - d.mean) / d.sd)
+    alpha = (d.trunc_lo - d.mean) / d.sd
+    beta = (d.trunc_hi - d.mean) / d.sd
+    # reflected in the upper tail, where ndtr rounds to 1
+    mass = ndtr(-alpha) - ndtr(-beta) if alpha > 0 else ndtr(beta) - ndtr(alpha)
     pdf = np.exp(-0.5 * z * z) / (d.sd * np.sqrt(2.0 * np.pi)) / mass
     return np.where((x >= d.trunc_lo) & (x <= d.trunc_hi), pdf, 0.0)
 
@@ -51,7 +54,7 @@ def quadrature_cmat(mk, ml, prior, rtol=1e-9, order=10, max_level=4):
         if np.isinf(lo):
             lo = d.mean - 10.0 * d.sd
         if np.isinf(hi):
-            hi = d.mean + 10.0 * d.sd
+            hi = max(d.mean, lo) + 10.0 * d.sd
         ks = [k for k in knots[i] if lo < k < hi]
         edges.append(np.array([lo, *ks, hi]))
     gk = SampledFunction.from_surrogate(mk).grad

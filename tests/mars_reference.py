@@ -155,23 +155,31 @@ def dense_backward(X, y, factor_sets, cfg: FitConfig):
     G = B.T @ B
     g = B.T @ y
 
-    def subset_sse(idx):
+    def subset_coef(idx):
         Gs, gs = G[np.ix_(idx, idx)], g[idx]
         try:
-            coef = np.linalg.solve(Gs, gs)
+            return np.linalg.solve(Gs, gs)
         except np.linalg.LinAlgError:
-            coef = np.linalg.lstsq(Gs, gs, rcond=None)[0]
-        return max(yty - float(gs @ coef), 0.0)
+            return np.linalg.lstsq(Gs, gs, rcond=None)[0]
 
+    def gram_sse(idx):
+        return max(yty - float(g[idx] @ subset_coef(idx)), 0.0)
+
+    def resid_sse(idx):
+        r = y - B[:, idx] @ subset_coef(idx)
+        return float(r @ r)
+
+    # candidates are ranked by their Gram-form SSE; the path SSE of the
+    # subset kept at each step comes from its residual
     active = list(range(B.shape[1]))
     best_active = list(active)
-    best_gcv = _gcv(subset_sse(np.asarray(active)), n, len(active), len(active) - 1, penalty)
+    best_gcv = _gcv(resid_sse(np.asarray(active)), n, len(active), len(active) - 1, penalty)
     path = [best_gcv]
     while len(active) > 1:
-        trials = [(subset_sse(np.asarray([k for k in active if k != j])), j) for j in active[1:]]
-        sse_j, drop = min(trials)
+        trials = [(gram_sse(np.asarray([k for k in active if k != j])), j) for j in active[1:]]
+        _, drop = min(trials)
         active.remove(drop)
-        gcv_here = _gcv(sse_j, n, len(active), len(active) - 1, penalty)
+        gcv_here = _gcv(resid_sse(np.asarray(active)), n, len(active), len(active) - 1, penalty)
         path.append(gcv_here)
         if gcv_here <= best_gcv:
             best_gcv = gcv_here

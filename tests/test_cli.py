@@ -288,7 +288,7 @@ def test_cluster_bundle(tmp_path, prior2, two_ensembles, capsys):
     captured = capsys.readouterr()
     assert "cluster: stress=" in captured.out
     assert "grid:" in captured.err  # wall-clock notes go to stderr only
-    mds = re.search(r"^mds: (\d+) iterations, \d+\.\d\ds$", captured.err, re.M)
+    mds = re.search(r"^mds: (\d+) iterations, (\d+) halvings, \d+\.\d\ds$", captured.err, re.M)
     assert mds, captured.err
     for name in ("grid_summary.csv", "grid_samples.csv", "discordance.csv",
                  "embedding.csv", "centers.csv", "embedding.json"):
@@ -299,6 +299,7 @@ def test_cluster_bundle(tmp_path, prior2, two_ensembles, capsys):
     assert int(mds.group(1)) == len(emb["stress_history"]) - 1
     for path in out.iterdir():
         assert "mds:" not in path.read_text(), path.name
+        assert "halvings" not in path.read_text(), path.name
     assert np.all(np.diff(emb["stress_history"]) <= 1e-12)
     summary = (out / "grid_summary.csv").read_text().splitlines()
     assert len(summary) == 2 + 4  # comment, header, K^2 rows

@@ -28,9 +28,8 @@ from coactive import (
     save_prior,
 )
 from coactive.closedform import (
-    _bounds_grids,
-    _factor_arrays,
-    _ITables,
+    _hinge_integrals,
+    _hinge_support,
     load_matrix,
     matrix_from_dict,
     matrix_to_dict,
@@ -61,23 +60,22 @@ def _model(terms, p=2, intercept=0.0, domain=None, label=""):
     )
 
 
-def _one_term(f):
-    """p=1 model with the single factor f (None: the constant 1)."""
-    return _model([BasisTerm(coef=1.0, factors=(f,) if f else ())], p=1)
+def _side(f):
+    """(sign, knot) arrays of one factor; None is the absent factor."""
+    if f is None:
+        return np.ones(1), np.full(1, -np.inf)
+    return np.array([float(f.sign)]), np.array([f.knot])
 
 
 def _cells(fk, fl, dim):
     """(i1_kl, i1_lk, i2, i3) of one f_k factor against one f_l factor on x_0."""
-    t = _ITables(_factor_arrays(_one_term(fk)), _factor_arrays(_one_term(fl)), 0, dim)
-    return tuple(float(g[0, 0]) for g in (t.i1_kl, t.i1_lk, t.i2, t.i3))
+    return tuple(float(g[0]) for g in _hinge_integrals(dim, *_side(fk), *_side(fl)))
 
 
 def _support(fk, fl):
     """Support (a, b) of one factor pair, as the table builder takes it."""
-    _, sk, tk, _ = _factor_arrays(_one_term(fk))
-    _, sl, tl, _ = _factor_arrays(_one_term(fl))
-    a, b = _bounds_grids(sk[0], tk[0], sl[0], tl[0])
-    return float(a[0, 0]), float(b[0, 0])
+    a, b = _hinge_support(*_side(fk), *_side(fl))
+    return float(a[0]), float(b[0])
 
 
 # -- truncated moments --------------------------------------------------------
@@ -335,6 +333,27 @@ def test_cmat_agrees_with_quadrature_spot_checks():
             assert np.abs(C - Q).max() <= 1e-10 * scale, f"{name} prior disagrees"
 
 
+@pytest.mark.parametrize(
+    "dim",
+    [
+        NormalDim(mean=0.0, sd=1.0, trunc_lo=6.0),
+        NormalDim(mean=0.0, sd=1.0, trunc_lo=8.0),
+        NormalDim(mean=0.5, sd=0.3, trunc_lo=0.2),
+        NormalDim(mean=0.5, sd=0.3, trunc_hi=0.7),
+    ],
+    ids=["upper-tail-6", "upper-tail-8", "lower-bound-only", "upper-bound-only"],
+)
+def test_cmat_agrees_with_quadrature_tail_and_one_sided_priors(dim):
+    # in the upper tail the density falls by e^-8 per sd; 20-point rules
+    # resolve that on the oracle's finest mesh
+    for mk, ml, p in fitted_pair_corpus(n_pairs=2, seed=55):
+        prior = InputPrior(dims=(dim,) * p)
+        C = cmat(mk, ml, prior).entries
+        Q = quadrature_cmat(mk, ml, prior, order=20)
+        scale = max(np.abs(Q).max(), 1e-300)
+        assert np.abs(C - Q).max() <= 1e-10 * scale
+
+
 def _wide_pair(p=14, n_terms=40, seed=21):
     """Two generated surrogates of degree-1 to 3 terms that share a third
     of their terms, under a prior mixing uniform, truncated-normal and
@@ -376,6 +395,21 @@ def test_cmat_matches_dense_reference_bitwise(small_pair_corpus):
             C = cmat(a, b, prior)
             np.testing.assert_array_equal(C.entries, dense_cmat(a, b, prior))
             assert cmat_trace(a, b, prior) == C.trace
+
+
+def test_kernel_in_small_passes_is_bitwise_unchanged(monkeypatch):
+    # a budget far below one model pair's factor pairs splits each kernel
+    # call into many passes of several keys each
+    import coactive.closedform as closedform
+
+    mk, ml, prior = _wide_pair()
+    Z = expected_gradient(mk, prior)
+    monkeypatch.setattr(closedform, "_PAIR_BUDGET", 40)
+    for a, b in ((mk, ml), (mk, mk)):
+        C = cmat(a, b, prior)
+        np.testing.assert_array_equal(C.entries, dense_cmat(a, b, prior))
+        assert cmat_trace(a, b, prior) == C.trace
+    np.testing.assert_array_equal(expected_gradient(mk, prior), Z)
 
 
 def test_expected_gradient_matches_reference_loop(small_pair_corpus):

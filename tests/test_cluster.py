@@ -108,6 +108,33 @@ def test_grid_kappa_matches_cmat_trace():
             assert grid.kappa[a, b] == grid.kappa[b, a] == want
 
 
+def test_grid_stacked_pass_in_chunks_matches_cmat_trace(monkeypatch):
+    # a small pair budget splits the stacked pass into many blocks of row
+    # members and many passes; every kappa must still be concordance() of
+    # the pair's own cmat_trace, bitwise, and the constant member dropped
+    from coactive import closedform
+
+    calls = []
+    kernel = closedform._pair_sums
+    monkeypatch.setattr(closedform, "_PAIR_BUDGET", 24)
+    monkeypatch.setattr(
+        closedform, "_pair_sums", lambda *a, **k: calls.append(1) or kernel(*a, **k)
+    )
+    e1 = _beta_ensemble(0.5, B=3, seed=7)
+    flat = MarsSurrogate(intercept=2.0, terms=(), p=2, domain=UNIT2, label="flat")
+    e2 = _beta_ensemble(2.0, B=3, seed=8)
+    e2 = Ensemble(members=(e2.members[0], flat, *e2.members[1:]), label=e2.label)
+    with pytest.warns(UserWarning, match="excluded 1 constant"):
+        grid = pairwise_concordance([e1, e2], PRIOR2)
+    assert len(calls) > 1
+    members = [*e1.members, *(m for m in e2.members if m is not flat)]
+    assert grid.kappa.shape == (6, 6)
+    t = lambda a, b: closedform.cmat_trace(members[a], members[b], PRIOR2)
+    for a in range(6):
+        for b in range(a + 1, 6):
+            assert grid.kappa[a, b] == grid.kappa[b, a] == concordance(t(a, b), t(a, a), t(b, b))
+
+
 def test_grid_excludes_constant_members_with_warning():
     ens = _beta_ensemble(1.0, B=2, seed=9)
     flat = MarsSurrogate(intercept=2.0, terms=(), p=2, domain=UNIT2, label="flat")
@@ -204,6 +231,29 @@ def test_mds_stress_history_non_increasing_on_noisy_input():
     assert not emb.points.flags.writeable
     with pytest.raises(dataclasses.FrozenInstanceError):
         emb.stress = 0.0
+
+
+def test_mds_counts_step_halvings(monkeypatch):
+    # the first Guttman candidate is made to look worse, so it is halved
+    # back once; no other step on this input raises the stress
+    from coactive import cluster
+
+    stress, calls = cluster._stress, []
+
+    def worse_once(dist, order, blocks):
+        value, dhat = stress(dist, order, blocks)
+        calls.append(value)
+        return (value + 1.0 if len(calls) == 2 else value), dhat
+
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(10, 2))
+    D = np.sqrt(((X[:, None] - X[None, :]) ** 2).sum(-1))
+    noise = rng.uniform(0, 0.3, size=D.shape)
+    D = D + 0.5 * (noise + noise.T)
+    np.fill_diagonal(D, 0.0)
+    assert mds_embed(D).halvings == 0
+    monkeypatch.setattr(cluster, "_stress", worse_once)
+    assert mds_embed(D).halvings == 1
 
 
 def test_mds_stress_invariant_under_relabeling():

@@ -13,7 +13,7 @@ import pytest
 from mars_reference import dense_backward, dense_forward
 
 from coactive import FitConfig, lhs_design, piston
-from coactive.model import _backward_pass, _drop_costs, _forward_pass, _KnotScan
+from coactive.model import _backward_pass, _drop_costs, _forward_pass, _gcv, _KnotScan
 
 # Reductions are differences of sums over n <= 600 products, each sum
 # carrying up to n * eps ~ 1.3e-13 of its magnitude in float64; the
@@ -148,6 +148,19 @@ def test_singular_gram_block_falls_back_to_lstsq():
     Gs = np.array([[4.0, 2.0], [2.0, 1.0]])
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(Gs)
-    sse, cost = _drop_costs(Gs, np.array([2.0, 1.0]), 1.0)
-    assert sse == pytest.approx(0.0, abs=1e-12)
+    coef, cost = _drop_costs(Gs, np.array([2.0, 1.0]), 1.0)
+    assert 1.0 - float(np.array([2.0, 1.0]) @ coef) == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_allclose(cost, [0.0, 0.0], atol=1e-12)
+
+
+def test_backward_path_sse_comes_from_the_residual():
+    # y is exactly linear: y'y - g'coef cancels to a clamped 0.0 for the
+    # full model, while its residual keeps a round-off sized SSE
+    X = lhs_design(60, 2, ((0.0, 1.0), (0.0, 1.0)), seed=5)
+    y = 2.0 * X[:, 0] - 3.0 * X[:, 1] + 1.0
+    cfg = FitConfig(max_degree=1, domain=((0.0, 1.0), (0.0, 1.0)))
+    factor_sets, _ = _forward_pass(X, y, cfg, float(np.sum((y - y.mean()) ** 2)))
+    _, _, _, _, gcv_path = _backward_pass(X, y, factor_sets, cfg)
+    n, m = X.shape[0], len(factor_sets) + 1
+    tiny = _gcv(1e-24 * float(y @ y), n, m, m - 1, cfg.effective_penalty())
+    assert 0.0 < gcv_path[0] < tiny
