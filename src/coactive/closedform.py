@@ -310,16 +310,25 @@ def _blocks(r0, nr, c0, nc):
     return r0[blk] + hi, c0[blk] + lo, blk
 
 
+def _runs(work):
+    """Consecutive ranges [lo, hi) of work summing to <= _PAIR_BUDGET, or one item."""
+    ends, lo = np.cumsum(work), 0
+    while lo < len(work):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - work[lo] + _PAIR_BUDGET, "right")))
+        yield lo, hi
+        lo = hi
+
+
 def _pair_sums(K, L, prior, pairs, diagonal=False, deriv_l=True) -> np.ndarray:
-    """fsum of factor-pair products by owner pair o (K owner by L owner,
-    where pairs is True) and key (o, i, j), or (o, i) if diagonal (i = j)
-    or not deriv_l (L terms as undifferentiated columns). A factor of f_k
-    term r on x_i with one of f_l term c on x_j gives coef_r coef_c *
-    i1_kl[x_i] * i1_lk[x_j] (i3[x_i] if i = j) times i2[x_q] for each q in
-    vars(r) | vars(c) - {i, j}, ascending; each i2 skipped is exactly 1.
-    Whole keys go in passes under _PAIR_BUDGET, and each is summed once."""
+    """fsum of factor-pair products by owner pair o (K owner orow[o] with
+    L owner ocol[o], pairs = (orow, ocol)) and key (o, i, j), or (o, i) if
+    diagonal (i = j) or not deriv_l (L terms as undifferentiated columns).
+    A factor of f_k term r on x_i with one of f_l term c on x_j gives
+    coef_r coef_c * i1_kl[x_i] * i1_lk[x_j] (i3[x_i] if i = j) times i2[x_q]
+    for each q in vars(r) | vars(c) - {i, j}, ascending; each i2 skipped is
+    exactly 1. Whole keys go in runs under _PAIR_BUDGET; each is summed once."""
     p = K.p
-    orow, ocol = np.nonzero(pairs)
+    orow, ocol = pairs
     r0, nr, c0, nc = K.first[orow], K.count[orow], L.first[ocol], L.count[ocol]
     # integrals of every two factors (virtual ones too) on one variable x_q;
     # those of (a, b) for owner pair o are at two(o * p + q, a, b)
@@ -348,10 +357,7 @@ def _pair_sums(K, L, prior, pairs, diagonal=False, deriv_l=True) -> np.ndarray:
     size = keys[4] * keys[6]
     values = np.empty(int(size.sum()))
     ends = np.cumsum(size)
-    lo = 0
-    while lo < size.size:
-        cap = ends[lo] - size[lo] + _PAIR_BUDGET
-        hi = lo + max(1, int(np.searchsorted(ends[lo:], cap, "right")))
+    for lo, hi in _runs(size):
         a, b, blk = _blocks(*(k[lo:hi] for k in keys[3:]))
         ok, j = keys[0][lo:hi].take(blk), keys[2][lo:hi].take(blk)
         r, i = K.term.take(a), K.var.take(a)
@@ -367,7 +373,6 @@ def _pair_sums(K, L, prior, pairs, diagonal=False, deriv_l=True) -> np.ndarray:
             hr, hc = K.fidx[q].take(r.take(s)), L.fidx[q].take(c.take(s))
             prod[s] *= i2.take(two(ok.take(s) * p + q, hr, hc))
         values[ends[lo] - size[lo] : ends[hi - 1]] = prod
-        lo = hi
     sums = [math.fsum(values[e - k : e].tolist()) for e, k in zip(ends.tolist(), size.tolist())]
     return np.array(sums).reshape(nr.shape if diagonal or not deriv_l else nr.shape + (p,))
 
@@ -375,20 +380,15 @@ def _pair_sums(K, L, prior, pairs, diagonal=False, deriv_l=True) -> np.ndarray:
 def _pair_traces(models, prior) -> np.ndarray:
     """t[a, b] = t[b, a] = cmat_trace(models[a], models[b], prior), a <= b,
     from one stacked pass keyed by (row model, column model, x_i). It runs
-    over blocks of row models of at most _PAIR_BUDGET diagonal factor
-    pairs (or one model), so its memory does not grow with their number."""
-    n = len(models)
+    over consecutive model pairs of at most _PAIR_BUDGET same-variable
+    factor pairs, so its working memory does not grow with their number."""
     S = _Stack(models, prior.p)
-    work = np.triu(S.count @ S.count.T).sum(axis=1)
-    t = np.zeros((n, n))
-    lo = 0
-    while lo < n:
-        hi = lo + max(1, int(np.searchsorted(np.cumsum(work[lo:]), _PAIR_BUDGET, side="right")))
-        pairs = np.zeros((n, n), dtype=bool)
-        pairs[lo:hi] = np.triu(np.ones((hi - lo, n), dtype=bool), k=lo)
-        for a, b, d in zip(*np.nonzero(pairs), _pair_sums(S, S, prior, pairs, diagonal=True)):
-            t[a, b] = t[b, a] = float(np.sum(d))
-        lo = hi
+    a, b = np.triu_indices(len(models))
+    t = np.zeros((len(models), len(models)))
+    for lo, hi in _runs((S.count @ S.count.T)[a, b]):
+        run = (a[lo:hi], b[lo:hi])
+        for x, y, d in zip(*run, _pair_sums(S, S, prior, run, diagonal=True)):
+            t[x, y] = t[y, x] = float(np.sum(d))
     return t
 
 
@@ -440,7 +440,7 @@ def _validate_self_matrix(entries: np.ndarray) -> None:
         raise ValueError("self matrix is not positive semi-definite")
 
 
-_ONE_PAIR = np.ones((1, 1), dtype=bool)
+_ONE_PAIR = (np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))
 
 
 def cmat(mk: MarsSurrogate, ml: MarsSurrogate, prior: InputPrior) -> CoActiveMatrix:

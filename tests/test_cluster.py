@@ -109,14 +109,14 @@ def test_grid_kappa_matches_cmat_trace():
 
 
 def test_grid_stacked_pass_in_chunks_matches_cmat_trace(monkeypatch):
-    # a small pair budget splits the stacked pass into many blocks of row
-    # members and many passes; every kappa must still be concordance() of
-    # the pair's own cmat_trace, bitwise, and the constant member dropped
+    # a small pair budget splits the stacked pass into many runs of two or
+    # three member pairs; every kappa must still be concordance() of the
+    # pair's own cmat_trace, bitwise, and the constant member dropped
     from coactive import closedform
 
     calls = []
     kernel = closedform._pair_sums
-    monkeypatch.setattr(closedform, "_PAIR_BUDGET", 24)
+    monkeypatch.setattr(closedform, "_PAIR_BUDGET", 400)
     monkeypatch.setattr(
         closedform, "_pair_sums", lambda *a, **k: calls.append(1) or kernel(*a, **k)
     )
