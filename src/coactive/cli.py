@@ -55,7 +55,9 @@ from .verify import run_suite
 
 
 def _config_hash(args: argparse.Namespace) -> str:
-    skip = {"func", "force"}
+    # output destinations are left out, so one run written to two places
+    # carries one hash; input paths stay in
+    skip = {"func", "force", "out", "out_dir", "ratios"}
     cfg = {k: str(v) for k, v in sorted(vars(args).items()) if k not in skip}
     blob = json.dumps(cfg, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
@@ -409,8 +411,7 @@ def cmd_cluster(args) -> int:
     t0 = time.perf_counter()
     emb = mds_embed(D, dims=args.dims, seed=args.seed)
     print(
-        f"mds: {len(emb.stress_history) - 1} iterations, {emb.halvings} halvings, "
-        f"{time.perf_counter() - t0:.2f}s",
+        f"mds: {len(emb.stress_history) - 1} iterations, {time.perf_counter() - t0:.2f}s",
         file=sys.stderr,
     )
     centers = model_centers(emb, grid.membership)

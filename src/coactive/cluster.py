@@ -51,15 +51,14 @@ class PairwiseGrid:
 
     kappa is N x N over the included members; membership[i] is the model
     index of member row i. Constant members are dropped (counted in
-    n_excluded). n_exact_self counts the diagonal pairs, which equal 1
-    by definition and are included in the diagonal-block samples.
+    n_excluded). The diagonal pairs equal 1 by definition and are
+    included in the diagonal-block samples.
     """
 
     labels: tuple[str, ...]
     membership: np.ndarray
     kappa: np.ndarray
     summaries: list
-    n_exact_self: int
     n_excluded: int = 0
 
     def __post_init__(self):
@@ -137,7 +136,6 @@ def pairwise_concordance(
         membership=membership,
         kappa=kappa,
         summaries=summaries,
-        n_exact_self=n,
         n_excluded=n_excluded,
     )
 
@@ -165,14 +163,12 @@ class Embedding:
 
     points (read-only) has one row per grid member; stress is the final
     Kruskal stress-1 value and stress_history the accepted value per
-    iteration (non-increasing); halvings counts the rejected, halved
-    steps (a diagnostic, in no artifact). model_centers gives model means.
+    iteration (non-increasing). model_centers gives model means.
     """
 
     points: np.ndarray
     stress: float
     stress_history: list
-    halvings: int = 0
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
@@ -244,10 +240,9 @@ def mds_embed(D, dims: int = 2, seed: int = 0, max_iter: int = 500) -> Embedding
     """Kruskal non-metric MDS: classical-scaling start, then alternating
     monotone regression and Guttman updates.
 
-    Each Guttman step is accepted only if it does not increase stress-1;
-    otherwise it is halved back toward the previous configuration, so the
-    recorded stress history is non-increasing. Stops when the improvement
-    drops below 1e-8 or after max_iter iterations.
+    Stops at the first Guttman step that would raise stress-1 (the step is
+    rejected, so the recorded stress history is non-increasing), when the
+    improvement drops below 1e-8, or after max_iter iterations.
     """
     if hasattr(D, "kappa"):  # a grid was passed; convert
         D = discordance_matrix(D)
@@ -273,7 +268,6 @@ def mds_embed(D, dims: int = 2, seed: int = 0, max_iter: int = 500) -> Embedding
     dist = _pair_distances(X, iu)
     stress, dhat = _stress(dist, order, blocks)
     history = [stress]
-    halvings = 0
 
     for _ in range(max_iter):
         if stress == 0.0:
@@ -287,27 +281,18 @@ def mds_embed(D, dims: int = 2, seed: int = 0, max_iter: int = 500) -> Embedding
         np.fill_diagonal(Bmat, -Bmat.sum(axis=1))
         X_new = (Bmat @ X) / n
 
-        accepted = None
-        cand = X_new
-        for _half in range(30):
-            cand_dist = _pair_distances(cand, iu)
-            cand_stress, cand_dhat = _stress(cand_dist, order, blocks)
-            if cand_stress <= stress:
-                accepted = (cand, cand_dist, cand_stress, cand_dhat)
-                break
-            cand = 0.5 * (cand + X)
-            halvings += 1
-        if accepted is None:
+        dist_new = _pair_distances(X_new, iu)
+        stress_new, dhat_new = _stress(dist_new, order, blocks)
+        if stress_new > stress:  # a rising step is rejected and ends the run
             break
-        X, dist, new_stress, dhat = accepted
-        improvement = stress - new_stress
-        stress = new_stress
+        improvement = stress - stress_new
+        X, dist, dhat, stress = X_new, dist_new, dhat_new, stress_new
         history.append(stress)
         if improvement < 1e-8:
             break
 
     X = X - X.mean(axis=0)
-    return Embedding(points=X, stress=stress, stress_history=history, halvings=halvings)
+    return Embedding(points=X, stress=stress, stress_history=history)
 
 
 def model_centers(embedding, membership) -> np.ndarray:

@@ -115,13 +115,7 @@ class MarsSurrogate:
     def design_matrix(self, X: np.ndarray) -> np.ndarray:
         """Basis-function values, shape (n, len(terms))."""
         X = _as_batch(X, self.p)
-        out = np.empty((X.shape[0], len(self.terms)))
-        for j, term in enumerate(self.terms):
-            col = np.ones(X.shape[0])
-            for f in term.factors:
-                col = col * np.maximum(f.sign * (X[:, f.var] - f.knot), 0.0)
-            out[:, j] = col
-        return out
+        return _design_from_factor_sets(X, [t.factors for t in self.terms])[:, 1:]
 
     def evaluate(self, x) -> float:
         return float(self.evaluate_batch(np.asarray(x, dtype=float)[None, :])[0])
@@ -414,7 +408,6 @@ class FitReport:
     r2: float
     gcv: float
     constant: bool = False
-    cv_rmspe: float | None = None
     forward_rss: tuple[float, ...] = ()
     backward_gcv: tuple[float, ...] = ()
 

@@ -185,6 +185,12 @@ def test_cmat_rerun_is_bitwise_identical(tmp_path, prior2, fitted_pair):
     assert main([*args, "--force"]) == 0
     for name, blob in blobs.items():
         assert (out / name).read_bytes() == blob, name
+    # the config hash leaves out the output destination
+    other = tmp_path / "elsewhere"
+    assert main([*args[:-1], str(other)]) == 0
+    assert sorted(os.listdir(other)) == sorted(blobs)
+    for name, blob in blobs.items():
+        assert (other / name).read_bytes() == blob, name
 
 
 def test_cmat_q_auto_requires_tau(tmp_path, prior2, fitted_pair, capsys):
@@ -288,7 +294,7 @@ def test_cluster_bundle(tmp_path, prior2, two_ensembles, capsys):
     captured = capsys.readouterr()
     assert "cluster: stress=" in captured.out
     assert "grid:" in captured.err  # wall-clock notes go to stderr only
-    mds = re.search(r"^mds: (\d+) iterations, (\d+) halvings, \d+\.\d\ds$", captured.err, re.M)
+    mds = re.search(r"^mds: (\d+) iterations, \d+\.\d\ds$", captured.err, re.M)
     assert mds, captured.err
     for name in ("grid_summary.csv", "grid_samples.csv", "discordance.csv",
                  "embedding.csv", "centers.csv", "embedding.json"):
@@ -319,6 +325,12 @@ def test_cluster_rerun_identical(tmp_path, prior2, two_ensembles):
     assert main([*args, "--force"]) == 0
     for name, blob in blobs.items():
         assert (out / name).read_bytes() == blob, name
+    # the config hash leaves out the output destination
+    other = tmp_path / "elsewhere"
+    assert main([*args[:-1], str(other)]) == 0
+    assert sorted(os.listdir(other)) == sorted(blobs)
+    for name, blob in blobs.items():
+        assert (other / name).read_bytes() == blob, name
 
 
 def test_cluster_single_model_and_mixed_inputs(tmp_path, prior2, two_ensembles, fitted_pair, capsys):

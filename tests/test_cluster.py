@@ -56,7 +56,7 @@ def test_grid_single_member_is_trivially_exact():
     np.testing.assert_array_equal(grid.kappa, [[1.0]])
     s = grid.summary(0, 0)
     assert s.mean == 1.0 and s.sd == 0.0 and s.samples.shape == (1,)
-    assert grid.n_exact_self == 1 and grid.n_excluded == 0
+    assert grid.n_members == 1 and grid.n_excluded == 0
 
 
 def test_grid_identical_ensembles_fully_concordant():
@@ -233,9 +233,10 @@ def test_mds_stress_history_non_increasing_on_noisy_input():
         emb.stress = 0.0
 
 
-def test_mds_counts_step_halvings(monkeypatch):
-    # the first Guttman candidate is made to look worse, so it is halved
-    # back once; no other step on this input raises the stress
+def test_mds_stops_at_a_rising_step(monkeypatch):
+    # the first Guttman candidate is made to look worse, so the run stops
+    # at the centred classical-scaling start; no step on this input raises
+    # the stress by itself
     from coactive import cluster
 
     stress, calls = cluster._stress, []
@@ -251,9 +252,20 @@ def test_mds_counts_step_halvings(monkeypatch):
     noise = rng.uniform(0, 0.3, size=D.shape)
     D = D + 0.5 * (noise + noise.T)
     np.fill_diagonal(D, 0.0)
-    assert mds_embed(D).halvings == 0
+    free = mds_embed(D)
+    assert len(free.stress_history) > 2
+    assert np.all(np.diff(free.stress_history) <= 0.0)
     monkeypatch.setattr(cluster, "_stress", worse_once)
-    assert mds_embed(D).halvings == 1
+    stopped = mds_embed(D)
+    assert len(calls) == 2
+    assert stopped.stress_history == [calls[0]] and stopped.stress == calls[0]
+    start = cluster._torgerson(D, 2)
+    start = start - start.mean(axis=0)  # as mds_embed centres it, before and after
+    np.testing.assert_array_equal(stopped.points, start - start.mean(axis=0))
+    monkeypatch.undo()
+    again = mds_embed(D)
+    assert again.stress_history == free.stress_history
+    np.testing.assert_array_equal(again.points, free.points)
 
 
 def test_mds_stress_invariant_under_relabeling():

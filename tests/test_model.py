@@ -23,6 +23,7 @@ from coactive import (
     save_model,
 )
 from coactive.model import (
+    _design_from_factor_sets,
     cross_validated_rmspe,
     load_training_csv,
     model_from_dict,
@@ -364,7 +365,14 @@ def test_refit_in_own_representation_is_exact():
     X, y = _poly_xy()
     m = fit(X, y, FitConfig(domain=UNIT2))
     yhat = m.evaluate_batch(X)
-    B = np.column_stack([np.ones(len(X)), m.design_matrix(X)])
+    # the model's design matrix is the fitter's without the intercept
+    # column, bitwise, and its coefficient product is the one a contiguous
+    # copy gives
+    D = m.design_matrix(X)
+    B = _design_from_factor_sets(X, [t.factors for t in m.terms])
+    np.testing.assert_array_equal(D, B[:, 1:])
+    coefs = np.array([t.coef for t in m.terms])
+    np.testing.assert_array_equal(yhat, m.intercept + np.ascontiguousarray(D) @ coefs)
     coef, *_ = np.linalg.lstsq(B, yhat, rcond=None)
     again = B @ coef
     scale = max(1.0, float(np.abs(yhat).max()))
