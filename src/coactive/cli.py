@@ -124,7 +124,9 @@ def cmd_fit(args) -> int:
         report_path = os.path.join(args.out, "report.json")
         if os.path.isdir(args.out) and os.listdir(args.out) and not args.force:
             raise FileExistsError(f"{args.out} is non-empty; pass --force to overwrite")
+        t0 = time.perf_counter()
         ens = fit_ensemble(X, y, cfg, B=args.ensemble, seed=args.seed)
+        print(f"fit: {len(ens)} members, {time.perf_counter() - t0:.2f}s", file=sys.stderr)
         os.makedirs(args.out, exist_ok=True)
         save_ensemble(ens, args.out, meta=meta)
         m0 = ens.members[0]
@@ -145,7 +147,13 @@ def cmd_fit(args) -> int:
     else:
         report_path = os.path.splitext(args.out)[0] + ".report.json"
         _guard([args.out, report_path], args.force)
+        t0 = time.perf_counter()
         model, fr = fit_with_report(X, y, cfg)
+        steps = max(len(fr.forward_rss) - 1, 0)  # the path starts at the intercept-only fit
+        print(
+            f"fit: {fr.n_terms} terms, {steps} forward steps, {time.perf_counter() - t0:.2f}s",
+            file=sys.stderr,
+        )
         save_model(model, args.out, meta=meta)
         report = {
             "n": fr.n,
@@ -221,6 +229,15 @@ def _ratio_rows(dec_k, dec_l, dec_kl, q, names=None):
     return rows
 
 
+def _z_entries(C, C_mc, se):
+    """Per-entry (C - C_mc)/se. Where se is 0 the sampled products had no
+    spread: z is 0 if the two matrices agree there and None (JSON null) if not."""
+    return [
+        [float((c - m) / s) if s > 0 else (0.0 if c == m else None) for c, m, s in zip(*rows)]
+        for rows in zip(C, C_mc, se)
+    ]
+
+
 def cmd_cmat(args) -> int:
     ma = load_model(args.model_a)
     mb = load_model(args.model_b)
@@ -270,6 +287,7 @@ def cmd_cmat(args) -> int:
         fb = SampledFunction.from_surrogate(mb)
         res = mc_cmat(fa, fb, prior, B=args.mc, seed=args.seed)
         d = res.to_dict()
+        d["z_entries"] = _z_entries(C.entries, res.matrix.entries, res.se)
         d["meta"] = meta
         _write_json(out("mc.json"), d)
         frob = float(np.linalg.norm(C.entries - res.matrix.entries))

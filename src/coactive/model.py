@@ -145,22 +145,33 @@ class MarsSurrogate:
         right is used: d/dx max(x - t, 0) = 1{x >= t} and
         d/dx max(t - x, 0) = -1{x < t}. The function is non-differentiable
         only on this measure-zero knot set.
+
+        Each input is a contiguous row of a transposed copy of X, and the
+        gradient is summed into contiguous rows in term order. The product
+        of the other factors' hinge values is a left fold in factor order,
+        so the result is bitwise that of the per-column loop in
+        tests/mars_reference.py.
         """
         X = _as_batch(X, self.p)
         n = X.shape[0]
-        G = np.zeros((n, self.p))
+        XT = X.T.copy()  # (p, n), C-ordered; its buffer later holds the result
+        GT = np.zeros_like(XT)
         for term in self.terms:
             factors = term.factors
-            vals = [np.maximum(f.sign * (X[:, f.var] - f.knot), 0.0) for f in factors]
+            # a degree-1 term needs no hinge value, only its derivative
+            vals = [np.maximum(f.sign * (XT[f.var] - f.knot), 0.0)
+                    for f in factors] if len(factors) > 1 else []
             for a, f in enumerate(factors):
-                xv = X[:, f.var]
-                active = (xv >= f.knot) if f.sign > 0 else (xv < f.knot)
-                deriv = np.where(active, float(f.sign), 0.0)
-                others = np.ones(n)
+                x = XT[f.var]
+                active = (x >= f.knot) if f.sign > 0 else (x < f.knot)
+                deriv = np.where(active, term.coef * f.sign, 0.0)
+                others = None
                 for b, val in enumerate(vals):
                     if b != a:
-                        others = others * val
-                G[:, f.var] += term.coef * deriv * others
+                        others = val if others is None else others * val
+                GT[f.var] += deriv if others is None else deriv * others
+        G = XT.reshape(n, self.p)
+        np.copyto(G, GT.T)
         return G
 
     # -- serialization ---------------------------------------------------

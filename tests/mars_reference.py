@@ -1,4 +1,4 @@
-"""Test-only reference fitter: the dense knot scan and per-candidate pruning.
+"""Test-only references: the dense fitter and the per-column gradient loop.
 
 The forward pass builds the full n x K hinge block of every (parent,
 variable) pair on every step and projects it on the whole orthonormal
@@ -7,6 +7,9 @@ Both are slow and plain, which is the point: ``coactive.model`` scores
 candidates from running sums and prunes from one factorization per step,
 and the tests compare the two. Candidate sets, span rules, thresholds,
 the mirror-tie rule and the tie order are the fitter's.
+
+loop_gradient is the surrogate gradient as one strided column pass per
+factor; ``MarsSurrogate.gradient_batch`` must equal it bitwise.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from coactive.model import _TIE_RTOL, FitConfig, HingeFactor, _design_from_factor_sets, _gcv
-from coactive.model import _lstsq_fit, _parent_candidates
+from coactive.model import _as_batch, _lstsq_fit, _parent_candidates
 
 MODES = ("both", "plus", "minus")
 
@@ -186,3 +189,24 @@ def dense_backward(X, y, factor_sets, cfg: FitConfig):
             best_active = list(active)
     coef, _ = _lstsq_fit(B[:, np.asarray(best_active)], y)
     return best_active, coef, path
+
+
+def loop_gradient(m, X):
+    """Gradient of surrogate m at the rows of X, shape (n, p), one strided
+    column pass per factor with every product formed in full."""
+    X = _as_batch(X, m.p)
+    n = X.shape[0]
+    G = np.zeros((n, m.p))
+    for term in m.terms:
+        factors = term.factors
+        vals = [np.maximum(f.sign * (X[:, f.var] - f.knot), 0.0) for f in factors]
+        for a, f in enumerate(factors):
+            xv = X[:, f.var]
+            active = (xv >= f.knot) if f.sign > 0 else (xv < f.knot)
+            deriv = np.where(active, float(f.sign), 0.0)
+            others = np.ones(n)
+            for b, val in enumerate(vals):
+                if b != a:
+                    others = others * val
+            G[:, f.var] += term.coef * deriv * others
+    return G

@@ -9,7 +9,16 @@ import re
 import numpy as np
 import pytest
 
-from coactive import InputPrior, lhs_design, load_model, save_prior
+from coactive import (
+    BasisTerm,
+    HingeFactor,
+    InputPrior,
+    MarsSurrogate,
+    lhs_design,
+    load_model,
+    save_model,
+    save_prior,
+)
 from coactive.cli import main
 from coactive.closedform import load_matrix, save_matrix
 
@@ -57,8 +66,12 @@ def test_fit_writes_model_and_report(tmp_path, prior2, capsys):
     train = _write_train(tmp_path / "t.csv")
     out = str(tmp_path / "m.json")
     assert main(["fit", str(train), "--out", out, "--prior", prior2, "--cv", "3"]) == 0
-    assert "fit:" in capsys.readouterr().out
+    cap = capsys.readouterr()
+    assert "fit:" in cap.out
+    note = re.fullmatch(r"fit: (\d+) terms, (\d+) forward steps, \d+\.\d\ds\n", cap.err)
+    assert note, cap.err
     m = load_model(out)
+    assert int(note[1]) == len(m.terms)
     assert m.p == 2 and m.domain == UNIT2
     rep = json.loads((tmp_path / "m.report.json").read_text())
     assert rep["n"] == 150 and rep["r2"] > 0.99
@@ -70,6 +83,11 @@ def test_fit_writes_model_and_report(tmp_path, prior2, capsys):
     assert len(rss) >= 2 and all(b <= a for a, b in zip(rss, rss[1:]))
     assert len(rss) <= len(gcv) <= 2 * len(rss) - 1  # each step adds one or two terms
     assert rep["gcv"] == min(g for g in gcv if g is not None)
+    assert int(note[2]) == len(rss) - 1  # the path starts at the intercept-only fit
+    # the note stays out of the artifacts
+    for name in os.listdir(tmp_path):
+        blob = (tmp_path / name).read_bytes()
+        assert b"forward steps" not in blob and b"fit: " not in blob, name
 
 
 def test_fit_refuses_overwrite_without_force(tmp_path, prior2, capsys):
@@ -89,8 +107,11 @@ def test_fit_ensemble_directory(tmp_path, prior2, capsys):
     out = str(tmp_path / "ens")
     assert main(["fit", str(train), "--out", out, "--prior", prior2, "--ensemble", "3",
                  "--seed", "5"]) == 0
+    assert re.fullmatch(r"fit: 3 members, \d+\.\d\ds\n", capsys.readouterr().err)
     rep = json.loads((tmp_path / "ens" / "report.json").read_text())
     assert rep["members"] == 3
+    for name in os.listdir(out):
+        assert b"fit: " not in (tmp_path / "ens" / name).read_bytes(), name
     from coactive import load_ensemble
 
     ens = load_ensemble(out)
@@ -144,8 +165,54 @@ def test_cmat_writes_complete_bundle(tmp_path, prior2, fitted_pair, capsys):
     np.testing.assert_array_equal(V, V.T)
     mc = json.loads((out / "mc.json").read_text())
     assert mc["B"] == 2000 and mc["seed"] == 3
+    # per-entry z-scores of the closed form against the MC mean
+    C = np.loadtxt(out / "c_kl.csv", delimiter=",", comments="#")
+    Cmc, se, z = (np.array(mc[k], dtype=float) for k in ("entries", "se_entries", "z_entries"))
+    assert (se > 0).all()
+    np.testing.assert_allclose(z, (C - Cmc) / se, rtol=1e-12)
+    assert np.abs(z).max() < 6.0
     # contributions sum to the concordance
     assert sum(rep["contributions"]) == pytest.approx(rep["concordance"], abs=1e-12)
+
+
+def test_cmat_mc_z_scores_with_an_unused_input(tmp_path):
+    # x3 is in neither model: its row and column are 0 in both the closed
+    # form and every MC draw, so se == 0 there and z == 0 exactly
+    box = ((0.0, 1.0),) * 3
+    prior = tmp_path / "prior3.json"
+    save_prior(InputPrior.uniform_box(box), prior)
+    a = MarsSurrogate(intercept=0.1, p=3, domain=box, terms=(
+        BasisTerm(coef=1.5, factors=(HingeFactor(0, 1, 0.3),)),
+        BasisTerm(coef=-2.0, factors=(HingeFactor(0, -1, 0.6), HingeFactor(1, 1, 0.2))),
+    ))
+    b = MarsSurrogate(intercept=0.0, p=3, domain=box, terms=(
+        BasisTerm(coef=0.7, factors=(HingeFactor(1, -1, 0.8),)),
+        BasisTerm(coef=1.1, factors=(HingeFactor(0, 1, 0.4), HingeFactor(1, 1, 0.5))),
+    ))
+    save_model(a, tmp_path / "a.json")
+    save_model(b, tmp_path / "b.json")
+    out = tmp_path / "pair"
+    assert main(["cmat", str(tmp_path / "a.json"), str(tmp_path / "b.json"), "--prior",
+                 str(prior), "--out-dir", str(out), "--mc", "3000", "--seed", "4"]) == 0
+    mc = json.loads((out / "mc.json").read_text())
+    C = np.loadtxt(out / "c_kl.csv", delimiter=",", comments="#")
+    Cmc, se = np.array(mc["entries"]), np.array(mc["se_entries"])
+    z = mc["z_entries"]
+    for i in range(3):
+        for j in range(3):
+            if i == 2 or j == 2:
+                assert C[i, j] == 0.0 and Cmc[i, j] == 0.0 and se[i, j] == 0.0
+                assert z[i][j] == 0.0
+            else:
+                assert se[i, j] > 0 and z[i][j] == pytest.approx((C[i, j] - Cmc[i, j]) / se[i, j])
+
+
+def test_cmat_mc_z_score_is_null_where_se_is_zero_and_values_differ():
+    from coactive.cli import _z_entries
+
+    z = _z_entries(np.array([[1.0, 0.0], [2.0, 3.0]]), np.array([[1.0, 0.0], [2.5, 2.0]]),
+                   np.array([[0.0, 0.0], [0.0, 0.5]]))
+    assert z == [[0.0, 0.0], [None, 2.0]]
 
 
 def test_cmat_modified_reuses_c_kl(tmp_path, prior2, fitted_pair, monkeypatch):

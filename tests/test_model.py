@@ -30,6 +30,8 @@ from coactive.model import (
     model_to_dict,
 )
 
+from mars_reference import loop_gradient
+
 UNIT2 = ((0.0, 1.0), (0.0, 1.0))
 
 
@@ -190,6 +192,64 @@ def test_fitted_gradient_close_to_target_gradient():
     m = fit(X, y, FitConfig(domain=UNIT2))
     g = m.gradient([0.5, 0.5])
     np.testing.assert_allclose(g, [1.5, 0.5], atol=0.05)
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _random_surrogate(rng, X, n_terms, used):
+    """Terms of degree 1-4 on the first `used` inputs (the rest unused),
+    signed coefficients, and knots taken from the sample coordinates or
+    placed on a domain edge."""
+    p = X.shape[1]
+    terms = []
+    for _ in range(n_terms):
+        deg = int(rng.integers(1, 5))
+        factors = []
+        for v in rng.choice(used, size=deg, replace=False):
+            u = rng.uniform()
+            if u < 0.8:
+                knot = float(X[rng.integers(X.shape[0]), v])
+            else:
+                knot = 1.0 if u < 0.9 else 0.0
+            factors.append(HingeFactor(var=int(v), sign=int(rng.choice([-1, 1])), knot=knot))
+        terms.append(BasisTerm(coef=float(rng.normal()) * 10.0 ** rng.integers(-3, 3),
+                               factors=tuple(factors)))
+    return MarsSurrogate(intercept=0.5, terms=tuple(terms), p=p, domain=((0.0, 1.0),) * p)
+
+
+def _check_against_loop(m, X):
+    before = X.copy()
+    G = m.gradient_batch(X)
+    assert _bitwise_equal(G, loop_gradient(m, X))
+    assert G.shape == (X.shape[0], m.p) and G.flags.c_contiguous
+    assert not np.shares_memory(G, X)
+    assert _bitwise_equal(X, before)
+
+
+def test_gradient_batch_is_bitwise_the_loop_on_random_models():
+    rng = np.random.default_rng(20)
+    X = rng.uniform(size=(400, 7))
+    for trial in range(12):
+        m = _random_surrogate(rng, X, n_terms=int(rng.integers(1, 40)), used=5)
+        assert {f.var for t in m.terms for f in t.factors} <= set(range(5))
+        assert max(t.degree for t in m.terms) <= 4
+        _check_against_loop(m, X)
+        G = m.gradient_batch(X)
+        assert np.all(G[:, 5:] == 0.0)  # unused inputs
+
+
+def test_gradient_batch_is_bitwise_the_loop_on_any_layout_and_size():
+    rng = np.random.default_rng(21)
+    X = rng.uniform(size=(300, 6))
+    models = [_random_surrogate(rng, X, n_terms=30, used=6),
+              MarsSurrogate(intercept=2.0, terms=(), p=6, domain=((0.0, 1.0),) * 6)]
+    for m in models:
+        for Y in (X, np.asfortranarray(X), X[::2], X[:0], X[:1], X[:2]):
+            _check_against_loop(m, Y)
+    assert models[1].gradient_batch(X[:0]).shape == (0, 6)
+    assert np.array_equal(models[1].gradient_batch(X), np.zeros((300, 6)))
 
 
 # -- serialization ----------------------------------------------------------
