@@ -55,6 +55,7 @@ from .model import (
     cross_validated_rmspe,
     fit,
     fit_ensemble,
+    fit_ensemble_with_report,
     fit_with_report,
     load_ensemble,
     load_model,
@@ -78,7 +79,8 @@ __all__ = [
     # model
     "HingeFactor", "BasisTerm", "MarsSurrogate", "Ensemble",
     "FitConfig", "FitReport",
-    "fit", "fit_with_report", "fit_ensemble", "cross_validated_rmspe",
+    "fit", "fit_with_report", "fit_ensemble", "fit_ensemble_with_report",
+    "cross_validated_rmspe",
     "save_model", "load_model", "save_ensemble", "load_ensemble",
     "load_training_csv",
     # closedform

@@ -42,7 +42,7 @@ from .model import (
     Ensemble,
     FitConfig,
     cross_validated_rmspe,
-    fit_ensemble,
+    fit_ensemble_with_report,
     fit_with_report,
     load_ensemble,
     load_model,
@@ -105,6 +105,15 @@ def _domain_from_prior(prior: InputPrior):
 # ---------------------------------------------------------------------------
 
 
+def _fit_paths(fr) -> dict:
+    """The forward RSS and backward GCV paths of one fit, as reports write them."""
+    return {
+        "forward_rss": list(fr.forward_rss),
+        # null where the GCV denominator is not positive (too many terms for n)
+        "backward_gcv": [g if math.isfinite(g) else None for g in fr.backward_gcv],
+    }
+
+
 def cmd_fit(args) -> int:
     X, y, names, response = load_training_csv(args.data, response=args.response)
     domain = None
@@ -125,7 +134,7 @@ def cmd_fit(args) -> int:
         if os.path.isdir(args.out) and os.listdir(args.out) and not args.force:
             raise FileExistsError(f"{args.out} is non-empty; pass --force to overwrite")
         t0 = time.perf_counter()
-        ens = fit_ensemble(X, y, cfg, B=args.ensemble, seed=args.seed)
+        ens, reports = fit_ensemble_with_report(X, y, cfg, B=args.ensemble, seed=args.seed)
         print(f"fit: {len(ens)} members, {time.perf_counter() - t0:.2f}s", file=sys.stderr)
         os.makedirs(args.out, exist_ok=True)
         save_ensemble(ens, args.out, meta=meta)
@@ -140,6 +149,7 @@ def cmd_fit(args) -> int:
             "n_terms": len(m0.terms),
             "rmse": float(np.sqrt(sse / len(y))),
             "r2": 1.0 - sse / sst if sst > 0 else 1.0,
+            "member_paths": [_fit_paths(fr) for fr in reports],
             "response": response,
             "inputs": names,
             "meta": meta,
@@ -162,9 +172,7 @@ def cmd_fit(args) -> int:
             "r2": fr.r2,
             "gcv": fr.gcv,
             "constant": fr.constant,
-            "forward_rss": list(fr.forward_rss),
-            # null where the GCV denominator is not positive (too many terms for n)
-            "backward_gcv": [g if math.isfinite(g) else None for g in fr.backward_gcv],
+            **_fit_paths(fr),
             "response": response,
             "inputs": names,
             "meta": meta,

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .model import BasisTerm, MarsSurrogate
 
@@ -60,6 +59,8 @@ def _ndtr_diff(alpha, beta):
     """ndtr(beta) - ndtr(alpha), reflected to ndtr(-alpha) - ndtr(-beta)
     where alpha > 0: in the upper tail ndtr rounds to 1 and the direct
     difference loses every digit."""
+    from scipy.special import ndtr  # loaded by the first NormalDim only
+
     sgn = np.where(alpha > 0, -1.0, 1.0)
     return sgn * (ndtr(sgn * beta) - ndtr(sgn * alpha))
 
@@ -143,6 +144,8 @@ class NormalDim:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if np.isinf(self.trunc_lo) and np.isinf(self.trunc_hi):
             return rng.normal(self.mean, self.sd, size=n)
+        from scipy.special import ndtr, ndtri
+
         alpha, beta = self._std(self.trunc_lo), self._std(self.trunc_hi)
         if alpha > 0:
             # the reflected draw, for the same reason as _ndtr_diff

@@ -30,6 +30,7 @@ __all__ = [
     "fit",
     "fit_with_report",
     "fit_ensemble",
+    "fit_ensemble_with_report",
     "cross_validated_rmspe",
     "save_model",
     "load_model",
@@ -882,8 +883,16 @@ def _backward_pass(X, y, factor_sets, cfg: FitConfig):
 
 
 def fit_ensemble(X, y, cfg: FitConfig, B: int, seed: int) -> Ensemble:
-    """B surrogates: member 0 is the full-data fit, members 1..B-1 are fits
-    to bootstrap row-resamples drawn from seed.
+    """B-member bootstrap ensemble; see fit_ensemble_with_report."""
+    return fit_ensemble_with_report(X, y, cfg, B, seed)[0]
+
+
+def fit_ensemble_with_report(
+    X, y, cfg: FitConfig, B: int, seed: int
+) -> tuple[Ensemble, tuple[FitReport, ...]]:
+    """B surrogates and their fit reports, in member order: member 0 is the
+    full-data fit, members 1..B-1 are fits to bootstrap row-resamples drawn
+    from seed.
 
     These bootstrap members stand in for the draws of a posterior over
     hinge-spline models; B is exposed directly (there is no burn-in or
@@ -899,13 +908,14 @@ def fit_ensemble(X, y, cfg: FitConfig, B: int, seed: int) -> Ensemble:
             (float(X[:, j].min()), float(X[:, j].max())) for j in range(X.shape[1])
         )
         cfg_dom = replace(cfg, domain=domain)
-    members = [fit(X, y, cfg_dom)]
+    fits = [fit_with_report(X, y, cfg_dom)]
     rng = np.random.default_rng(seed)
     n = X.shape[0]
     for _ in range(B - 1):
         rows = rng.integers(0, n, size=n)
-        members.append(fit(X[rows], y[rows], cfg_dom))
-    return Ensemble(members=tuple(members), label=cfg.label or "model")
+        fits.append(fit_with_report(X[rows], y[rows], cfg_dom))
+    members, reports = zip(*fits)
+    return Ensemble(members=members, label=cfg.label or "model"), reports
 
 
 def cross_validated_rmspe(X, y, cfg: FitConfig, k: int) -> float:

@@ -110,6 +110,22 @@ def test_fit_ensemble_directory(tmp_path, prior2, capsys):
     assert re.fullmatch(r"fit: 3 members, \d+\.\d\ds\n", capsys.readouterr().err)
     rep = json.loads((tmp_path / "ens" / "report.json").read_text())
     assert rep["members"] == 3
+    # each member's forward RSS and backward GCV paths, in member order
+    paths = rep["member_paths"]
+    assert len(paths) == 3
+    for i, path in enumerate(paths):
+        rss, gcv = path["forward_rss"], path["backward_gcv"]
+        assert len(rss) >= 2 and all(b <= a for a, b in zip(rss, rss[1:]))
+        assert len(rss) <= len(gcv) <= 2 * len(rss) - 1
+        # the deletion path ends at the intercept; the kept subset has the lowest GCV
+        best = min(g for g in gcv if g is not None)
+        kept = len(gcv) - 1 - max(k for k, g in enumerate(gcv) if g == best)
+        assert kept == len(load_model(os.path.join(out, f"member_{i:03d}.json")).terms)
+    # member 0 is the full-data fit: its paths are the single-fit report's
+    single = str(tmp_path / "m.json")
+    assert main(["fit", str(train), "--out", single, "--prior", prior2]) == 0
+    srep = json.loads((tmp_path / "m.report.json").read_text())
+    assert paths[0] == {k: srep[k] for k in ("forward_rss", "backward_gcv")}
     for name in os.listdir(out):
         assert b"fit: " not in (tmp_path / "ens" / name).read_bytes(), name
     from coactive import load_ensemble

@@ -26,6 +26,7 @@ from coactive import (
     mds_embed,
     model_centers,
     pairwise_concordance,
+    save_prior,
 )
 from conftest import procrustes_error
 
@@ -301,14 +302,49 @@ def test_mds_validation():
         mds_embed(neg)
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize adds about 21 MiB and 0.24 s to every start-up
-    code = "import sys, coactive; print('scipy.optimize' in sys.modules)"
+STARTUP_SCRIPT = """
+import os, sys
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import coactive.cli
+assert scipy_loaded() == [], scipy_loaded()
+
+tmp = sys.argv[1]
+prior = os.path.join(tmp, "prior.json")
+main = coactive.cli.main
+for i in (0, 1):
+    assert main(["fit", os.path.join(tmp, f"t{i}.csv"), "--out", os.path.join(tmp, f"ens{i}"),
+                 "--prior", prior, "--ensemble", "2", "--seed", str(i)]) == 0
+assert main(["cluster", os.path.join(tmp, "ens0"), os.path.join(tmp, "ens1"),
+             "--prior", prior, "--out-dir", os.path.join(tmp, "clust")]) == 0
+assert main(["cmat", os.path.join(tmp, "ens0", "member_000.json"),
+             os.path.join(tmp, "ens1", "member_000.json"), "--prior", prior,
+             "--out-dir", os.path.join(tmp, "pair"), "--mc", "500"]) == 0
+assert scipy_loaded() == [], scipy_loaded()
+
+coactive.NormalDim(0.0, 1.0, trunc_lo=-1.0)
+assert "scipy.special" in sys.modules
+assert "scipy.optimize" not in sys.modules
+print("ok")
+"""
+
+
+def test_startup_and_uniform_runs_leave_scipy_unloaded(tmp_path):
+    # scipy.special is loaded by the first NormalDim; scipy.optimize never
+    for i, beta in enumerate((0.5, 4.0)):
+        X = lhs_design(60, 2, UNIT2, seed=20 + i)
+        y = X[:, 0] ** 2 + X[:, 0] * X[:, 1] + beta * X[:, 1] ** 3
+        rows = [f"{a:.17g},{b:.17g},{v:.17g}" for (a, b), v in zip(X, y)]
+        (tmp_path / f"t{i}.csv").write_text("\n".join(["x1,x2,y", *rows]) + "\n")
+    save_prior(PRIOR2, tmp_path / "prior.json")
     src = os.path.dirname(os.path.dirname(coactive.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60, check=True)
-    assert res.stdout.strip() == "False"
+    res = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "ok"
 
 
 # -- centers ------------------------------------------------------------------------

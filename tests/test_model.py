@@ -15,6 +15,7 @@ from coactive import (
     MarsSurrogate,
     fit,
     fit_ensemble,
+    fit_ensemble_with_report,
     fit_with_report,
     lhs_design,
     load_ensemble,
@@ -467,6 +468,19 @@ def test_fit_ensemble_member0_is_full_fit():
     assert len(ens) == 3
     assert ens.members[0].to_dict() == fit(X, y, cfg).to_dict()
     assert ens.p == 2 and ens.domain == UNIT2
+
+
+def test_fit_ensemble_with_report_pairs_members_and_reports():
+    X, y = _poly_xy(n=80)
+    cfg = FitConfig(domain=UNIT2, label="poly")
+    ens, reports = fit_ensemble_with_report(X, y, cfg, B=3, seed=42)
+    # member 0 is the full-data fit, then one bootstrap draw per member
+    rng = np.random.default_rng(42)
+    samples = [np.arange(80)] + [rng.integers(0, 80, size=80) for _ in range(2)]
+    assert len(reports) == 3
+    for m, rep, rows in zip(ens.members, reports, samples):
+        ref, ref_rep = fit_with_report(X[rows], y[rows], cfg)
+        assert m.to_dict() == ref.to_dict() and rep == ref_rep
 
 
 def test_fit_ensemble_reproducible_and_validated():
