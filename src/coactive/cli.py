@@ -19,21 +19,13 @@ import time
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    activity_scores,
-    decompose,
-    discordance,
-    poincare_bound,
-    select_dim,
-    symmetrize,
-)
+from .analysis import activity_scores, decompose, poincare_bound, select_dim, symmetrize
 from .closedform import (
     InputPrior,
     cmat,
     cmat_modified,
     load_matrix,
     load_prior,
-    matrix_to_dict,
     save_matrix,
     write_matrix_csv,
 )
@@ -105,6 +97,11 @@ def _domain_from_prior(prior: InputPrior):
 # ---------------------------------------------------------------------------
 
 
+def _fit_summary(fr) -> dict:
+    """The size and training error of one fit, as both fit reports write them."""
+    return {"n": fr.n, "n_terms": fr.n_terms, "rmse": fr.rmse, "r2": fr.r2}
+
+
 def _fit_paths(fr) -> dict:
     """The forward RSS and backward GCV paths of one fit, as reports write them."""
     return {
@@ -138,21 +135,11 @@ def cmd_fit(args) -> int:
         print(f"fit: {len(ens)} members, {time.perf_counter() - t0:.2f}s", file=sys.stderr)
         os.makedirs(args.out, exist_ok=True)
         save_ensemble(ens, args.out, meta=meta)
-        m0 = ens.members[0]
-        pred = m0.evaluate_batch(X)
-        resid = y - pred
-        sst = float(np.sum((y - y.mean()) ** 2))
-        sse = float(resid @ resid)
+        # member 0 is the full-data fit, so these are the numbers `fit` reports
         report = {
-            "n": len(y),
+            **_fit_summary(reports[0]),
             "members": len(ens),
-            "n_terms": len(m0.terms),
-            "rmse": float(np.sqrt(sse / len(y))),
-            "r2": 1.0 - sse / sst if sst > 0 else 1.0,
             "member_paths": [_fit_paths(fr) for fr in reports],
-            "response": response,
-            "inputs": names,
-            "meta": meta,
         }
     else:
         report_path = os.path.splitext(args.out)[0] + ".report.json"
@@ -165,18 +152,8 @@ def cmd_fit(args) -> int:
             file=sys.stderr,
         )
         save_model(model, args.out, meta=meta)
-        report = {
-            "n": fr.n,
-            "n_terms": fr.n_terms,
-            "rmse": fr.rmse,
-            "r2": fr.r2,
-            "gcv": fr.gcv,
-            "constant": fr.constant,
-            **_fit_paths(fr),
-            "response": response,
-            "inputs": names,
-            "meta": meta,
-        }
+        report = {**_fit_summary(fr), "gcv": fr.gcv, "constant": fr.constant, **_fit_paths(fr)}
+    report.update(response=response, inputs=names, meta=meta)
     if args.cv:
         report["cv_rmspe"] = cross_validated_rmspe(X, y, cfg, k=args.cv)
     _write_json(report_path, report)
@@ -203,38 +180,35 @@ def _resolve_q(args, dec):
     return q, r_selected
 
 
-def _analysis_report(dec, labels, q, r_selected) -> dict:
+def _analyze(C, Ck, Cl, args):
+    """Decomposition of the symmetrized cross matrix C against the self
+    traces of Ck and Cl, with q resolved from args; returns (dec, q, report)."""
+    dec = decompose(symmetrize(C), Ck.trace, Cl.trace)
+    q, r_selected = _resolve_q(args, dec)
     signed, unsigned = activity_scores(dec, q)
-    return {
-        "pair": list(labels),
-        "concordance": dec.concordance,
-        "discordance": discordance(dec.concordance),
-        "t_k": dec.t_k,
-        "t_l": dec.t_l,
-        "eigvals": [float(v) for v in dec.eigvals],
-        "eigvecs": [[float(v) for v in row] for row in dec.eigvecs],
-        "contributions": [float(v) for v in dec.contributions],
+    report = {
+        **dec.to_dict(),
+        "pair": list(C.labels),
         "signed_scores": [float(v) for v in signed],
         "unsigned_scores": [float(v) for v in unsigned],
         "q": q,
         "r_selected": r_selected,
     }
+    return dec, q, report
 
 
-def _ratio_rows(dec_k, dec_l, dec_kl, q, names=None):
+def _write_ratios(path, Ck, Cl, dec, q, meta) -> None:
     """Per-input relative activity of each model to the joint co-activity
-    (unsigned scores throughout)."""
-    _, a_k = activity_scores(dec_k, min(q, dec_k.p))
-    _, a_l = activity_scores(dec_l, min(q, dec_l.p))
-    _, a_kl = activity_scores(dec_kl, min(q, dec_kl.p))
+    (unsigned scores throughout); decomposes the two self matrices."""
+    dec_k, dec_l = (decompose(M.entries, M.trace, M.trace) for M in (Ck, Cl))
+    a_k, a_l, a_kl = (activity_scores(d, min(q, d.p))[1] for d in (dec_k, dec_l, dec))
     rows = []
-    for i in range(dec_kl.p):
-        name = names[i] if names else f"x{i + 1}"
+    for i in range(dec.p):
         denom = a_kl[i]
         rk = float(a_k[i] / denom) if denom != 0 else float("nan")
         rl = float(a_l[i] / denom) if denom != 0 else float("nan")
-        rows.append((name, rk, rl))
-    return rows
+        rows.append((f"x{i + 1}", rk, rl))
+    _write_rows_csv(path, ["input", "alpha_k_over_kl", "alpha_l_over_kl"], rows, meta)
 
 
 def _z_entries(C, C_mc, se):
@@ -264,26 +238,15 @@ def cmd_cmat(args) -> int:
     C = cmat(ma, mb, prior)
     Ck = cmat(ma, ma, prior)
     Cl = cmat(mb, mb, prior)
-    V = symmetrize(C)
-    dec = decompose(V, Ck.trace, Cl.trace)
-    q, r_selected = _resolve_q(args, dec)
-    report = _analysis_report(dec, C.labels, q, r_selected)
+    dec, q, report = _analyze(C, Ck, Cl, args)
     report["meta"] = meta
 
     write_matrix_csv(out("c_kl.csv"), C.entries, meta=meta)
     save_matrix(C, out("c_kl.json"), meta=meta)
-    write_matrix_csv(out("v_kl.csv"), V, meta=meta)
+    write_matrix_csv(out("v_kl.csv"), dec.V, meta=meta)
     write_matrix_csv(out("c_kk.csv"), Ck.entries, meta=meta)
     write_matrix_csv(out("c_ll.csv"), Cl.entries, meta=meta)
-
-    dec_k = decompose(Ck.entries, Ck.trace, Ck.trace)
-    dec_l = decompose(Cl.entries, Cl.trace, Cl.trace)
-    _write_rows_csv(
-        out("ratios.csv"),
-        ["input", "alpha_k_over_kl", "alpha_l_over_kl"],
-        _ratio_rows(dec_k, dec_l, dec, q),
-        meta,
-    )
+    _write_ratios(out("ratios.csv"), Ck, Cl, dec, q, meta)
 
     if args.modified:
         Cm = cmat_modified(ma, mb, prior, base=C)
@@ -313,21 +276,11 @@ def cmd_analyze(args) -> int:
     Cl = load_matrix(args.self_l)
     meta = _meta(args)
     _guard([args.out, args.ratios], args.force)
-    V = symmetrize(C)
-    dec = decompose(V, Ck.trace, Cl.trace)
-    q, r_selected = _resolve_q(args, dec)
-    report = _analysis_report(dec, C.labels, q, r_selected)
+    dec, q, report = _analyze(C, Ck, Cl, args)
     report["meta"] = meta
     _write_json(args.out, report)
     if args.ratios:
-        dec_k = decompose(Ck.entries, Ck.trace, Ck.trace)
-        dec_l = decompose(Cl.entries, Cl.trace, Cl.trace)
-        _write_rows_csv(
-            args.ratios,
-            ["input", "alpha_k_over_kl", "alpha_l_over_kl"],
-            _ratio_rows(dec_k, dec_l, dec, q),
-            meta,
-        )
+        _write_ratios(args.ratios, Ck, Cl, dec, q, meta)
     print(f"concordance kappa={dec.concordance:.6g} -> {args.out}")
     return 0
 

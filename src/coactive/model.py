@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,8 +25,6 @@ __all__ = [
     "Ensemble",
     "FitConfig",
     "FitReport",
-    "evaluate",
-    "gradient",
     "fit",
     "fit_with_report",
     "fit_ensemble",
@@ -186,16 +184,6 @@ def _as_batch(X: np.ndarray, p: int) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != p:
         raise ValueError(f"expected input of shape (n, {p}), got {X.shape}")
     return X
-
-
-def evaluate(m: MarsSurrogate, x) -> float:
-    """Evaluate m at a single point x (length p)."""
-    return m.evaluate(x)
-
-
-def gradient(m: MarsSurrogate, x) -> np.ndarray:
-    """Analytic gradient of m at a single point x (length p)."""
-    return m.gradient(x)
 
 
 @dataclass(frozen=True)
@@ -424,6 +412,12 @@ class FitReport:
     backward_gcv: tuple[float, ...] = ()
 
 
+def _data_domain(X: np.ndarray) -> tuple[tuple[float, float], ...]:
+    """The range of each column of X; a constant column v becomes [v, v + 1]."""
+    dom = ((float(X[:, j].min()), float(X[:, j].max())) for j in range(X.shape[1]))
+    return tuple((lo, hi) if lo < hi else (lo, lo + 1.0) for lo, hi in dom)
+
+
 def fit(X, y, cfg: FitConfig = FitConfig()) -> MarsSurrogate:
     """Fit a hinge-spline surrogate; see fit_with_report for details."""
     return fit_with_report(X, y, cfg)[0]
@@ -461,8 +455,7 @@ def fit_with_report(X, y, cfg: FitConfig = FitConfig()) -> tuple[MarsSurrogate, 
 
     domain = cfg.domain
     if domain is None:
-        domain = tuple((float(X[:, j].min()), float(X[:, j].max())) for j in range(p))
-        domain = tuple((lo, hi) if lo < hi else (lo, lo + 1.0) for lo, hi in domain)
+        domain = _data_domain(X)
     else:
         domain = tuple((float(lo), float(hi)) for lo, hi in domain)
         for j in range(p):
@@ -902,12 +895,8 @@ def fit_ensemble_with_report(
         raise ValueError(f"B must be >= 1, got {B}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
-    cfg_dom = cfg
-    if cfg.domain is None:
-        domain = tuple(
-            (float(X[:, j].min()), float(X[:, j].max())) for j in range(X.shape[1])
-        )
-        cfg_dom = replace(cfg, domain=domain)
+    # every member gets the full data's range, as member 0 would by itself
+    cfg_dom = cfg if cfg.domain is not None else replace(cfg, domain=_data_domain(X))
     fits = [fit_with_report(X, y, cfg_dom)]
     rng = np.random.default_rng(seed)
     n = X.shape[0]

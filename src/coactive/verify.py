@@ -17,7 +17,7 @@ from .analysis import concordance
 from .closedform import InputPrior, cmat
 from .cluster import discordance_matrix, pairwise_concordance
 from .model import Ensemble, FitConfig, fit
-from .montecarlo import SampledFunction, lhs_design, mc_cmat, piston
+from .montecarlo import lhs_design, mc_cmat, piston
 
 __all__ = [
     "CheckResult",
@@ -108,13 +108,6 @@ def check_poly() -> list[CheckResult]:
             )
         )
     return out
-
-
-def _fit_surrogate_of(fn: SampledFunction, n: int, seed: int, cfg: FitConfig | None = None):
-    X = lhs_design(n, fn.p, fn.domain, seed=seed)
-    y = fn(X)
-    cfg = cfg or FitConfig(domain=fn.domain, label=fn.label)
-    return fit(X, y, cfg)
 
 
 def check_piston(B: int = 100_000, n_fit: int = 1000, seed: int = 20260813) -> list[CheckResult]:

@@ -126,6 +126,10 @@ def test_fit_ensemble_directory(tmp_path, prior2, capsys):
     assert main(["fit", str(train), "--out", single, "--prior", prior2]) == 0
     srep = json.loads((tmp_path / "m.report.json").read_text())
     assert paths[0] == {k: srep[k] for k in ("forward_rss", "backward_gcv")}
+    # ... and so are its size and training error, to the last digit
+    assert {k: rep[k] for k in ("n", "n_terms", "rmse", "r2")} == {
+        k: srep[k] for k in ("n", "n_terms", "rmse", "r2")
+    }
     for name in os.listdir(out):
         assert b"fit: " not in (tmp_path / "ens" / name).read_bytes(), name
     from coactive import load_ensemble
@@ -309,9 +313,42 @@ def test_analyze_matches_cmat(tmp_path, prior2, fitted_pair, capsys):
     an_rep = json.loads(out2.read_text())
     assert an_rep["concordance"] == cm_rep["concordance"]
     assert an_rep["eigvals"] == cm_rep["eigvals"]
+    # one report: every field but the run metadata is cmat's
+    del an_rep["meta"], cm_rep["meta"]
+    assert an_rep == cm_rep
     ratios = (tmp_path / "r.csv").read_text().splitlines()
     assert ratios[1] == "input,alpha_k_over_kl,alpha_l_over_kl"
     assert len(ratios) == 4  # comment, header, two inputs
+    # the rows below the comment line are cmat's, byte for byte
+    cm_ratios = (out / "ratios.csv").read_bytes()
+    assert (tmp_path / "r.csv").read_bytes().split(b"\n", 1)[1] == cm_ratios.split(b"\n", 1)[1]
+
+
+def test_analyze_without_ratios_reads_only_the_self_traces(tmp_path, prior2, fitted_pair, capsys):
+    from coactive import cmat
+    from coactive.closedform import CoActiveMatrix, load_prior
+
+    ma_path, mb_path = fitted_pair
+    prior = load_prior(prior2)
+    ma, mb = load_model(ma_path), load_model(mb_path)
+    save_matrix(cmat(ma, mb, prior), tmp_path / "ckl.json")
+    for name, m in (("ckk", ma), ("cll", mb)):
+        C = cmat(m, m, prior)
+        save_matrix(C, tmp_path / f"{name}.json")
+        # same trace, but no self matrix: decomposing it would be refused
+        skew = C.entries + np.array([[0.0, 1.0], [-1.0, 0.0]])
+        save_matrix(CoActiveMatrix(skew, C.trace, C.labels), tmp_path / f"{name}_skew.json")
+    argv = lambda k, l, out: ["analyze", "--matrix", str(tmp_path / "ckl.json"),
+                              "--self-k", str(tmp_path / k), "--self-l", str(tmp_path / l),
+                              "--out", str(tmp_path / out)]
+    assert main(argv("ckk.json", "cll.json", "a.json")) == 0
+    assert main(argv("ckk_skew.json", "cll_skew.json", "b.json")) == 0
+    a, b = (json.loads((tmp_path / n).read_text()) for n in ("a.json", "b.json"))
+    del a["meta"], b["meta"]  # the config hash names the input files
+    assert a == b
+    ratios = ["--ratios", str(tmp_path / "r.csv")]
+    assert main(argv("ckk_skew.json", "cll_skew.json", "c.json") + ratios) == 1
+    assert "symmetric" in capsys.readouterr().err
 
 
 # -- mc ----------------------------------------------------------------------------

@@ -483,6 +483,17 @@ def test_fit_ensemble_with_report_pairs_members_and_reports():
         assert m.to_dict() == ref.to_dict() and rep == ref_rep
 
 
+def test_fit_ensemble_widens_a_constant_column_as_fit_does():
+    X, y = _poly_xy(n=80)
+    X = np.column_stack([X, np.full(80, 0.5)])  # a third input held at 0.5
+    cfg = FitConfig(label="const")
+    ens = fit_ensemble(X, y, cfg, B=2, seed=3)
+    single = fit(X, y, cfg)
+    assert single.domain[2] == (0.5, 1.5)
+    assert ens.members[0].to_dict() == single.to_dict()
+    assert all(m.domain == single.domain for m in ens.members)
+
+
 def test_fit_ensemble_reproducible_and_validated():
     X, y = _poly_xy(n=80)
     cfg = FitConfig(domain=UNIT2)
