@@ -128,6 +128,8 @@ def cmd_fit(args) -> int:
 
     if args.ensemble:
         report_path = os.path.join(args.out, "report.json")
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise FileExistsError(f"{args.out} is a file; --ensemble writes a directory")
         if os.path.isdir(args.out) and os.listdir(args.out) and not args.force:
             raise FileExistsError(f"{args.out} is non-empty; pass --force to overwrite")
         t0 = time.perf_counter()
@@ -182,7 +184,13 @@ def _resolve_q(args, dec):
 
 def _analyze(C, Ck, Cl, args):
     """Decomposition of the symmetrized cross matrix C against the self
-    traces of Ck and Cl, with q resolved from args; returns (dec, q, report)."""
+    traces of Ck and Cl, the self matrices of C's row and column models,
+    with q resolved from args; returns (dec, q, report)."""
+    for flag, M, want in (("--self-k", Ck, C.labels[0]), ("--self-l", Cl, C.labels[1])):
+        if M.p != C.p:
+            raise ValueError(f"{flag} matrix has p={M.p}, the cross matrix p={C.p}")
+        if want and any(lab and lab != want for lab in M.labels):
+            raise ValueError(f"{flag} matrix is labelled {list(M.labels)}, not {want!r}")
     dec = decompose(symmetrize(C), Ck.trace, Cl.trace)
     q, r_selected = _resolve_q(args, dec)
     signed, unsigned = activity_scores(dec, q)

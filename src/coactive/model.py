@@ -509,15 +509,15 @@ def _span_lengths(cfg: FitConfig, p: int, count: int) -> tuple[int, int]:
     return max(0, endspan), max(1, minspan)
 
 
-def _parent_candidates(xv: np.ndarray, active: np.ndarray, cfg: FitConfig, p: int) -> np.ndarray:
-    """Eligible knot values on one variable given the parent's support.
+def _parent_candidates(xs: np.ndarray, cfg: FitConfig, p: int) -> np.ndarray:
+    """Eligible knot values on one variable given the parent's support xs,
+    sorted ascending.
 
     The minimum support value always qualifies (the resulting hinge is
     linear across the support); interior values are rank-trimmed by
     endspan on both sides and rank-thinned by minspan, then capped at
     max_knots evenly spaced order statistics.
     """
-    xs = np.sort(xv[active])
     a = xs.size
     endspan, minspan = _span_lengths(cfg, p, a)
     if a < max(2, endspan + 1):
@@ -543,95 +543,129 @@ def _gcv(sse: float, n: int, ncols: int, nterms: int, penalty: float) -> float:
 def _hinge_sums(W, G, xc, loc, tc, ip, im):
     """Inner products of the columns of W with both candidate hinges.
 
-    Rows of W (n x s) and G (n x P, parent columns) follow the sorted
-    centred inputs xc. Candidate i is parent loc[i] with centred knot
-    tc[i]; ip[i] and im[i] count the sorted x <= t and x < t. Returns
-    (plus, minus), each (L x s): w . g(x - t)_+ is a suffix sum and
-    w . g(t - x)_+ a prefix sum of w*g and w*g*x, taken from one cumsum
-    over all parents at once.
+    Slot s holds a parent column G[s] (n) and the columns W[s] (n x k),
+    both in the row order of its sorted centred inputs xc[s]. Candidate i
+    is slot loc[i] with centred knot tc[i]; ip[i] and im[i] count the
+    sorted x <= t and x < t. Returns (plus, minus), each (L x k):
+    w . g(x - t)_+ is a suffix sum and w . g(t - x)_+ a prefix sum of w*g
+    and w*g*x, taken from one cumsum over all slots at once.
     """
-    WG = G[:, :, None] * W[:, None, :]
-    c0 = np.zeros((WG.shape[0] + 1,) + WG.shape[1:])
+    WG = G[:, :, None] * W
+    c0 = np.zeros((WG.shape[0], WG.shape[1] + 1, WG.shape[2]))
     c1 = np.zeros_like(c0)
-    np.cumsum(WG, axis=0, out=c0[1:])
-    np.cumsum(WG * xc[:, None, None], axis=0, out=c1[1:])
+    np.cumsum(WG, axis=1, out=c0[:, 1:])
+    np.cumsum(WG * xc[:, :, None], axis=1, out=c1[:, 1:])
     t = tc[:, None]
-    plus = (c1[-1, loc] - c1[ip, loc]) - t * (c0[-1, loc] - c0[ip, loc])
-    minus = t * c0[im, loc] - c1[im, loc]
+    plus = (c1[loc, -1] - c1[loc, ip]) - t * (c0[loc, -1] - c0[loc, ip])
+    minus = t * c0[loc, im] - c1[loc, im]
     return plus, minus
 
 
-class _VarScan:
-    """Running sums of the knot scan on one input variable.
+# relative width of a tie between candidate reductions. Against the dense
+# n x K scan the running sums differ by up to ~1e-9 of the top reduction,
+# while distinct top-two reductions of piston fits differ by 2e-7 or more
+_TIE_RTOL = 1e-8
 
-    Holds, for every parent eligible on this variable, its column g and
-    the residual of g*x against the basis Q, both in sorted-x row order.
-    Flattened over the parents' candidate knots in (parent, knot) order it
-    holds the raw hinge norms |C+|^2, |C-|^2 and the sums over the columns
-    q of Q of (q.C+)^2, (q.C-)^2 and (q.C+)(q.C-). C+ . C- is exactly 0
-    (disjoint supports).
+
+class _KnotScan:
+    """Friedman's fast knot update (Friedman 1991, Ann. Stat., sec. 3.9).
+
+    Keeps the orthonormal basis Q of the forward pass and running sums from
+    which every candidate knot is scored in O(n) per step. Each eligible
+    (parent, variable) pair is a slot, in (parent, variable) order: its
+    parent par[s], variable var[s], the parent column g in the variable's
+    sorted row order G[s], and the residual of g*(x - centre) against Q in
+    the original row order R[s]. Flat over the candidates in (slot, knot)
+    order, loc holds each one's slot, next to the raw hinge norms |C+|^2,
+    |C-|^2 and the sums over the columns q of Q of (q.C+)^2, (q.C-)^2 and
+    (q.C+)(q.C-). C+ . C- is exactly 0 (disjoint supports).
     """
 
-    def __init__(self, x: np.ndarray, capacity: int):
-        self.order = np.argsort(x, kind="stable")
-        self.xs = x[self.order]
-        self.center = float(np.median(x))
-        self.xc = self.xs - self.center
-        # one row per parent, so only the rows in use are ever touched
-        self.G = np.empty((capacity, x.size))  # parent columns g
-        self.R = np.empty((capacity, x.size))  # residuals of g*x against Q
-        self.parents: list[int] = []
-        self.loc = self.ip = self.im = self.par = np.empty(0, dtype=np.intp)
+    def __init__(self, X: np.ndarray, cfg: FitConfig, capacity: int):
+        n, p = X.shape
+        self.X = X
+        self.cfg = cfg
+        self.Q = np.empty((n, capacity))
+        self.m = 0
+        self.parent_cols: list[np.ndarray] = []
+        self.parent_factors: list[tuple[HingeFactor, ...]] = []
+        self.order = np.argsort(X, axis=0, kind="stable").T  # (p, n)
+        self.xs = np.take_along_axis(X, self.order.T, axis=0).T
+        self.center = np.median(X, axis=0)
+        self.xc = self.xs - self.center[:, None]
+        # one row per slot, so only the rows in use are ever touched
+        self.G = np.empty((p * capacity, n))
+        self.R = np.empty((p * capacity, n))
+        self.par = self.var = self.loc = self.ip = self.im = np.empty(0, dtype=np.intp)
         self.knot = self.tc = self.raw_p = self.raw_m = np.empty(0)
         self.spp = self.smm = self.spm = np.empty(0)
 
-    def add_parent(self, pi: int, pcol: np.ndarray, knots: np.ndarray, Q: np.ndarray) -> None:
-        """Register parent pi with its candidate knots; its sums cover Q."""
-        k = len(self.parents)
-        g = pcol[self.order]
-        Qs = Q[self.order]
-        r = g * self.xc
+    @property
+    def basis(self) -> np.ndarray:
+        return self.Q[:, : self.m]
+
+    def add_parent(self, pcol: np.ndarray, factors: tuple[HingeFactor, ...]) -> None:
+        """A selected term becomes a parent on each variable it leaves free,
+        registered on all of them in one stacked pass."""
+        pi = len(self.parent_factors)
+        self.parent_cols.append(pcol)
+        self.parent_factors.append(factors)
+        if len(factors) >= self.cfg.max_degree:
+            return
+        p = self.X.shape[1]
+        used = {f.var for f in factors}
+        gs = pcol[self.order]  # the parent column in each variable's sorted order
+        cands = {v: _parent_candidates(self.xs[v][gs[v] > 0], self.cfg, p)
+                 for v in range(p) if v not in used}
+        vs = np.array([v for v, kn in cands.items() if kn.size], dtype=np.intp)
+        if not vs.size:
+            return
+        knots, s0 = [cands[v] for v in vs], self.par.size
+        g, xc, xs = gs[vs], self.xc[vs], self.xs[vs]
+        loc = np.repeat(np.arange(vs.size), [kn.size for kn in knots])
+        knot = np.concatenate(knots)
+        tc = knot - self.center[vs][loc]
+        ip = np.concatenate([np.searchsorted(x, kn, side="right") for x, kn in zip(xs, knots)])
+        im = np.concatenate([np.searchsorted(x, kn, side="left") for x, kn in zip(xs, knots)])
+        Q = self.basis
+        r = pcol * (self.X[:, vs].T - self.center[vs, None])
         for _ in range(2):  # re-orthogonalize, as for the basis itself
-            r = r - Qs @ (Qs.T @ r)
-        self.G[k] = g
-        self.R[k] = r
-        self.parents.append(pi)
-        tc = knots - self.center
-        ip = np.searchsorted(self.xs, knots, side="right")
-        im = np.searchsorted(self.xs, knots, side="left")
+            r = r - (r @ Q) @ Q.T
+        self.G[s0 : s0 + vs.size] = g
+        self.R[s0 : s0 + vs.size] = r
         # raw norms: sum of g^2 (x - t)^2 over the suffix / prefix
         g2 = g * g
-        S = np.zeros((g.size + 1, 3))
-        np.cumsum(np.column_stack([g2, g2 * self.xc, g2 * self.xc**2]), axis=0, out=S[1:])
-        suf, pre = S[-1] - S[ip], S[im]
+        S = np.zeros((vs.size, g.shape[1] + 1, 3))
+        np.cumsum(np.stack([g2, g2 * xc, g2 * xc**2], axis=-1), axis=1, out=S[:, 1:])
+        suf, pre = S[loc, -1] - S[loc, ip], S[loc, im]
         raw_p = suf[:, 2] - 2.0 * tc * suf[:, 1] + tc * tc * suf[:, 0]
         raw_m = pre[:, 2] - 2.0 * tc * pre[:, 1] + tc * tc * pre[:, 0]
-        zero = np.zeros(knots.size, dtype=np.intp)
-        plus, minus = _hinge_sums(Qs, g[:, None], self.xc, zero, tc, ip, im)
+        plus, minus = _hinge_sums(Q[self.order[vs]], g, xc, loc, tc, ip, im)
         cat = np.concatenate
-        self.loc, self.ip, self.im = cat([self.loc, zero + k]), cat([self.ip, ip]), cat([self.im, im])
-        self.par = cat([self.par, zero + pi])
-        self.knot, self.tc = cat([self.knot, knots]), cat([self.tc, tc])
+        self.par, self.var = cat([self.par, np.full(vs.size, pi)]), cat([self.var, vs])
+        self.loc, self.ip, self.im = cat([self.loc, loc + s0]), cat([self.ip, ip]), cat([self.im, im])
+        self.knot, self.tc = cat([self.knot, knot]), cat([self.tc, tc])
         self.raw_p = cat([self.raw_p, np.maximum(raw_p, 0.0)])
         self.raw_m = cat([self.raw_m, np.maximum(raw_m, 0.0)])
         self.spp = cat([self.spp, np.einsum("ij,ij->i", plus, plus)])
         self.smm = cat([self.smm, np.einsum("ij,ij->i", minus, minus)])
         self.spm = cat([self.spm, np.einsum("ij,ij->i", plus, minus)])
 
-    def _sums(self, ws: np.ndarray):
-        """w.C+ and w.C- of every candidate, for a w in sorted-x order."""
-        G = self.G[: len(self.parents)].T
-        plus, minus = _hinge_sums(ws[:, None], G, self.xc, self.loc, self.tc, self.ip, self.im)
+    def _sums(self, w: np.ndarray):
+        """w.C+ and w.C- of every candidate, for a w in original row order."""
+        ws, G = w[self.order[self.var]][:, :, None], self.G[: self.par.size]
+        plus, minus = _hinge_sums(ws, G, self.xc[self.var], self.loc, self.tc, self.ip, self.im)
         return plus[:, 0], minus[:, 0]
 
     def add_column(self, q: np.ndarray) -> None:
-        """Fold a new basis column into every parent's sums and residual."""
-        if not self.parents:
+        """Add a basis column; fold it into every slot's sums and residual."""
+        self.Q[:, self.m] = q
+        self.m += 1
+        if not self.par.size:
             return
-        qs = q[self.order]
-        R = self.R[: len(self.parents)]
-        R -= np.outer(R @ qs, qs)
-        plus, minus = self._sums(qs)
+        R = self.R[: self.par.size]
+        R -= np.outer(R @ q, q)
+        plus, minus = self._sums(q)
         self.spp = self.spp + plus**2
         self.smm = self.smm + minus**2
         self.spm = self.spm + plus * minus
@@ -639,7 +673,7 @@ class _VarScan:
     def reductions(self, resid: np.ndarray):
         """SSE reductions (paired, plus only, minus only) of every candidate,
         for a residual orthogonal to the basis."""
-        u, w = self._sums(resid[self.order])
+        u, w = self._sums(resid)
         a = self.raw_p - self.spp
         c = self.raw_m - self.smm
         b = -self.spm
@@ -647,7 +681,7 @@ class _VarScan:
         ok_m = c > 1e-12 * np.maximum(self.raw_m, 1e-300)
         # C+ - C- = g*(x - t) and g is in the span of Q, so the residualized
         # pair is collinear exactly when the residual of g*x vanishes
-        R = self.R[: len(self.parents)]
+        R = self.R[: self.par.size]
         dres = np.einsum("ij,ij->i", R, R)[self.loc]
         apart = dres > 1e-12 * (self.raw_p + self.raw_m)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -663,58 +697,6 @@ class _VarScan:
         red_m = np.where(ok_p & ok_m & ~ok2, 0.0, red_m)
         return red2, red_p, red_m
 
-
-# relative width of a tie between candidate reductions. Against the dense
-# n x K scan the running sums differ by up to ~1e-9 of the top reduction,
-# while distinct top-two reductions of piston fits differ by 2e-7 or more
-_TIE_RTOL = 1e-8
-
-
-class _KnotScan:
-    """Friedman's fast knot update (Friedman 1991, Ann. Stat., sec. 3.9).
-
-    Keeps the orthonormal basis Q of the forward pass and, per variable,
-    running sums from which every candidate knot of every eligible
-    (parent, variable) pair is scored in O(n) per parent and step rather
-    than by projecting a dense n x K hinge block on all of Q.
-    """
-
-    def __init__(self, X: np.ndarray, cfg: FitConfig, capacity: int):
-        n, p = X.shape
-        self.X = X
-        self.cfg = cfg
-        self.Q = np.empty((n, capacity))
-        self.m = 0
-        self.parent_cols: list[np.ndarray] = []
-        self.parent_factors: list[tuple[HingeFactor, ...]] = []
-        self.vars = [_VarScan(X[:, v], capacity) for v in range(p)]
-
-    @property
-    def basis(self) -> np.ndarray:
-        return self.Q[:, : self.m]
-
-    def add_column(self, q: np.ndarray) -> None:
-        self.Q[:, self.m] = q
-        self.m += 1
-        for vs in self.vars:
-            vs.add_column(q)
-
-    def add_parent(self, pcol: np.ndarray, factors: tuple[HingeFactor, ...]) -> None:
-        """A selected term becomes a parent on each variable it leaves free."""
-        pi = len(self.parent_factors)
-        self.parent_cols.append(pcol)
-        self.parent_factors.append(factors)
-        if len(factors) >= self.cfg.max_degree:
-            return
-        used = {f.var for f in factors}
-        p = self.X.shape[1]
-        for v, vs in enumerate(self.vars):
-            if v in used:
-                continue
-            kn = _parent_candidates(self.X[:, v], pcol > 0, self.cfg, p)
-            if kn.size:
-                vs.add_parent(pi, pcol, kn, self.basis)
-
     def best(self, resid: np.ndarray):
         """(reduction, parent, var, knot, mode) of the best candidate, or None.
 
@@ -724,22 +706,21 @@ class _KnotScan:
         candidates up to roundoff (every paired knot on a linear
         response), so the order, not the roundoff, picks among them.
         """
-        reds = [vs.reductions(resid) if vs.parents else () for vs in self.vars]
-        top = max((float(r.max()) for rv in reds for r in rv), default=0.0)
+        if not self.loc.size:
+            return None
+        reds = np.stack(self.reductions(resid))
+        top = max(float(r.max()) for r in reds)
         if not top > 0:
             return None
-        cut = top * (1.0 - _TIE_RTOL)
-        best = None
-        for v, (vs, rv) in enumerate(zip(self.vars, reds)):
-            for rank, red in enumerate(rv):
-                hits = np.flatnonzero(red >= cut)
-                if hits.size:
-                    i = int(hits[0])
-                    key = (int(vs.par[i]), v, rank)
-                    if best is None or key < best[0]:
-                        best = (key, float(red[i]), float(vs.knot[i]))
-        (pi, v, rank), r, knot = best
-        return r, pi, v, knot, ("both", "plus", "minus")[rank]
+        hit = reds >= top * (1.0 - _TIE_RTOL)
+        # the first slot with a hit, then its first mode with a hit, then
+        # that mode's first knot: candidates run in (slot, knot) order
+        s = self.loc[hit.any(axis=0).argmax()]
+        at = np.flatnonzero(self.loc == s)
+        rank = int(hit[:, at].any(axis=1).argmax())
+        i = at[hit[rank, at].argmax()]
+        r = float(reds[rank, i])
+        return r, int(self.par[s]), int(self.var[s]), float(self.knot[i]), ("both", "plus", "minus")[rank]
 
 
 def _forward_pass(X, y, cfg: FitConfig, sst):

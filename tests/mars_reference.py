@@ -89,7 +89,8 @@ def dense_forward(X, y, cfg: FitConfig, sst, mirror=None, on_step=None):
                     continue
                 key = (pi, v)
                 if key not in cand_cache:
-                    cand_cache[key] = _parent_candidates(X[:, v], parent_cols[pi] > 0, cfg, p)
+                    cand_cache[key] = _parent_candidates(
+                        np.sort(X[parent_cols[pi] > 0, v]), cfg, p)
                 kn = cand_cache[key]
                 if kn.size:
                     scores[key] = (kn, *dense_reductions(parent_cols[pi], X[:, v], kn, Q, resid))

@@ -141,6 +141,18 @@ def test_fit_ensemble_directory(tmp_path, prior2, capsys):
     assert "non-empty" in capsys.readouterr().err
 
 
+def test_fit_ensemble_refuses_a_file_before_fitting(tmp_path, prior2, capsys):
+    train = _write_train(tmp_path / "t.csv")
+    out = tmp_path / "ens"
+    out.write_text("not a directory\n")
+    for force in ([], ["--force"]):
+        assert main(["fit", str(train), "--out", str(out), "--prior", prior2,
+                     "--ensemble", "3"] + force) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {out} is a file; --ensemble writes a directory\n"
+    assert out.read_text() == "not a directory\n"
+
+
 def test_fit_constant_response_still_succeeds(tmp_path, prior2):
     train = _write_train(tmp_path / "c.csv", target="constant")
     out = str(tmp_path / "m.json")
@@ -349,6 +361,46 @@ def test_analyze_without_ratios_reads_only_the_self_traces(tmp_path, prior2, fit
     ratios = ["--ratios", str(tmp_path / "r.csv")]
     assert main(argv("ckk_skew.json", "cll_skew.json", "c.json") + ratios) == 1
     assert "symmetric" in capsys.readouterr().err
+
+
+def _pair_matrices(tmp_path, prior2, fitted_pair):
+    """c_kl.json, ckk.json and cll.json of the fitted pair, labelled ma and mb."""
+    from coactive import cmat
+    from coactive.closedform import load_prior
+
+    prior = load_prior(prior2)
+    ma, mb = (load_model(p) for p in fitted_pair)
+    assert (ma.label, mb.label) == ("ma", "mb")
+    for name, (mk, ml) in (("ckl", (ma, mb)), ("ckk", (ma, ma)), ("cll", (mb, mb))):
+        save_matrix(cmat(mk, ml, prior), tmp_path / f"{name}.json")
+    return lambda k, l: ["analyze", "--matrix", str(tmp_path / "ckl.json"),
+                         "--self-k", str(tmp_path / k), "--self-l", str(tmp_path / l),
+                         "--out", str(tmp_path / "an.json"), "--ratios", str(tmp_path / "r.csv")]
+
+
+def test_analyze_rejects_a_self_matrix_of_another_size(tmp_path, prior2, fitted_pair, capsys):
+    from coactive.closedform import CoActiveMatrix
+
+    argv = _pair_matrices(tmp_path, prior2, fitted_pair)
+    save_matrix(CoActiveMatrix(np.eye(3), 3.0, ("mb", "mb")), tmp_path / "c3.json")
+    assert main(argv("ckk.json", "c3.json")) == 1
+    assert capsys.readouterr().err == "error: --self-l matrix has p=3, the cross matrix p=2\n"
+    assert not (tmp_path / "an.json").exists() and not (tmp_path / "r.csv").exists()
+
+
+def test_analyze_rejects_the_other_models_self_matrix(tmp_path, prior2, fitted_pair, capsys):
+    from coactive.closedform import CoActiveMatrix
+
+    argv = _pair_matrices(tmp_path, prior2, fitted_pair)
+    assert main(argv("cll.json", "cll.json")) == 1
+    assert capsys.readouterr().err == "error: --self-k matrix is labelled ['mb', 'mb'], not 'ma'\n"
+    assert main(argv("ckk.json", "ckk.json")) == 1
+    assert capsys.readouterr().err == "error: --self-l matrix is labelled ['ma', 'ma'], not 'mb'\n"
+    assert not (tmp_path / "an.json").exists() and not (tmp_path / "r.csv").exists()
+    # an unlabelled self matrix is not compared
+    C = load_matrix(tmp_path / "cll.json")
+    save_matrix(CoActiveMatrix(C.entries, C.trace, ("", "")), tmp_path / "cll_bare.json")
+    assert main(argv("ckk.json", "cll_bare.json")) == 0
 
 
 # -- mc ----------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from mars_reference import dense_backward, dense_forward
+from mars_reference import dense_backward, dense_forward, select
 
 from coactive import FitConfig, lhs_design, piston
 from coactive.model import _backward_pass, _drop_costs, _forward_pass, _gcv, _KnotScan
@@ -97,12 +97,10 @@ def test_fitter_matches_dense_reference(case):
 
     def on_step(resid, sse, dense):
         fast = {}
-        for v, vs in enumerate(scan.vars):
-            if vs.parents:
-                reds = vs.reductions(resid)
-                for pi in vs.parents:
-                    at = vs.par == pi
-                    fast[(pi, v)] = (vs.knot[at], *(r[at] for r in reds))
+        reds = scan.reductions(resid)
+        for s, key in enumerate(zip(scan.par.tolist(), scan.var.tolist())):
+            at = scan.loc == s
+            fast[key] = (scan.knot[at], *(r[at] for r in reds))
         assert fast.keys() == dense.keys()
         err = 0.0
         for key, (kn, *reds) in dense.items():
@@ -137,9 +135,36 @@ def test_collinear_pair_scores_plus_only():
     q1 = X[:, 0] - X[:, 0].mean()
     scan.add_column(q1 / np.linalg.norm(q1))
     resid = y - scan.basis @ (scan.basis.T @ y)
-    red2, red_p, red_m = scan.vars[0].reductions(resid)
+    red2, red_p, red_m = scan.reductions(resid)
     assert np.all(red2 == 0.0) and np.all(red_m == 0.0)
     assert np.count_nonzero(red_p) >= red_p.size - 1
+
+
+def test_best_breaks_ties_as_the_plain_scan():
+    # planted ties across slots, modes and knots: the whole-array rule of
+    # best must pick what select's plain (parent, var, mode, knot) scan picks
+    X = lhs_design(50, 3, ((0.0, 1.0),) * 3, seed=2)
+    scan = _KnotScan(X, FitConfig(), 4)
+    rng = np.random.default_rng(6)
+    levels = np.array([0.0, 0.5, 1.0, 1.0 - 1e-9, 1.0 - 1e-7])
+    picks = set()
+    for _ in range(300):
+        pairs = sorted({(int(a), int(b)) for a, b in rng.integers(0, 3, size=(5, 2))})
+        sizes = rng.integers(1, 4, size=len(pairs))
+        scan.par, scan.var = (np.array(c, dtype=np.intp) for c in zip(*pairs))
+        scan.loc = np.repeat(np.arange(len(pairs)), sizes)
+        scan.knot = rng.uniform(size=scan.loc.size)
+        reds = tuple(rng.choice(levels, size=(3, scan.loc.size), p=[0.3, 0.3, 0.2, 0.1, 0.1]))
+        scan.reductions = lambda resid, reds=reds: reds
+        at = np.cumsum(sizes)[:-1]
+        scores = {key: (kn, *rs) for key, kn, *rs in
+                  zip(pairs, np.split(scan.knot, at), *(np.split(r, at) for r in reds))}
+        got = scan.best(None)
+        assert got == select(scores)
+        picks.add(None if got is None else got[-1])
+    assert {"both", "plus", "minus"} <= picks
+    scan.reductions = lambda resid: tuple(np.zeros((3, scan.loc.size)))
+    assert scan.best(None) is None
 
 
 def test_singular_gram_block_falls_back_to_lstsq():

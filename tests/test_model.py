@@ -385,6 +385,19 @@ def test_fit_constant_report_has_empty_paths():
     assert rep.forward_rss == () and rep.backward_gcv == ()
 
 
+def test_fit_with_no_eligible_knot_is_the_intercept():
+    # n=10 and p=5 give endspan 10, so no input offers a knot: the scan has
+    # no candidate and the fit stops at the intercept-only model
+    X = np.random.default_rng(3).uniform(size=(10, 5))
+    y = X[:, 0] + X[:, 1] ** 2
+    m, rep = fit_with_report(X, y)
+    assert m.terms == () and rep.n_terms == 0 and rep.constant is False
+    assert m.intercept == pytest.approx(y.mean(), rel=1e-12)
+    sst = float(np.sum((y - y.mean()) ** 2))
+    assert len(rep.forward_rss) == 1 and rep.forward_rss[0] == pytest.approx(sst, rel=1e-12)
+    assert rep.sse == pytest.approx(sst, rel=1e-12)
+
+
 def test_fit_is_deterministic():
     X, y = _poly_xy()
     cfg = FitConfig(domain=UNIT2)
