@@ -145,6 +145,9 @@ def cmd_fit(args) -> int:
         }
     else:
         report_path = os.path.splitext(args.out)[0] + ".report.json"
+        for path in (args.out, report_path):
+            if os.path.isdir(path):
+                raise IsADirectoryError(f"{path} is a directory; fit writes a file")
         _guard([args.out, report_path], args.force)
         t0 = time.perf_counter()
         model, fr = fit_with_report(X, y, cfg)

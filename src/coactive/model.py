@@ -789,9 +789,25 @@ def _design_from_factor_sets(X, factor_sets) -> np.ndarray:
     return B
 
 
-def _lstsq_fit(B: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    coef, _, _, _ = np.linalg.lstsq(B, y, rcond=None)
-    r = y - B @ coef
+def _subset_fit(
+    Bs: np.ndarray, y: np.ndarray, Gs: np.ndarray, gs: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Least-squares coefficients of y on the columns of Bs and their SSE:
+    a Cholesky solve on Gs = Bs'Bs (gs = Bs'y) and one refinement step
+    against the residual, the corrected semi-normal equations (Bjorck 1987).
+    Only the small Gs is factored: LAPACK gelsd on a tall Bs wakes the BLAS
+    worker threads. A singular Gs falls back to lstsq on Gs."""
+    try:
+        Linv = np.linalg.inv(np.linalg.cholesky(Gs))
+    except np.linalg.LinAlgError:
+        def solve(v):
+            return np.linalg.lstsq(Gs, v, rcond=None)[0]
+    else:
+        def solve(v):
+            return Linv.T @ (Linv @ v)
+    coef = solve(gs)
+    coef = coef + solve(Bs.T @ (y - Bs @ coef))
+    r = y - Bs @ coef
     return coef, float(r @ r)
 
 
@@ -850,7 +866,7 @@ def _backward_pass(X, y, factor_sets, cfg: FitConfig):
         del active[1 + int(np.argmin(cost[1:]))]
 
     idx = np.asarray(best_active)
-    coef, sse = _lstsq_fit(B[:, idx], y)
+    coef, sse = _subset_fit(B[:, idx], y, G[np.ix_(idx, idx)], g[idx])
     intercept = float(coef[0])
     kept = [factor_sets[j - 1] for j in best_active[1:]]
     return kept, coef[1:], intercept, sse, tuple(gcv_path)

@@ -170,6 +170,12 @@ def fd_gradient(f, x, h: float, domain=None) -> np.ndarray:
     return G[0]
 
 
+# Rows per block of the cross products in mc_cmat: a (p x 256)(256 x p)
+# product stays below OpenBLAS's threading threshold (measured up to p = 40),
+# so no worker thread wakes and spins after it, whatever the sample size.
+_MC_BLOCK = 256
+
+
 @dataclass(frozen=True)
 class MCResult:
     """MC estimate of C_kl with its elementwise standard-error matrix."""
@@ -204,7 +210,7 @@ def mc_cmat(
 
     B may be sharded; shard s draws from a stream seeded by (seed, s), so
     results are reproducible for a fixed shard count regardless of how the
-    shards are executed.
+    shards are executed. The sums run over blocks of _MC_BLOCK rows.
     """
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
@@ -222,8 +228,11 @@ def mc_cmat(
         Gk, o1 = f_k.gradients(X)
         Gl, o2 = (Gk, 0) if f_l is f_k else f_l.gradients(X)
         onesided += o1 + o2
-        sum1 += Gk.T @ Gl
-        sum2 += (Gk * Gk).T @ (Gl * Gl)
+        Gk2, Gl2 = Gk * Gk, Gl * Gl
+        for a in range(0, ns, _MC_BLOCK):
+            rows = slice(a, a + _MC_BLOCK)
+            sum1 += Gk[rows].T @ Gl[rows]
+            sum2 += Gk2[rows].T @ Gl2[rows]
     mean = sum1 / B
     var = np.maximum(sum2 / B - mean**2, 0.0)
     se = np.sqrt(var / B)

@@ -5,8 +5,11 @@ variable) pair on every step and projects it on the whole orthonormal
 basis; the backward pass solves one Gram system per deletion candidate.
 Both are slow and plain, which is the point: ``coactive.model`` scores
 candidates from running sums and prunes from one factorization per step,
-and the tests compare the two. Candidate sets, span rules, thresholds,
-the mirror-tie rule and the tie order are the fitter's.
+and the tests compare the two. The reference takes the kept subset's
+coefficients from an orthogonal solve (LAPACK gelsd) on the tall design
+block, where the fitter uses the corrected semi-normal equations.
+Candidate sets, span rules, thresholds, the mirror-tie rule and the tie
+order are the fitter's.
 
 loop_gradient is the surrogate gradient as one strided column pass per
 factor; ``MarsSurrogate.gradient_batch`` must equal it bitwise.
@@ -17,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from coactive.model import _TIE_RTOL, FitConfig, HingeFactor, _design_from_factor_sets, _gcv
-from coactive.model import _as_batch, _lstsq_fit, _parent_candidates
+from coactive.model import _as_batch, _parent_candidates
 
 MODES = ("both", "plus", "minus")
 
@@ -147,6 +150,13 @@ def select(scores):
                 k = int(hits[0])
                 return float(red[k]), pi, v, float(kn[k]), mode
     raise AssertionError("unreachable: the top candidate clears the cut")
+
+
+def _lstsq_fit(B: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least squares by LAPACK gelsd on the whole design block B."""
+    coef, _, _, _ = np.linalg.lstsq(B, y, rcond=None)
+    r = y - B @ coef
+    return coef, float(r @ r)
 
 
 def dense_backward(X, y, factor_sets, cfg: FitConfig):

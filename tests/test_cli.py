@@ -153,6 +153,20 @@ def test_fit_ensemble_refuses_a_file_before_fitting(tmp_path, prior2, capsys):
     assert out.read_text() == "not a directory\n"
 
 
+def test_fit_refuses_a_directory_before_fitting(tmp_path, prior2, capsys):
+    train = _write_train(tmp_path / "t.csv")
+    for name in ("m", "n.report.json"):
+        (tmp_path / name).mkdir()
+    for out, bad in (("m", "m"), ("n.json", "n.report.json")):
+        for force in ([], ["--force"]):
+            assert main(["fit", str(train), "--out", str(tmp_path / out), "--prior", prior2]
+                        + force) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: {tmp_path / bad} is a directory; fit writes a file\n"
+    assert not (tmp_path / "n.json").exists()
+    assert not os.listdir(tmp_path / "m") and not os.listdir(tmp_path / "n.report.json")
+
+
 def test_fit_constant_response_still_succeeds(tmp_path, prior2):
     train = _write_train(tmp_path / "c.csv", target="constant")
     out = str(tmp_path / "m.json")

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import time
+
 import numpy as np
 import pytest
 
 from coactive import (
+    FitConfig,
     InputPrior,
     fd_gradient,
+    fit,
     lhs_design,
     mc_cmat,
     cmat,
@@ -219,6 +224,74 @@ def test_mc_fd_path_reports_step():
     res = mc_cmat(fn, fn, prior, B=64, seed=1)
     assert res.h == pytest.approx(1e-5)
     assert res.matrix.entries.shape == (5, 5)
+
+
+def _wave(p, freq, phase, label):
+    """A function with the elementwise gradient cos(freq * x + phase): no BLAS
+    call, entries of both signs and of unequal size."""
+    return SampledFunction(
+        evaluator=lambda X: np.sin(freq * X + phase).sum(axis=1) / freq,
+        p=p,
+        domain=((0.0, 1.0),) * p,
+        grad=lambda X: np.cos(freq * X + phase),
+        label=label,
+    )
+
+
+@pytest.mark.parametrize("B, shards", [(1, 1), (100, 1), (600, 1), (1000, 3), (2048, 2)])
+def test_mc_block_sums_match_one_shot_products(B, shards):
+    p = 24
+    rng = np.random.default_rng(B)
+    fk = _wave(p, rng.uniform(1.0, 6.0, p), rng.uniform(0.0, 6.0, p), "k")
+    fl = _wave(p, rng.uniform(1.0, 6.0, p), rng.uniform(0.0, 6.0, p), "l")
+    prior = InputPrior.uniform_box(fk.domain)
+    sizes = [B // shards + (1 if s < B % shards else 0) for s in range(shards)]
+    for f_l in (fl, fk):
+        sum1, sum2 = np.zeros((p, p)), np.zeros((p, p))
+        for s, ns in enumerate(sizes):
+            X = prior.sample(np.random.default_rng([4, s]), ns)
+            Gk, Gl = fk.grad(X), f_l.grad(X)
+            sum1 += Gk.T @ Gl
+            sum2 += (Gk * Gk).T @ (Gl * Gl)
+        mean = sum1 / B
+        var = np.maximum(sum2 / B - mean**2, 0.0)
+        if f_l is fk:
+            mean = 0.5 * (mean + mean.T)
+        res = mc_cmat(fk, f_l, prior, B=B, seed=4, shards=shards)
+        scale = np.abs(mean).max()
+        np.testing.assert_allclose(res.matrix.entries, mean, rtol=0, atol=1e-13 * scale)
+        scale2 = np.abs(sum2 / B).max()
+        np.testing.assert_allclose(res.se**2 * B, var, rtol=0, atol=1e-13 * scale2)
+
+
+def test_fits_and_mc_sums_leave_the_blas_workers_asleep():
+    # An OpenBLAS call above its threading threshold wakes the worker
+    # threads, which keep spinning for about 0.1 s after it returns: CPU
+    # time above wall time, with no gain. CPU time is read after a pause
+    # that lets such a spin end; wall time at the end of the call.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cpus or 1) < 2:
+        pytest.skip("needs two CPUs")
+    fa, fb = piston(90000.0, 284.0), piston(110000.0, 302.0)
+    cfg = FitConfig(max_terms=60, max_degree=4, max_knots=64, domain=fa.domain)
+    X = lhs_design(600, 5, fa.domain, seed=1)
+    p = 24
+    fk = _wave(p, np.linspace(1.0, 6.0, p), np.zeros(p), "k")
+    fl = _wave(p, np.linspace(6.0, 1.0, p), np.ones(p), "l")
+    prior = InputPrior.uniform_box(fk.domain)
+    calls = {
+        "piston fit a": lambda: fit(X, fa(X), cfg),
+        "mc_cmat p=24, B=20000": lambda: mc_cmat(fk, fl, prior, B=20_000, seed=1),
+        "piston fit b": lambda: fit(X, fb(X), cfg),
+    }
+    time.sleep(0.3)  # a spin left by an earlier test ends
+    for name, call in calls.items():
+        c0, w0 = time.process_time(), time.perf_counter()
+        call()
+        wall = time.perf_counter() - w0
+        time.sleep(0.3)
+        cpu = time.process_time() - c0
+        assert cpu <= 1.2 * wall, f"{name}: {cpu:.3f} s CPU in {wall:.3f} s wall"
 
 
 # -- builtin registry -------------------------------------------------------------
