@@ -59,9 +59,14 @@ def _meta(args: argparse.Namespace, seed=None) -> dict:
     return {"version": __version__, "seed": seed, "config": _config_hash(args)}
 
 
-def _guard(paths, force: bool) -> None:
+def _guard(args: argparse.Namespace, paths) -> None:
+    """Before any work: refuse a directory for a file, and a file without --force."""
     for p in paths:
-        if p is not None and os.path.exists(p) and not force:
+        if p is None:
+            continue
+        if os.path.isdir(p):
+            raise IsADirectoryError(f"{p} is a directory; {args.cmd} writes a file")
+        if os.path.exists(p) and not args.force:
             raise FileExistsError(f"{p} exists; pass --force to overwrite")
 
 
@@ -145,10 +150,7 @@ def cmd_fit(args) -> int:
         }
     else:
         report_path = os.path.splitext(args.out)[0] + ".report.json"
-        for path in (args.out, report_path):
-            if os.path.isdir(path):
-                raise IsADirectoryError(f"{path} is a directory; fit writes a file")
-        _guard([args.out, report_path], args.force)
+        _guard(args, [args.out, report_path])
         t0 = time.perf_counter()
         model, fr = fit_with_report(X, y, cfg)
         steps = max(len(fr.forward_rss) - 1, 0)  # the path starts at the intercept-only fit
@@ -244,7 +246,7 @@ def cmd_cmat(args) -> int:
         paths.append(out("c_modified.csv"))
     if args.mc:
         paths.append(out("mc.json"))
-    _guard(paths, args.force)
+    _guard(args, paths)
 
     C = cmat(ma, mb, prior)
     Ck = cmat(ma, ma, prior)
@@ -286,7 +288,7 @@ def cmd_analyze(args) -> int:
     Ck = load_matrix(args.self_k)
     Cl = load_matrix(args.self_l)
     meta = _meta(args)
-    _guard([args.out, args.ratios], args.force)
+    _guard(args, [args.out, args.ratios])
     dec, q, report = _analyze(C, Ck, Cl, args)
     report["meta"] = meta
     _write_json(args.out, report)
@@ -321,7 +323,7 @@ def cmd_mc(args) -> int:
     else:
         prior = InputPrior.uniform_box(f_k.domain)
     meta = _meta(args, seed=args.seed)
-    _guard([args.out], args.force)
+    _guard(args, [args.out])
     res = mc_cmat(f_k, f_l, prior, B=args.B, seed=args.seed, shards=args.shards)
     d = res.to_dict()
     d["labels"] = [f_k.label, f_l.label]
@@ -356,7 +358,7 @@ def cmd_cluster(args) -> int:
     paths = [out(n) for n in ("grid_summary.csv", "grid_samples.csv",
                               "discordance.csv", "embedding.csv",
                               "centers.csv", "embedding.json")]
-    _guard(paths, args.force)
+    _guard(args, paths)
 
     t0 = time.perf_counter()
     grid = pairwise_concordance(ensembles, prior)
@@ -378,12 +380,11 @@ def cmd_cluster(args) -> int:
         ],
         meta,
     )
-    member_ids = []
-    counters = {}
-    for k in grid.membership:
-        idx = counters.get(k, 0)
-        counters[k] = idx + 1
-        member_ids.append(f"{grid.labels[k]}[{idx}]")
+    # a member is named by its index in its own ensemble, excluded ones counted
+    first = np.cumsum([0] + [len(e) for e in ensembles])
+    member_ids = [
+        f"{grid.labels[k]}[{pos - first[k]}]" for k, pos in zip(grid.membership, grid.positions)
+    ]
     _write_rows_csv(
         out("grid_samples.csv"),
         ["member_k", "member_l", "kappa"],
@@ -410,7 +411,7 @@ def cmd_cluster(args) -> int:
         out("embedding.csv"),
         ["label", "member_index"] + coords,
         [
-            (grid.labels[grid.membership[i]], i, *[float(v) for v in emb.points[i]])
+            (grid.labels[grid.membership[i]], grid.positions[i], *[float(v) for v in emb.points[i]])
             for i in range(n)
         ],
         meta,
@@ -445,7 +446,7 @@ def cmd_bound(args) -> int:
     m = load_model(args.model)
     prior = load_prior(args.prior)
     meta = _meta(args)
-    _guard([args.out], args.force)
+    _guard(args, [args.out])
     C = cmat(m, m, prior)
     if args.basis:
         B = np.loadtxt(args.basis, delimiter=",", comments="#", ndmin=2)
@@ -474,12 +475,12 @@ def cmd_verify(args) -> int:
         kwargs = {"B": args.B, "n_fit": args.n or 1000, "seed": args.seed}
     elif args.fixture == "metric":
         kwargs = {"n_models": args.n or 12, "seed": args.seed}
+    _guard(args, [args.out])
     results = run_suite(args.fixture, **kwargs)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.name}: measured={r.measured:.6g} target={r.target:.6g} tol={r.tol:g}")
     if args.out:
-        _guard([args.out], args.force)
         _write_json(
             args.out,
             {"fixture": args.fixture, "checks": [r.to_dict() for r in results],

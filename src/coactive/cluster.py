@@ -50,19 +50,21 @@ class PairwiseGrid:
     with per-model-block summaries.
 
     kappa is N x N over the included members; membership[i] is the model
-    index of member row i. Constant members are dropped (counted in
+    index of member row i and positions[i] its index among all the loaded
+    members, ensemble by ensemble. Constant members are dropped (counted in
     n_excluded). The diagonal pairs equal 1 by definition and are
     included in the diagonal-block samples.
     """
 
     labels: tuple[str, ...]
     membership: np.ndarray
+    positions: np.ndarray
     kappa: np.ndarray
     summaries: list
     n_excluded: int = 0
 
     def __post_init__(self):
-        for name in ("membership", "kappa"):
+        for name in ("membership", "positions", "kappa"):
             arr = np.array(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -134,6 +136,7 @@ def pairwise_concordance(
     return PairwiseGrid(
         labels=tuple(e.label for e in ensembles),
         membership=membership,
+        positions=np.flatnonzero(included),
         kappa=kappa,
         summaries=summaries,
         n_excluded=n_excluded,

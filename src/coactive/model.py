@@ -789,36 +789,17 @@ def _design_from_factor_sets(X, factor_sets) -> np.ndarray:
     return B
 
 
-def _subset_fit(
-    Bs: np.ndarray, y: np.ndarray, Gs: np.ndarray, gs: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Least-squares coefficients of y on the columns of Bs and their SSE:
-    a Cholesky solve on Gs = Bs'Bs (gs = Bs'y) and one refinement step
-    against the residual, the corrected semi-normal equations (Bjorck 1987).
-    Only the small Gs is factored: LAPACK gelsd on a tall Bs wakes the BLAS
-    worker threads. A singular Gs falls back to lstsq on Gs."""
+def _drop_costs(Gs: np.ndarray, gs: np.ndarray, yty: float):
+    """Coefficients of the least-squares fit with Gram block Gs, the SSE
+    increase from dropping each column, coef_j^2 / (Gs^-1)_jj, and a solver
+    v -> Gs^-1 v, all from one Cholesky factorization. A singular Gs falls
+    back to lstsq: on Gs for the solver, and one fit per column for the costs."""
     try:
         Linv = np.linalg.inv(np.linalg.cholesky(Gs))
     except np.linalg.LinAlgError:
         def solve(v):
             return np.linalg.lstsq(Gs, v, rcond=None)[0]
-    else:
-        def solve(v):
-            return Linv.T @ (Linv @ v)
-    coef = solve(gs)
-    coef = coef + solve(Bs.T @ (y - Bs @ coef))
-    r = y - Bs @ coef
-    return coef, float(r @ r)
-
-
-def _drop_costs(Gs: np.ndarray, gs: np.ndarray, yty: float) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of the least-squares fit with Gram block Gs, and the SSE
-    increase from dropping each column, coef_j^2 / (Gs^-1)_jj, from one
-    Cholesky factorization. A singular Gs falls back to one lstsq fit per column."""
-    try:
-        L = np.linalg.cholesky(Gs)
-    except np.linalg.LinAlgError:
-        coef = np.linalg.lstsq(Gs, gs, rcond=None)[0]
+        coef = solve(gs)
         sse = max(yty - float(gs @ coef), 0.0)
         cost = np.empty(gs.size)
         for j in range(gs.size):
@@ -826,10 +807,13 @@ def _drop_costs(Gs: np.ndarray, gs: np.ndarray, yty: float) -> tuple[np.ndarray,
             Gj, gj = Gs[np.ix_(keep, keep)], gs[keep]
             cj = np.linalg.lstsq(Gj, gj, rcond=None)[0]
             cost[j] = max(yty - float(gj @ cj), 0.0) - sse
-        return coef, cost
-    Linv = np.linalg.inv(L)
-    coef = Linv.T @ (Linv @ gs)
-    return coef, coef * coef / np.einsum("ij,ij->j", Linv, Linv)
+        return coef, cost, solve
+
+    def solve(v):
+        return Linv.T @ (Linv @ v)
+
+    coef = solve(gs)
+    return coef, coef * coef / np.einsum("ij,ij->j", Linv, Linv), solve
 
 
 def _backward_pass(X, y, factor_sets, cfg: FitConfig):
@@ -837,9 +821,11 @@ def _backward_pass(X, y, factor_sets, cfg: FitConfig):
 
     Each step drops the term whose removal raises the SSE least (ties to
     the lowest index); each subset's SSE is ||y - B_s coef||^2, which does
-    not cancel to 0 on a near-exact fit as y'y - g'coef does. Returns the
-    kept factor sets, their coefficients, the intercept, the SSE and the
-    GCV of every subset on the path, the full model first.
+    not cancel to 0 on a near-exact fit as y'y - g'coef does. The kept
+    subset takes one refinement step with the factor of its own step, the
+    corrected semi-normal equations (Bjorck 1987). Returns the kept factor
+    sets, their coefficients, the intercept, the SSE and the GCV of every
+    subset on the path, the full model first.
     """
     n = X.shape[0]
     penalty = cfg.effective_penalty()
@@ -849,27 +835,28 @@ def _backward_pass(X, y, factor_sets, cfg: FitConfig):
     g = B.T @ y
 
     active = list(range(B.shape[1]))  # column 0 = intercept, kept always
-    best_active, best_gcv = active, np.inf
+    best, best_gcv = None, np.inf
     gcv_path = []
     while True:
         idx = np.asarray(active)
-        coef, cost = _drop_costs(G[np.ix_(idx, idx)], g[idx], yty)
+        coef, cost, solve = _drop_costs(G[np.ix_(idx, idx)], g[idx], yty)
         resid = y - B[:, idx] @ coef
         sse = float(resid @ resid)
         gcv_here = _gcv(sse, n, len(active), len(active) - 1, penalty)
         gcv_path.append(float(gcv_here))
-        if gcv_here <= best_gcv:
+        if best is None or gcv_here <= best_gcv:  # a NaN path keeps the full model
             best_gcv = gcv_here
-            best_active = list(active)
+            best = idx, coef, resid, solve
         if len(active) == 1:
             break
         del active[1 + int(np.argmin(cost[1:]))]
 
-    idx = np.asarray(best_active)
-    coef, sse = _subset_fit(B[:, idx], y, G[np.ix_(idx, idx)], g[idx])
-    intercept = float(coef[0])
-    kept = [factor_sets[j - 1] for j in best_active[1:]]
-    return kept, coef[1:], intercept, sse, tuple(gcv_path)
+    idx, coef, resid, solve = best
+    Bs = B[:, idx]
+    coef = coef + solve(Bs.T @ resid)
+    resid = y - Bs @ coef
+    kept = [factor_sets[j - 1] for j in idx[1:]]
+    return kept, coef[1:], float(coef[0]), float(resid @ resid), tuple(gcv_path)
 
 
 def fit_ensemble(X, y, cfg: FitConfig, B: int, seed: int) -> Ensemble:

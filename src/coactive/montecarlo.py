@@ -135,19 +135,23 @@ def _fd_gradients_batch(evaluator, X, steps, domain):
     onesided = 0
     lo = np.array([d[0] for d in domain])
     hi = np.array([d[1] for d in domain])
+    W = X.copy()  # one working copy: each column is stepped up, down, then restored
     for i in range(p):
         h = steps[i]
-        up_ok = X[:, i] + h <= hi[i]
-        dn_ok = X[:, i] - h >= lo[i]
-        Xp = X.copy()
-        Xm = X.copy()
-        Xp[:, i] = np.where(up_ok, X[:, i] + h, X[:, i])
-        Xm[:, i] = np.where(dn_ok, X[:, i] - h, X[:, i])
-        fp = np.asarray(evaluator(Xp), dtype=float)
-        fm = np.asarray(evaluator(Xm), dtype=float)
-        width = np.where(up_ok, X[:, i] + h, X[:, i]) - np.where(dn_ok, X[:, i] - h, X[:, i])
+        x = X[:, i]
+        up_ok = x + h <= hi[i]
+        dn_ok = x - h >= lo[i]
+        xp = np.where(up_ok, x + h, x)
+        xm = np.where(dn_ok, x - h, x)
+        W[:, i] = xp
+        # a copy: the evaluator may return a view of W, which changes next
+        fp = np.array(evaluator(W), dtype=float)
+        W[:, i] = xm
+        fm = np.asarray(evaluator(W), dtype=float)
+        width = xp - xm
         safe = width > 0
         G[:, i] = np.where(safe, (fp - fm) / np.where(safe, width, 1.0), 0.0)
+        W[:, i] = x
         onesided += int(np.sum(~up_ok) + np.sum(~dn_ok))
     return G, onesided
 
@@ -244,7 +248,7 @@ def mc_cmat(
         trace=float(mean.diagonal().sum()),
         labels=(f_k.label, f_l.label),
     )
-    h = None if (f_k.grad is not None and f_l.grad is not None) else float(np.max(f_k.steps()))
+    h = max((float(np.max(f.steps())) for f in (f_k, f_l) if f.grad is None), default=None)
     return MCResult(matrix=C, se=se, B=B, seed=seed, h=h, n_onesided=onesided)
 
 

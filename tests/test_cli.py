@@ -392,6 +392,28 @@ def _pair_matrices(tmp_path, prior2, fitted_pair):
                          "--out", str(tmp_path / "an.json"), "--ratios", str(tmp_path / "r.csv")]
 
 
+def test_analyze_and_bound_refuse_a_directory_for_a_file(tmp_path, prior2, fitted_pair, capsys):
+    ma, mb = fitted_pair
+    out = tmp_path / "pair"
+    assert main(["cmat", ma, mb, "--prior", prior2, "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    (tmp_path / "D").mkdir()
+    mats = ["--matrix", str(out / "c_kl.json"), "--self-k", str(out / "c_kl.json"),
+            "--self-l", str(out / "c_kl.json")]
+    runs = [
+        ("analyze", [*mats, "--out", str(tmp_path / "a.json"), "--ratios", str(tmp_path / "D")]),
+        ("analyze", [*mats, "--out", str(tmp_path / "D")]),
+        ("bound", [ma, "--prior", prior2, "--r", "1", "--out", str(tmp_path / "D")]),
+    ]
+    for cmd, args in runs:
+        for force in ([], ["--force"]):
+            assert main([cmd, *args, *force]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {tmp_path / 'D'} is a directory; {cmd} writes a file\n"
+    assert not (tmp_path / "a.json").exists() and not os.listdir(tmp_path / "D")
+
+
 def test_analyze_rejects_a_self_matrix_of_another_size(tmp_path, prior2, fitted_pair, capsys):
     from coactive.closedform import CoActiveMatrix
 
@@ -439,6 +461,18 @@ def test_mc_single_function_is_self_pair(tmp_path):
     assert main(["mc", "--fn", "builtin:linear?a=1,2", "--B", "16", "--out", str(out)]) == 0
     d = json.loads(out.read_text())
     np.testing.assert_allclose(d["entries"], [[1.0, 2.0], [2.0, 4.0]], rtol=1e-12)
+
+
+def test_mc_refuses_a_directory_before_sampling(tmp_path, capsys):
+    out = tmp_path / "D"
+    out.mkdir()
+    for force in ([], ["--force"]):
+        assert main(["mc", "--fn", "builtin:piston", "--B", "200000", "--out", str(out)]
+                    + force) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {out} is a directory; mc writes a file\n"
+    assert not os.listdir(out)
 
 
 def test_mc_model_file_and_validation(tmp_path, prior2, fitted_pair, capsys):
@@ -519,6 +553,25 @@ def test_cluster_rerun_identical(tmp_path, prior2, two_ensembles):
         assert (other / name).read_bytes() == blob, name
 
 
+def test_cluster_names_members_past_an_excluded_one(tmp_path, prior2, two_ensembles):
+    # ens0 gets a constant member_001.json; its old member_001 becomes
+    # member_002 and keeps that name in every artifact
+    ens0 = tmp_path / "ens0"
+    os.replace(ens0 / "member_001.json", ens0 / "member_002.json")
+    save_model(MarsSurrogate(intercept=2.0, terms=(), p=2, domain=UNIT2), ens0 / "member_001.json")
+    out = tmp_path / "clust"
+    with pytest.warns(UserWarning, match="excluded 1 constant"):
+        assert main(["cluster", *two_ensembles, "--prior", prior2,
+                     "--out-dir", str(out)]) == 0
+    emb = json.loads((out / "embedding.json").read_text())
+    assert emb["n_members"] == 4 and emb["n_excluded"] == 1
+    names = ["ens0[0]", "ens0[2]", "ens1[0]", "ens1[1]"]
+    samples = [l.split(",")[:2] for l in (out / "grid_samples.csv").read_text().splitlines()[2:]]
+    assert samples == [[a, b] for a in names for b in names]
+    rows = [l.split(",")[:2] for l in (out / "embedding.csv").read_text().splitlines()[2:]]
+    assert rows == [["ens0", "0"], ["ens0", "2"], ["ens1", "3"], ["ens1", "4"]]
+
+
 def test_cluster_single_model_and_mixed_inputs(tmp_path, prior2, two_ensembles, fitted_pair, capsys):
     assert main(["cluster", two_ensembles[0], "--prior", prior2,
                  "--out-dir", str(tmp_path / "one")]) == 1
@@ -582,6 +635,20 @@ def test_verify_poly_prints_lines_and_fails_honestly(tmp_path, capsys):
         "|measured - target| < 5e-4; concordance from formula-exact matrices"
     }
     assert all(c["tol"] == 5e-4 for c in rep["checks"])
+
+
+def test_verify_refuses_its_output_before_running(tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    out.write_text("{}\n")
+    (tmp_path / "D").mkdir()
+    runs = [(out, [], f"error: {out} exists; pass --force to overwrite\n")]
+    err = f"error: {tmp_path / 'D'} is a directory; verify writes a file\n"
+    runs += [(tmp_path / "D", force, err) for force in ([], ["--force"])]
+    for path, force, err in runs:
+        assert main(["verify", "poly", "--out", str(path), *force]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == err
+    assert out.read_text() == "{}\n" and not os.listdir(tmp_path / "D")
 
 
 def test_verify_metric_passes(tmp_path, capsys):

@@ -90,6 +90,7 @@ def test_grid_symmetry_and_membership():
     assert grid.kappa.shape == (5, 5)
     np.testing.assert_array_equal(grid.kappa, grid.kappa.T)
     np.testing.assert_array_equal(grid.membership, [0, 0, 1, 1, 1])
+    np.testing.assert_array_equal(grid.positions, np.arange(5))
     blk = grid.summary(0, 1)
     assert blk.samples.shape == (6,)
     assert blk.mean == pytest.approx(float(grid.kappa[:2, 2:].mean()))
@@ -128,6 +129,8 @@ def test_grid_stacked_pass_in_chunks_matches_cmat_trace(monkeypatch):
     with pytest.warns(UserWarning, match="excluded 1 constant"):
         grid = pairwise_concordance([e1, e2], PRIOR2)
     assert len(calls) > 1
+    # each row's index among all the loaded members skips the constant one
+    np.testing.assert_array_equal(grid.positions, [0, 1, 2, 3, 5, 6])
     members = [*e1.members, *(m for m in e2.members if m is not flat)]
     assert grid.kappa.shape == (6, 6)
     t = lambda a, b: closedform.cmat_trace(members[a], members[b], PRIOR2)

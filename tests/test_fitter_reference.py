@@ -8,12 +8,22 @@ deletion candidate, with the same coefficients.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from mars_reference import dense_backward, dense_forward, select
 
-from coactive import FitConfig, lhs_design, piston
-from coactive.model import _backward_pass, _drop_costs, _forward_pass, _gcv, _KnotScan
+from coactive import FitConfig, fit_with_report, lhs_design, piston
+from coactive.model import (
+    HingeFactor,
+    _backward_pass,
+    _design_from_factor_sets,
+    _drop_costs,
+    _forward_pass,
+    _gcv,
+    _KnotScan,
+)
 
 # Reductions are differences of sums over n <= 600 products, each sum
 # carrying up to n * eps ~ 1.3e-13 of its magnitude in float64; the
@@ -173,9 +183,56 @@ def test_singular_gram_block_falls_back_to_lstsq():
     Gs = np.array([[4.0, 2.0], [2.0, 1.0]])
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(Gs)
-    coef, cost = _drop_costs(Gs, np.array([2.0, 1.0]), 1.0)
+    coef, cost, solve = _drop_costs(Gs, np.array([2.0, 1.0]), 1.0)
     assert 1.0 - float(np.array([2.0, 1.0]) @ coef) == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_allclose(cost, [0.0, 0.0], atol=1e-12)
+    # the solver is the same lstsq on the block
+    np.testing.assert_array_equal(solve(np.array([2.0, 1.0])), coef)
+
+
+def test_backward_pass_factors_each_subset_once(monkeypatch):
+    # one Cholesky factorization per subset on the deletion path, largest
+    # first: the kept subset's refinement reuses the factor of its own step
+    X, y, cfg = _piston(1, PISTON_A)
+    sizes = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        sizes.append(a.shape[0])
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    _, rep = fit_with_report(X, y, cfg)
+    m = len(rep.backward_gcv)
+    assert m >= 10
+    assert sizes == list(range(m, 0, -1))
+
+
+@pytest.mark.parametrize("penalty", [None, -2.0])
+def test_backward_pass_through_a_singular_block(penalty):
+    # a hinge whose knot is the data maximum is an all-zero column, so every
+    # Gram block that holds it is exactly singular: Cholesky rejects it here
+    # and LU in the reference does too. With the default penalty the column
+    # goes first; a negative penalty rewards terms, so the kept subset is the
+    # full, singular one and its refinement runs through the lstsq solver.
+    X, y, cfg = _piston(1, PISTON_A)
+    cfg = replace(cfg, penalty=penalty)
+    factor_sets, _ = _forward_pass(X, y, cfg, float(np.sum((y - y.mean()) ** 2)))
+    zero = (HingeFactor(var=0, sign=1, knot=float(X[:, 0].max())),)
+    factor_sets = factor_sets[:2] + [zero] + factor_sets[2:]
+    B = _design_from_factor_sets(X, factor_sets)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(B.T @ B)
+
+    kept, coefs, intercept, sse, gcv_path = _backward_pass(X, y, factor_sets, cfg)
+    ref_kept, ref_coef, ref_gcv = dense_backward(X, y, factor_sets, cfg)
+    assert kept == [factor_sets[j - 1] for j in ref_kept[1:]]
+    assert (zero in kept) == (penalty is not None)
+    r = y - B[:, ref_kept] @ ref_coef
+    assert sse == pytest.approx(float(r @ r), rel=1e-10)
+    np.testing.assert_allclose(np.r_[intercept, coefs], ref_coef,
+                               rtol=1e-10, atol=1e-10 * np.abs(ref_coef).max())
+    np.testing.assert_allclose(gcv_path, ref_gcv, rtol=1e-6)
 
 
 def test_backward_path_sse_comes_from_the_residual():

@@ -122,6 +122,15 @@ def test_sampled_function_fd_path_counts_onesided():
     np.testing.assert_array_equal(f.steps(), [1e-5])
 
 
+def test_fd_gradients_of_an_evaluator_that_returns_a_view():
+    # X[:, 0] is a view of the stepped input: each output must be kept
+    # before the input is stepped again
+    f = SampledFunction(evaluator=lambda X: X[:, 0], p=2, domain=UNIT2, h=1e-3)
+    G, ones = f.gradients(np.array([[0.25, 0.5], [0.5, 1.0], [1.0, 0.75]]))
+    assert ones == 2
+    np.testing.assert_allclose(G, [[1.0, 0.0]] * 3, rtol=1e-9)
+
+
 def test_piston_gradient_matches_symbolic():
     import sympy as sp
 
@@ -224,6 +233,17 @@ def test_mc_fd_path_reports_step():
     res = mc_cmat(fn, fn, prior, B=64, seed=1)
     assert res.h == pytest.approx(1e-5)
     assert res.matrix.entries.shape == (5, 5)
+
+
+def test_mc_reports_the_step_of_the_differenced_function_only():
+    # the linear function has an analytic gradient; its range alone would
+    # give a step of 1e-5 * 10 = 1e-4
+    lin = linear_function([1.0] * 5, domain=[(0.0, 10.0)] * 5)
+    prior = InputPrior.uniform_box(piston().domain)
+    for pair in ((lin, piston()), (piston(), lin)):
+        assert mc_cmat(*pair, prior, B=8, seed=1).h == 1e-5
+    wide = SampledFunction(evaluator=lin.evaluator, p=5, domain=lin.domain, h=2e-5)
+    assert mc_cmat(piston(), wide, prior, B=8, seed=1).h == 2e-5
 
 
 def _wave(p, freq, phase, label):
