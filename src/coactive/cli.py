@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -68,6 +69,15 @@ def _guard(args: argparse.Namespace, paths) -> None:
             raise IsADirectoryError(f"{p} is a directory; {args.cmd} writes a file")
         if os.path.exists(p) and not args.force:
             raise FileExistsError(f"{p} exists; pass --force to overwrite")
+
+
+def _guard_dir(args: argparse.Namespace, directory, names=()) -> None:
+    """Before any work: refuse a file for the output directory, then guard
+    the named files in it."""
+    if os.path.exists(directory) and not os.path.isdir(directory):
+        writer = "--ensemble" if args.cmd == "fit" else args.cmd
+        raise NotADirectoryError(f"{directory} is a file; {writer} writes a directory")
+    _guard(args, [os.path.join(directory, name) for name in names])
 
 
 def _write_json(path, obj) -> None:
@@ -133,15 +143,18 @@ def cmd_fit(args) -> int:
 
     if args.ensemble:
         report_path = os.path.join(args.out, "report.json")
-        if os.path.exists(args.out) and not os.path.isdir(args.out):
-            raise FileExistsError(f"{args.out} is a file; --ensemble writes a directory")
+        _guard_dir(args, args.out)
         if os.path.isdir(args.out) and os.listdir(args.out) and not args.force:
             raise FileExistsError(f"{args.out} is non-empty; pass --force to overwrite")
         t0 = time.perf_counter()
         ens, reports = fit_ensemble_with_report(X, y, cfg, B=args.ensemble, seed=args.seed)
         print(f"fit: {len(ens)} members, {time.perf_counter() - t0:.2f}s", file=sys.stderr)
-        os.makedirs(args.out, exist_ok=True)
-        save_ensemble(ens, args.out, meta=meta)
+        written = save_ensemble(ens, args.out, meta=meta)
+        # a --force refit drops the members of a larger earlier ensemble
+        for name in os.listdir(args.out):
+            path = os.path.join(args.out, name)
+            if re.fullmatch(r"member_\d{3,}\.json", name) and path not in written:
+                os.remove(path)
         # member 0 is the full-data fit, so these are the numbers `fit` reports
         report = {
             **_fit_summary(reports[0]),
@@ -234,19 +247,19 @@ def _z_entries(C, C_mc, se):
 
 
 def cmd_cmat(args) -> int:
+    names = ["c_kl.csv", "c_kl.json", "v_kl.csv", "c_kk.csv", "c_ll.csv",
+             "analysis.json", "ratios.csv"]
+    if args.modified:
+        names.append("c_modified.csv")
+    if args.mc:
+        names.append("mc.json")
+    _guard_dir(args, args.out_dir, names)
     ma = load_model(args.model_a)
     mb = load_model(args.model_b)
     prior = load_prior(args.prior)
     meta = _meta(args, seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     out = lambda name: os.path.join(args.out_dir, name)
-    paths = [out("c_kl.csv"), out("c_kl.json"), out("v_kl.csv"), out("c_kk.csv"),
-             out("c_ll.csv"), out("analysis.json"), out("ratios.csv")]
-    if args.modified:
-        paths.append(out("c_modified.csv"))
-    if args.mc:
-        paths.append(out("mc.json"))
-    _guard(args, paths)
 
     C = cmat(ma, mb, prior)
     Ck = cmat(ma, ma, prior)
@@ -348,27 +361,31 @@ def _load_model_set(path) -> Ensemble:
 
 
 def cmd_cluster(args) -> int:
+    names = ["grid_summary.csv", "grid_samples.csv", "discordance.csv",
+             "embedding.csv", "centers.csv", "embedding.json"]
+    _guard_dir(args, args.out_dir, names)
     ensembles = [_load_model_set(p) for p in args.models]
     if len(ensembles) < 2:
         raise ValueError("need at least 2 model files or ensemble directories")
     prior = load_prior(args.prior)
     meta = _meta(args, seed=args.seed)
-    os.makedirs(args.out_dir, exist_ok=True)
-    out = lambda name: os.path.join(args.out_dir, name)
-    paths = [out(n) for n in ("grid_summary.csv", "grid_samples.csv",
-                              "discordance.csv", "embedding.csv",
-                              "centers.csv", "embedding.json")]
-    _guard(args, paths)
 
+    # the whole bundle is computed before its first file is written
     t0 = time.perf_counter()
     grid = pairwise_concordance(ensembles, prior)
     n = grid.n_members
     n_pairs = n * (n - 1) // 2
-    print(
-        f"grid: {n} members, {n_pairs} cross pairs, {time.perf_counter() - t0:.2f}s",
-        file=sys.stderr,
-    )
+    print(f"grid: {n} members, {n_pairs} cross pairs, {time.perf_counter() - t0:.2f}s",
+          file=sys.stderr)
+    D = discordance_matrix(grid)
+    t0 = time.perf_counter()
+    emb = mds_embed(D, dims=args.dims, seed=args.seed)
+    print(f"mds: {len(emb.stress_history) - 1} iterations, {time.perf_counter() - t0:.2f}s",
+          file=sys.stderr)
+    centers = model_centers(emb, grid.membership)
 
+    os.makedirs(args.out_dir, exist_ok=True)
+    out = lambda name: os.path.join(args.out_dir, name)
     K = len(grid.labels)
     _write_rows_csv(
         out("grid_summary.csv"),
@@ -395,17 +412,7 @@ def cmd_cluster(args) -> int:
         ],
         meta,
     )
-
-    D = discordance_matrix(grid)
     write_matrix_csv(out("discordance.csv"), D, meta=meta)
-
-    t0 = time.perf_counter()
-    emb = mds_embed(D, dims=args.dims, seed=args.seed)
-    print(
-        f"mds: {len(emb.stress_history) - 1} iterations, {time.perf_counter() - t0:.2f}s",
-        file=sys.stderr,
-    )
-    centers = model_centers(emb, grid.membership)
     coords = ["x", "y"] if args.dims == 2 else [f"x{i + 1}" for i in range(args.dims)]
     _write_rows_csv(
         out("embedding.csv"),

@@ -255,6 +255,8 @@ def mds_embed(D, dims: int = 2, seed: int = 0, max_iter: int = 500) -> Embedding
     n = D.shape[0]
     if n < 3:
         raise ValueError(f"need at least 3 points, got {n}")
+    if not 1 <= dims <= n - 1:
+        raise ValueError(f"dims must be in [1, {n - 1}] for {n} points, got {dims}")
     if np.any(D < 0) or not np.allclose(D, D.T, atol=1e-12) or np.any(np.diag(D) != 0):
         raise ValueError("D must be symmetric, non-negative, with a zero diagonal")
 

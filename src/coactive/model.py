@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, replace
 
@@ -274,8 +275,6 @@ def load_model(path) -> MarsSurrogate:
 
 def save_ensemble(ens: Ensemble, directory, meta: dict | None = None) -> list:
     """Write member_000.json ... under directory; returns the paths."""
-    import os
-
     os.makedirs(directory, exist_ok=True)
     paths = []
     for i, m in enumerate(ens.members):
@@ -286,8 +285,6 @@ def save_ensemble(ens: Ensemble, directory, meta: dict | None = None) -> list:
 
 
 def load_ensemble(directory, label: str | None = None) -> Ensemble:
-    import os
-
     # report.json is the fit-report artifact written next to the members,
     # not a model file
     names = sorted(
@@ -573,17 +570,16 @@ class _KnotScan:
     Keeps the orthonormal basis Q of the forward pass and running sums from
     which every candidate knot is scored in O(n) per step. Each eligible
     (parent, variable) pair is a slot, in (parent, variable) order: its
-    parent par[s], variable var[s], the parent column g in the variable's
-    sorted row order G[s], and the residual of g*(x - centre) against Q in
-    the original row order R[s]. Flat over the candidates in (slot, knot)
-    order, loc holds each one's slot, next to the raw hinge norms |C+|^2,
-    |C-|^2 and the sums over the columns q of Q of (q.C+)^2, (q.C-)^2 and
-    (q.C+)(q.C-). C+ . C- is exactly 0 (disjoint supports).
+    parent par[s], variable var[s] and the parent column g in the
+    variable's sorted row order G[s]. Flat over the candidates in (slot,
+    knot) order, loc holds each one's slot, next to the raw hinge norms
+    |C+|^2, |C-|^2 and the sums over the columns q of Q of (q.C+)^2,
+    (q.C-)^2 and (q.C+)(q.C-). C+ . C- is exactly 0 (disjoint supports).
     """
 
     def __init__(self, X: np.ndarray, cfg: FitConfig, capacity: int):
         n, p = X.shape
-        self.X = X
+        self.p = p
         self.cfg = cfg
         self.Q = np.empty((n, capacity))
         self.m = 0
@@ -595,7 +591,6 @@ class _KnotScan:
         self.xc = self.xs - self.center[:, None]
         # one row per slot, so only the rows in use are ever touched
         self.G = np.empty((p * capacity, n))
-        self.R = np.empty((p * capacity, n))
         self.par = self.var = self.loc = self.ip = self.im = np.empty(0, dtype=np.intp)
         self.knot = self.tc = self.raw_p = self.raw_m = np.empty(0)
         self.spp = self.smm = self.spm = np.empty(0)
@@ -612,7 +607,7 @@ class _KnotScan:
         self.parent_factors.append(factors)
         if len(factors) >= self.cfg.max_degree:
             return
-        p = self.X.shape[1]
+        p = self.p
         used = {f.var for f in factors}
         gs = pcol[self.order]  # the parent column in each variable's sorted order
         cands = {v: _parent_candidates(self.xs[v][gs[v] > 0], self.cfg, p)
@@ -627,12 +622,7 @@ class _KnotScan:
         tc = knot - self.center[vs][loc]
         ip = np.concatenate([np.searchsorted(x, kn, side="right") for x, kn in zip(xs, knots)])
         im = np.concatenate([np.searchsorted(x, kn, side="left") for x, kn in zip(xs, knots)])
-        Q = self.basis
-        r = pcol * (self.X[:, vs].T - self.center[vs, None])
-        for _ in range(2):  # re-orthogonalize, as for the basis itself
-            r = r - (r @ Q) @ Q.T
         self.G[s0 : s0 + vs.size] = g
-        self.R[s0 : s0 + vs.size] = r
         # raw norms: sum of g^2 (x - t)^2 over the suffix / prefix
         g2 = g * g
         S = np.zeros((vs.size, g.shape[1] + 1, 3))
@@ -640,7 +630,7 @@ class _KnotScan:
         suf, pre = S[loc, -1] - S[loc, ip], S[loc, im]
         raw_p = suf[:, 2] - 2.0 * tc * suf[:, 1] + tc * tc * suf[:, 0]
         raw_m = pre[:, 2] - 2.0 * tc * pre[:, 1] + tc * tc * pre[:, 0]
-        plus, minus = _hinge_sums(Q[self.order[vs]], g, xc, loc, tc, ip, im)
+        plus, minus = _hinge_sums(self.basis[self.order[vs]], g, xc, loc, tc, ip, im)
         cat = np.concatenate
         self.par, self.var = cat([self.par, np.full(vs.size, pi)]), cat([self.var, vs])
         self.loc, self.ip, self.im = cat([self.loc, loc + s0]), cat([self.ip, ip]), cat([self.im, im])
@@ -658,13 +648,11 @@ class _KnotScan:
         return plus[:, 0], minus[:, 0]
 
     def add_column(self, q: np.ndarray) -> None:
-        """Add a basis column; fold it into every slot's sums and residual."""
+        """Add a basis column; fold it into every candidate's sums."""
         self.Q[:, self.m] = q
         self.m += 1
         if not self.par.size:
             return
-        R = self.R[: self.par.size]
-        R -= np.outer(R @ q, q)
         plus, minus = self._sums(q)
         self.spp = self.spp + plus**2
         self.smm = self.smm + minus**2
@@ -680,10 +668,9 @@ class _KnotScan:
         ok_p = a > 1e-12 * np.maximum(self.raw_p, 1e-300)
         ok_m = c > 1e-12 * np.maximum(self.raw_m, 1e-300)
         # C+ - C- = g*(x - t) and g is in the span of Q, so the residualized
-        # pair is collinear exactly when the residual of g*x vanishes
-        R = self.R[: self.par.size]
-        dres = np.einsum("ij,ij->i", R, R)[self.loc]
-        apart = dres > 1e-12 * (self.raw_p + self.raw_m)
+        # pair is collinear exactly when the residual of g*x vanishes; its
+        # squared norm is that of the residualized C+ - C-, a + c - 2b
+        apart = a + c - 2.0 * b > 1e-12 * (self.raw_p + self.raw_m)
         with np.errstate(divide="ignore", invalid="ignore"):
             red_p = np.where(ok_p, u * u / a, 0.0)
             red_m = np.where(ok_m, w * w / c, 0.0)

@@ -153,6 +153,22 @@ def test_fit_ensemble_refuses_a_file_before_fitting(tmp_path, prior2, capsys):
     assert out.read_text() == "not a directory\n"
 
 
+def test_fit_ensemble_force_drops_stale_members(tmp_path, prior2):
+    # a smaller refit with --force leaves no member of the larger one behind
+    from coactive import load_ensemble
+
+    train = _write_train(tmp_path / "t.csv")
+    out = tmp_path / "ens"
+    args = ["fit", str(train), "--out", str(out), "--prior", prior2, "--ensemble"]
+    assert main([*args, "4"]) == 0
+    (out / "notes.txt").write_text("kept\n")
+    assert main([*args, "2", "--force"]) == 0
+    assert sorted(os.listdir(out)) == ["member_000.json", "member_001.json",
+                                       "notes.txt", "report.json"]
+    assert (out / "notes.txt").read_text() == "kept\n"
+    assert len(load_ensemble(out)) == 2
+
+
 def test_fit_refuses_a_directory_before_fitting(tmp_path, prior2, capsys):
     train = _write_train(tmp_path / "t.csv")
     for name in ("m", "n.report.json"):
@@ -581,6 +597,41 @@ def test_cluster_single_model_and_mixed_inputs(tmp_path, prior2, two_ensembles, 
                  "--out-dir", str(out)]) == 0
     emb = json.loads((out / "embedding.json").read_text())
     assert emb["n_members"] == 3
+
+
+CLUSTER_FILES = ("grid_summary.csv", "grid_samples.csv", "discordance.csv",
+                 "embedding.csv", "centers.csv", "embedding.json")
+
+
+def test_cmat_and_cluster_refuse_a_file_for_out_dir(tmp_path, prior2, fitted_pair, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    for cmd in ("cmat", "cluster"):
+        for force in ([], ["--force"]):
+            assert main([cmd, *fitted_pair, "--prior", prior2, "--out-dir", str(afile), *force]) == 1
+            assert capsys.readouterr().err == f"error: {afile} is a file; {cmd} writes a directory\n"
+    assert afile.read_text() == "not a directory\n"
+
+
+def test_cluster_writes_nothing_when_the_embedding_fails(tmp_path, prior2, fitted_pair, capsys):
+    # two single models give two members, too few to embed: the grid and D
+    # are computed, but no file of the bundle is written
+    out = tmp_path / "o3"
+    assert main(["cluster", *fitted_pair, "--prior", prior2, "--out-dir", str(out)]) == 1
+    assert "need at least 3 points, got 2" in capsys.readouterr().err
+    for name in CLUSTER_FILES:
+        assert not (out / name).exists(), name
+
+
+@pytest.mark.parametrize("dims", ["0", "4"])
+def test_cluster_refuses_dims_outside_one_to_members_less_one(tmp_path, prior2, two_ensembles,
+                                                              dims, capsys):
+    out = tmp_path / "clust"
+    assert main(["cluster", *two_ensembles, "--prior", prior2,
+                 "--out-dir", str(out), "--dims", dims]) == 1
+    assert f"dims must be in [1, 3] for 4 points, got {dims}" in capsys.readouterr().err
+    for name in CLUSTER_FILES:
+        assert not (out / name).exists(), name
 
 
 # -- bound -----------------------------------------------------------------------------

@@ -305,6 +305,16 @@ def test_mds_validation():
         mds_embed(neg)
 
 
+@pytest.mark.parametrize("dims", [0, 4, 12])
+def test_mds_refuses_dims_outside_one_to_n_less_one(dims, monkeypatch):
+    from coactive import cluster
+
+    D = np.ones((4, 4)) - np.eye(4)
+    monkeypatch.setattr(cluster, "_torgerson", lambda *a: pytest.fail("work began"))
+    with pytest.raises(ValueError, match=rf"dims must be in \[1, 3\] for 4 points, got {dims}"):
+        mds_embed(D, dims=dims)
+
+
 STARTUP_SCRIPT = """
 import os, sys
 

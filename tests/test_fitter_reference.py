@@ -119,6 +119,19 @@ def test_fitter_matches_dense_reference(case):
                 err = max(err, float(np.abs(got - want).max()))
         worst.append(err / sse)
 
+        # the scan's collinearity test a + c - 2b against the explicit
+        # residual of g*x: each side of the 1e-12 threshold keeps a margin.
+        # A knot on a constant column makes two zero hinges, scored by neither
+        Q = scan.basis
+        R = np.array(scan.parent_cols)[scan.par] * X[:, scan.var].T
+        for _ in range(2):
+            R = R - (R @ Q) @ Q.T
+        scale = scan.raw_p + scan.raw_m
+        live = scale > 0
+        gap = (scan.raw_p - scan.spp + scan.raw_m - scan.smm + 2.0 * scan.spm)[live] / scale[live]
+        collinear = (np.einsum("ij,ij->i", R, R)[scan.loc] < 1e-12 * scale)[live]
+        assert np.all(gap[collinear] < 1e-13) and np.all(gap[~collinear] > 1e-10)
+
     ref_sets, ref_rss = dense_forward(X, y, cfg, sst, mirror=scan, on_step=on_step)
     assert factor_sets == ref_sets
     np.testing.assert_allclose(rss, ref_rss, rtol=1e-10)
