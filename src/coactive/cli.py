@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import sys
 import time
 
@@ -60,8 +59,15 @@ def _meta(args: argparse.Namespace, seed=None) -> dict:
     return {"version": __version__, "seed": seed, "config": _config_hash(args)}
 
 
-def _guard(args: argparse.Namespace, paths) -> None:
-    """Before any work: refuse a directory for a file, and a file without --force."""
+def _guard(args: argparse.Namespace, paths, directory=None) -> None:
+    """Before any work: refuse a file for the output directory, a directory
+    for an output file, and an existing file without --force. Paths are
+    names in directory when one is given."""
+    if directory is not None:
+        if os.path.exists(directory) and not os.path.isdir(directory):
+            writer = "--ensemble" if args.cmd == "fit" else args.cmd
+            raise NotADirectoryError(f"{directory} is a file; {writer} writes a directory")
+        paths = [os.path.join(directory, p) for p in paths]
     for p in paths:
         if p is None:
             continue
@@ -71,13 +77,14 @@ def _guard(args: argparse.Namespace, paths) -> None:
             raise FileExistsError(f"{p} exists; pass --force to overwrite")
 
 
-def _guard_dir(args: argparse.Namespace, directory, names=()) -> None:
-    """Before any work: refuse a file for the output directory, then guard
-    the named files in it."""
-    if os.path.exists(directory) and not os.path.isdir(directory):
-        writer = "--ensemble" if args.cmd == "fit" else args.cmd
-        raise NotADirectoryError(f"{directory} is a file; {writer} writes a directory")
-    _guard(args, [os.path.join(directory, name) for name in names])
+def _write_all(bundle: dict, directory=None) -> None:
+    """Write a computed bundle, {path: call that writes a file there}, in
+    order. Paths are names in directory when one is given; it is made here,
+    after all the work, so a run that fails leaves no directory behind."""
+    if directory is not None:
+        os.makedirs(directory, exist_ok=True)
+    for path, write in bundle.items():
+        write(path if directory is None else os.path.join(directory, path))
 
 
 def _write_json(path, obj) -> None:
@@ -127,6 +134,14 @@ def _fit_paths(fr) -> dict:
 
 
 def cmd_fit(args) -> int:
+    if args.ensemble:
+        if os.path.isdir(args.out) and os.listdir(args.out) and not args.force:
+            raise FileExistsError(f"{args.out} is non-empty; pass --force to overwrite")
+        _guard(args, ["report.json"], args.out)
+        report_path = os.path.join(args.out, "report.json")
+    else:
+        report_path = os.path.splitext(args.out)[0] + ".report.json"
+        _guard(args, [args.out, report_path])
     X, y, names, response = load_training_csv(args.data, response=args.response)
     domain = None
     if args.prior:
@@ -140,43 +155,31 @@ def cmd_fit(args) -> int:
         label=args.label or os.path.splitext(os.path.basename(args.out))[0],
     )
     meta = _meta(args, seed=args.seed)
+    # the CV refits on its own folds, so a refused k stops the run before the main fit
+    cv = {"cv_rmspe": cross_validated_rmspe(X, y, cfg, k=args.cv)} if args.cv else {}
 
+    t0 = time.perf_counter()
     if args.ensemble:
-        report_path = os.path.join(args.out, "report.json")
-        _guard_dir(args, args.out)
-        if os.path.isdir(args.out) and os.listdir(args.out) and not args.force:
-            raise FileExistsError(f"{args.out} is non-empty; pass --force to overwrite")
-        t0 = time.perf_counter()
         ens, reports = fit_ensemble_with_report(X, y, cfg, B=args.ensemble, seed=args.seed)
         print(f"fit: {len(ens)} members, {time.perf_counter() - t0:.2f}s", file=sys.stderr)
-        written = save_ensemble(ens, args.out, meta=meta)
-        # a --force refit drops the members of a larger earlier ensemble
-        for name in os.listdir(args.out):
-            path = os.path.join(args.out, name)
-            if re.fullmatch(r"member_\d{3,}\.json", name) and path not in written:
-                os.remove(path)
         # member 0 is the full-data fit, so these are the numbers `fit` reports
         report = {
             **_fit_summary(reports[0]),
             "members": len(ens),
             "member_paths": [_fit_paths(fr) for fr in reports],
         }
+        save = lambda path: save_ensemble(ens, path, meta=meta)
     else:
-        report_path = os.path.splitext(args.out)[0] + ".report.json"
-        _guard(args, [args.out, report_path])
-        t0 = time.perf_counter()
         model, fr = fit_with_report(X, y, cfg)
         steps = max(len(fr.forward_rss) - 1, 0)  # the path starts at the intercept-only fit
         print(
             f"fit: {fr.n_terms} terms, {steps} forward steps, {time.perf_counter() - t0:.2f}s",
             file=sys.stderr,
         )
-        save_model(model, args.out, meta=meta)
         report = {**_fit_summary(fr), "gcv": fr.gcv, "constant": fr.constant, **_fit_paths(fr)}
-    report.update(response=response, inputs=names, meta=meta)
-    if args.cv:
-        report["cv_rmspe"] = cross_validated_rmspe(X, y, cfg, k=args.cv)
-    _write_json(report_path, report)
+        save = lambda path: save_model(model, path, meta=meta)
+    report.update(response=response, inputs=names, meta=meta, **cv)
+    _write_all({args.out: save, report_path: lambda path: _write_json(path, report)})
     print(f"fit: {report['n_terms']} terms, rmse={report['rmse']:.6g} -> {args.out}")
     return 0
 
@@ -223,9 +226,10 @@ def _analyze(C, Ck, Cl, args):
     return dec, q, report
 
 
-def _write_ratios(path, Ck, Cl, dec, q, meta) -> None:
-    """Per-input relative activity of each model to the joint co-activity
-    (unsigned scores throughout); decomposes the two self matrices."""
+def _ratios_csv(Ck, Cl, dec, q, meta):
+    """The writer of the per-input relative activity of each model to the
+    joint co-activity (unsigned scores throughout); decomposes the two self
+    matrices now, so a refused one stops the run before any write."""
     dec_k, dec_l = (decompose(M.entries, M.trace, M.trace) for M in (Ck, Cl))
     a_k, a_l, a_kl = (activity_scores(d, min(q, d.p))[1] for d in (dec_k, dec_l, dec))
     rows = []
@@ -234,7 +238,8 @@ def _write_ratios(path, Ck, Cl, dec, q, meta) -> None:
         rk = float(a_k[i] / denom) if denom != 0 else float("nan")
         rl = float(a_l[i] / denom) if denom != 0 else float("nan")
         rows.append((f"x{i + 1}", rk, rl))
-    _write_rows_csv(path, ["input", "alpha_k_over_kl", "alpha_l_over_kl"], rows, meta)
+    header = ["input", "alpha_k_over_kl", "alpha_l_over_kl"]
+    return lambda path: _write_rows_csv(path, header, rows, meta)
 
 
 def _z_entries(C, C_mc, se):
@@ -253,45 +258,45 @@ def cmd_cmat(args) -> int:
         names.append("c_modified.csv")
     if args.mc:
         names.append("mc.json")
-    _guard_dir(args, args.out_dir, names)
+    _guard(args, names, args.out_dir)
     ma = load_model(args.model_a)
     mb = load_model(args.model_b)
     prior = load_prior(args.prior)
     meta = _meta(args, seed=args.seed)
-    os.makedirs(args.out_dir, exist_ok=True)
-    out = lambda name: os.path.join(args.out_dir, name)
 
     C = cmat(ma, mb, prior)
     Ck = cmat(ma, ma, prior)
     Cl = cmat(mb, mb, prior)
     dec, q, report = _analyze(C, Ck, Cl, args)
     report["meta"] = meta
-
-    write_matrix_csv(out("c_kl.csv"), C.entries, meta=meta)
-    save_matrix(C, out("c_kl.json"), meta=meta)
-    write_matrix_csv(out("v_kl.csv"), dec.V, meta=meta)
-    write_matrix_csv(out("c_kk.csv"), Ck.entries, meta=meta)
-    write_matrix_csv(out("c_ll.csv"), Cl.entries, meta=meta)
-    _write_ratios(out("ratios.csv"), Ck, Cl, dec, q, meta)
+    bundle = {
+        "c_kl.csv": lambda path: write_matrix_csv(path, C.entries, meta=meta),
+        "c_kl.json": lambda path: save_matrix(C, path, meta=meta),
+        "v_kl.csv": lambda path: write_matrix_csv(path, dec.V, meta=meta),
+        "c_kk.csv": lambda path: write_matrix_csv(path, Ck.entries, meta=meta),
+        "c_ll.csv": lambda path: write_matrix_csv(path, Cl.entries, meta=meta),
+        "ratios.csv": _ratios_csv(Ck, Cl, dec, q, meta),
+    }
 
     if args.modified:
         Cm = cmat_modified(ma, mb, prior, base=C)
-        write_matrix_csv(out("c_modified.csv"), Cm.entries, meta=meta)
+        bundle["c_modified.csv"] = lambda path: write_matrix_csv(path, Cm.entries, meta=meta)
         report["modified_trace"] = Cm.trace
 
     if args.mc:
         fa = SampledFunction.from_surrogate(ma)
         fb = SampledFunction.from_surrogate(mb)
         res = mc_cmat(fa, fb, prior, B=args.mc, seed=args.seed)
-        d = res.to_dict()
-        d["z_entries"] = _z_entries(C.entries, res.matrix.entries, res.se)
-        d["meta"] = meta
-        _write_json(out("mc.json"), d)
+        mc = res.to_dict()
+        mc["z_entries"] = _z_entries(C.entries, res.matrix.entries, res.se)
+        mc["meta"] = meta
+        bundle["mc.json"] = lambda path: _write_json(path, mc)
         frob = float(np.linalg.norm(C.entries - res.matrix.entries))
         report["mc_frobenius"] = frob
         report["mc_frobenius_rel"] = frob / float(np.linalg.norm(C.entries))
 
-    _write_json(out("analysis.json"), report)
+    bundle["analysis.json"] = lambda path: _write_json(path, report)
+    _write_all(bundle, args.out_dir)
     print(f"concordance kappa={dec.concordance:.6g} (q={q}) -> {args.out_dir}")
     return 0
 
@@ -304,9 +309,10 @@ def cmd_analyze(args) -> int:
     _guard(args, [args.out, args.ratios])
     dec, q, report = _analyze(C, Ck, Cl, args)
     report["meta"] = meta
-    _write_json(args.out, report)
+    bundle = {args.out: lambda path: _write_json(path, report)}
     if args.ratios:
-        _write_ratios(args.ratios, Ck, Cl, dec, q, meta)
+        bundle[args.ratios] = _ratios_csv(Ck, Cl, dec, q, meta)
+    _write_all(bundle)
     print(f"concordance kappa={dec.concordance:.6g} -> {args.out}")
     return 0
 
@@ -363,14 +369,13 @@ def _load_model_set(path) -> Ensemble:
 def cmd_cluster(args) -> int:
     names = ["grid_summary.csv", "grid_samples.csv", "discordance.csv",
              "embedding.csv", "centers.csv", "embedding.json"]
-    _guard_dir(args, args.out_dir, names)
+    _guard(args, names, args.out_dir)
     ensembles = [_load_model_set(p) for p in args.models]
     if len(ensembles) < 2:
         raise ValueError("need at least 2 model files or ensemble directories")
     prior = load_prior(args.prior)
     meta = _meta(args, seed=args.seed)
 
-    # the whole bundle is computed before its first file is written
     t0 = time.perf_counter()
     grid = pairwise_concordance(ensembles, prior)
     n = grid.n_members
@@ -384,61 +389,48 @@ def cmd_cluster(args) -> int:
           file=sys.stderr)
     centers = model_centers(emb, grid.membership)
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    out = lambda name: os.path.join(args.out_dir, name)
     K = len(grid.labels)
-    _write_rows_csv(
-        out("grid_summary.csv"),
-        ["model_k", "model_l", "mean", "sd"],
-        [
-            (grid.labels[k], grid.labels[l], grid.summary(k, l).mean, grid.summary(k, l).sd)
-            for k in range(K)
-            for l in range(K)
-        ],
-        meta,
-    )
+    summary = [
+        (grid.labels[k], grid.labels[l], grid.summary(k, l).mean, grid.summary(k, l).sd)
+        for k in range(K)
+        for l in range(K)
+    ]
     # a member is named by its index in its own ensemble, excluded ones counted
     first = np.cumsum([0] + [len(e) for e in ensembles])
     member_ids = [
         f"{grid.labels[k]}[{pos - first[k]}]" for k, pos in zip(grid.membership, grid.positions)
     ]
-    _write_rows_csv(
-        out("grid_samples.csv"),
-        ["member_k", "member_l", "kappa"],
-        [
-            (member_ids[a], member_ids[b], float(grid.kappa[a, b]))
-            for a in range(n)
-            for b in range(n)
-        ],
-        meta,
-    )
-    write_matrix_csv(out("discordance.csv"), D, meta=meta)
+    samples = [
+        (member_ids[a], member_ids[b], float(grid.kappa[a, b])) for a in range(n) for b in range(n)
+    ]
     coords = ["x", "y"] if args.dims == 2 else [f"x{i + 1}" for i in range(args.dims)]
-    _write_rows_csv(
-        out("embedding.csv"),
-        ["label", "member_index"] + coords,
-        [
-            (grid.labels[grid.membership[i]], grid.positions[i], *[float(v) for v in emb.points[i]])
-            for i in range(n)
-        ],
-        meta,
-    )
-    _write_rows_csv(
-        out("centers.csv"),
-        ["label"] + [f"c{c}" for c in coords],
-        [(grid.labels[k], *[float(v) for v in centers[k]]) for k in range(K)],
-        meta,
-    )
-    _write_json(
-        out("embedding.json"),
+    points = [
+        (grid.labels[grid.membership[i]], grid.positions[i], *[float(v) for v in emb.points[i]])
+        for i in range(n)
+    ]
+    center_rows = [(grid.labels[k], *[float(v) for v in centers[k]]) for k in range(K)]
+    embedding = {
+        "stress": emb.stress,
+        "stress_history": emb.stress_history,
+        "n_members": n,
+        "n_pairs": n_pairs,
+        "n_excluded": grid.n_excluded,
+        "meta": meta,
+    }
+    _write_all(
         {
-            "stress": emb.stress,
-            "stress_history": emb.stress_history,
-            "n_members": n,
-            "n_pairs": n_pairs,
-            "n_excluded": grid.n_excluded,
-            "meta": meta,
+            "grid_summary.csv": lambda path: _write_rows_csv(
+                path, ["model_k", "model_l", "mean", "sd"], summary, meta),
+            "grid_samples.csv": lambda path: _write_rows_csv(
+                path, ["member_k", "member_l", "kappa"], samples, meta),
+            "discordance.csv": lambda path: write_matrix_csv(path, D, meta=meta),
+            "embedding.csv": lambda path: _write_rows_csv(
+                path, ["label", "member_index"] + coords, points, meta),
+            "centers.csv": lambda path: _write_rows_csv(
+                path, ["label"] + [f"c{c}" for c in coords], center_rows, meta),
+            "embedding.json": lambda path: _write_json(path, embedding),
         },
+        args.out_dir,
     )
     print(f"cluster: stress={emb.stress:.6g} -> {args.out_dir}")
     return 0

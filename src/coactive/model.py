@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import os
+import re
 import warnings
 from dataclasses import dataclass, replace
 
@@ -273,26 +274,30 @@ def load_model(path) -> MarsSurrogate:
         return model_from_dict(json.load(fh))
 
 
+def _member_paths(directory) -> list:
+    """The member_NNN.json files in directory, in member order."""
+    names = [n for n in os.listdir(directory) if re.fullmatch(r"member_\d{3,}\.json", n)]
+    return [os.path.join(directory, n) for n in sorted(names, key=lambda n: (len(n), n))]
+
+
 def save_ensemble(ens: Ensemble, directory, meta: dict | None = None) -> list:
-    """Write member_000.json ... under directory; returns the paths."""
+    """Write member_000.json ... under directory, remove the other
+    member_NNN.json files there (a larger earlier ensemble's); returns the paths."""
     os.makedirs(directory, exist_ok=True)
-    paths = []
-    for i, m in enumerate(ens.members):
-        path = os.path.join(directory, f"member_{i:03d}.json")
+    paths = [os.path.join(directory, f"member_{i:03d}.json") for i in range(len(ens))]
+    for m, path in zip(ens.members, paths):
         save_model(m, path, meta=meta)
-        paths.append(path)
+    for path in set(_member_paths(directory)) - set(paths):
+        os.remove(path)
     return paths
 
 
 def load_ensemble(directory, label: str | None = None) -> Ensemble:
-    # report.json is the fit-report artifact written next to the members,
-    # not a model file
-    names = sorted(
-        n for n in os.listdir(directory) if n.endswith(".json") and n != "report.json"
-    )
-    members = [load_model(os.path.join(directory, n)) for n in names]
+    """The members save_ensemble wrote under directory; its other files,
+    such as the fit report.json, are not models."""
+    members = [load_model(path) for path in _member_paths(directory)]
     if not members:
-        raise ValueError(f"no model files found in {directory}")
+        raise ValueError(f"no member_NNN.json model files found in {directory}")
     return Ensemble(members=tuple(members), label=label or os.path.basename(str(directory).rstrip("/")))
 
 
@@ -881,6 +886,8 @@ def fit_ensemble_with_report(
 def cross_validated_rmspe(X, y, cfg: FitConfig, k: int) -> float:
     """k-fold CV root mean squared prediction error on the unit-variance
     scale (divided by the sd of y). Folds are deterministic round-robin."""
+    if k < 2:
+        raise ValueError(f"k-fold CV needs k >= 2 folds, got {k}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     n = X.shape[0]

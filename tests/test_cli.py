@@ -169,6 +169,16 @@ def test_fit_ensemble_force_drops_stale_members(tmp_path, prior2):
     assert len(load_ensemble(out)) == 2
 
 
+def test_fit_cv_below_two_fails_before_writing(tmp_path, prior2, capsys):
+    # the CV runs before any save, so a refused k leaves no model, report or directory
+    train = _write_train(tmp_path / "t.csv")
+    for out, ensemble in (("m.json", []), ("ens", ["--ensemble", "2"])):
+        assert main(["fit", str(train), "--out", str(tmp_path / out), "--prior", prior2,
+                     "--cv", "1", *ensemble]) == 1
+        assert capsys.readouterr().err == "error: k-fold CV needs k >= 2 folds, got 1\n"
+    assert sorted(os.listdir(tmp_path)) == ["prior.json", "t.csv"]
+
+
 def test_fit_refuses_a_directory_before_fitting(tmp_path, prior2, capsys):
     train = _write_train(tmp_path / "t.csv")
     for name in ("m", "n.report.json"):
@@ -320,6 +330,27 @@ def test_cmat_rerun_is_bitwise_identical(tmp_path, prior2, fitted_pair):
     assert sorted(os.listdir(other)) == sorted(blobs)
     for name, blob in blobs.items():
         assert (other / name).read_bytes() == blob, name
+
+
+def test_cmat_failing_mc_writes_no_file(tmp_path, prior2, fitted_pair, capsys):
+    # the MC runs before the first write, so its refusal leaves no bundle file
+    ma, mb = fitted_pair
+    out = tmp_path / "pair"
+    assert main(["cmat", ma, mb, "--prior", prior2, "--out-dir", str(out),
+                 "--modified", "--mc", "-5"]) == 1
+    assert capsys.readouterr().err == "error: B must be >= 1, got -5\n"
+    assert not out.exists()
+    out.mkdir()
+    assert main(["cmat", ma, mb, "--prior", prior2, "--out-dir", str(out), "--mc", "-5"]) == 1
+    assert not os.listdir(out)
+
+
+def test_cmat_q_above_p_makes_no_directory(tmp_path, prior2, fitted_pair, capsys):
+    ma, mb = fitted_pair
+    out = tmp_path / "o2"
+    assert main(["cmat", ma, mb, "--prior", prior2, "--out-dir", str(out), "--q", "7"]) == 1
+    assert capsys.readouterr().err == "error: q must be in [1, 2], got 7\n"
+    assert not out.exists()
 
 
 def test_cmat_q_auto_requires_tau(tmp_path, prior2, fitted_pair, capsys):
@@ -567,6 +598,16 @@ def test_cluster_rerun_identical(tmp_path, prior2, two_ensembles):
     assert sorted(os.listdir(other)) == sorted(blobs)
     for name, blob in blobs.items():
         assert (other / name).read_bytes() == blob, name
+
+
+def test_cluster_reads_only_the_member_files_of_an_ensemble(tmp_path, prior2, two_ensembles):
+    # a stray JSON file in an ensemble directory is not a model
+    args = ["cluster", *two_ensembles, "--prior", prior2, "--out-dir"]
+    assert main([*args, str(tmp_path / "before")]) == 0
+    (tmp_path / "ens0" / "settings.json").write_text('{"note": "x"}\n')
+    assert main([*args, str(tmp_path / "after")]) == 0
+    for name in CLUSTER_FILES:
+        assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "before" / name).read_bytes()
 
 
 def test_cluster_names_members_past_an_excluded_one(tmp_path, prior2, two_ensembles):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -525,6 +526,35 @@ def test_ensemble_save_load_round_trip(tmp_path):
     assert [m.to_dict() for m in back.members] == [m.to_dict() for m in ens.members]
 
 
+def test_save_ensemble_over_a_larger_one_leaves_only_its_members(tmp_path):
+    X, y = _poly_xy(n=80)
+    cfg = FitConfig(domain=UNIT2, label="ens")
+    out = tmp_path / "ens"
+    save_ensemble(fit_ensemble(X, y, cfg, B=4, seed=1), out)
+    (out / "report.json").write_text("{}\n")
+    small = fit_ensemble(X, y, cfg, B=2, seed=2)
+    written = save_ensemble(small, out)
+    assert written == [os.path.join(out, f"member_{i:03d}.json") for i in range(2)]
+    assert sorted(os.listdir(out)) == ["member_000.json", "member_001.json", "report.json"]
+    back = load_ensemble(out)
+    assert [m.to_dict() for m in back.members] == [m.to_dict() for m in small.members]
+
+
+def test_load_ensemble_reads_member_files_in_member_order(tmp_path):
+    # other JSON files are not models; member_1000 follows member_999
+    X, y = _poly_xy(n=80)
+    ens = fit_ensemble(X, y, FitConfig(domain=UNIT2), B=2, seed=1)
+    for name, m in (("member_999.json", ens.members[0]), ("member_1000.json", ens.members[1])):
+        save_model(m, tmp_path / name)
+    (tmp_path / "settings.json").write_text('{"note": "x"}\n')
+    back = load_ensemble(tmp_path)
+    assert [m.to_dict() for m in back.members] == [m.to_dict() for m in ens.members]
+    (tmp_path / "member_999.json").unlink()
+    (tmp_path / "member_1000.json").unlink()
+    with pytest.raises(ValueError, match="no member_NNN.json model files"):
+        load_ensemble(tmp_path)
+
+
 def test_ensemble_requires_consistent_members():
     m1 = MarsSurrogate(intercept=0.0, terms=(), p=2, domain=UNIT2)
     m2 = MarsSurrogate(intercept=0.0, terms=(), p=1, domain=((0.0, 1.0),))
@@ -541,6 +571,19 @@ def test_cv_rmspe_small_for_learnable_target():
     X, y = _poly_xy(n=120)
     val = cross_validated_rmspe(X, y, FitConfig(domain=UNIT2), k=5)
     assert 0.0 <= val < 0.2
+
+
+@pytest.mark.parametrize("k", [1, 0, -3])
+def test_cv_rmspe_refuses_fewer_than_two_folds_before_fitting(k, monkeypatch):
+    import coactive.model
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit called")
+
+    monkeypatch.setattr(coactive.model, "fit", no_fit)
+    X, y = _poly_xy(n=40)
+    with pytest.raises(ValueError, match=rf"^k-fold CV needs k >= 2 folds, got {k}$"):
+        cross_validated_rmspe(X, y, FitConfig(domain=UNIT2), k=k)
 
 
 def test_cv_rmspe_is_dimensionless():
