@@ -67,7 +67,6 @@ from .montecarlo import (
     MCResult,
     SampledFunction,
     builtin_functions,
-    fd_gradient,
     lhs_design,
     mc_cmat,
     piston,
@@ -89,7 +88,7 @@ __all__ = [
     "save_prior", "load_prior",
     "save_matrix", "load_matrix", "write_matrix_csv",
     # montecarlo
-    "SampledFunction", "MCResult", "lhs_design", "fd_gradient", "mc_cmat",
+    "SampledFunction", "MCResult", "lhs_design", "mc_cmat",
     "poly_pair", "piston", "builtin_functions",
     # analysis
     "CoActiveDecomposition", "DimSelection", "ConstantFunctionError",

@@ -195,12 +195,10 @@ def poincare_bound(C_self, Sigma, B) -> float:
     """Projection error bound trace(Sigma (I - P_B) C (I - P_B)) with
     P_B = B (B^T B)^{-1} B^T.
 
-    Sigma is the prior covariance (an InputPrior is accepted and asked
-    for its covariance). B must have full column rank.
+    Sigma is the prior covariance, InputPrior.covariance(). B must have
+    full column rank.
     """
     C = _entries(C_self)
-    if callable(getattr(Sigma, "covariance", None)):
-        Sigma = Sigma.covariance()
     Sigma = np.asarray(Sigma, dtype=float)
     B = np.asarray(B, dtype=float)
     if B.ndim == 1:

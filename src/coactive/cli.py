@@ -343,7 +343,7 @@ def cmd_mc(args) -> int:
         prior = InputPrior.uniform_box(f_k.domain)
     meta = _meta(args, seed=args.seed)
     _guard(args, [args.out])
-    res = mc_cmat(f_k, f_l, prior, B=args.B, seed=args.seed, shards=args.shards)
+    res = mc_cmat(f_k, f_l, prior, B=args.B, seed=args.seed)
     d = res.to_dict()
     d["labels"] = [f_k.label, f_l.label]
     d["n_onesided"] = res.n_onesided
@@ -382,12 +382,12 @@ def cmd_cluster(args) -> int:
     n_pairs = n * (n - 1) // 2
     print(f"grid: {n} members, {n_pairs} cross pairs, {time.perf_counter() - t0:.2f}s",
           file=sys.stderr)
-    D = discordance_matrix(grid)
+    D = discordance_matrix(grid.kappa)
     t0 = time.perf_counter()
     emb = mds_embed(D, dims=args.dims, seed=args.seed)
     print(f"mds: {len(emb.stress_history) - 1} iterations, {time.perf_counter() - t0:.2f}s",
           file=sys.stderr)
-    centers = model_centers(emb, grid.membership)
+    centers = model_centers(emb.points, grid.membership)
 
     K = len(grid.labels)
     summary = [
@@ -471,9 +471,11 @@ def cmd_bound(args) -> int:
 def cmd_verify(args) -> int:
     kwargs = {}
     if args.fixture == "piston":
-        kwargs = {"B": args.B, "n_fit": args.n or 1000, "seed": args.seed}
+        kwargs = {"B": args.B, "n_fit": args.n, "seed": args.seed}
     elif args.fixture == "metric":
-        kwargs = {"n_models": args.n or 12, "seed": args.seed}
+        kwargs = {"n_models": args.n, "seed": args.seed}
+    # an --n left out keeps the suite's default; one given is used as given
+    kwargs = {k: v for k, v in kwargs.items() if v is not None}
     _guard(args, [args.out])
     results = run_suite(args.fixture, **kwargs)
     for r in results:
@@ -541,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior", default=None, help="prior JSON (default: uniform over the domain)")
     p.add_argument("--B", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--shards", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_mc)

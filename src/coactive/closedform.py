@@ -73,6 +73,8 @@ class UniformDim:
     hi: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
+            raise ValueError(f"uniform needs finite bounds, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise ValueError(f"uniform needs lo < hi, got [{self.lo}, {self.hi}]")
 
@@ -98,7 +100,8 @@ class UniformDim:
 
 @dataclass(frozen=True)
 class NormalDim:
-    """Normal marginal, optionally truncated to [trunc_lo, trunc_hi]."""
+    """Normal marginal, optionally truncated to [trunc_lo, trunc_hi]; the
+    mean and sd are finite, a truncation bound may be infinite."""
 
     mean: float
     sd: float
@@ -106,8 +109,10 @@ class NormalDim:
     trunc_hi: float = np.inf
 
     def __post_init__(self):
-        if not self.sd > 0:
-            raise ValueError(f"normal needs sd > 0, got {self.sd}")
+        if not np.isfinite(self.mean):
+            raise ValueError(f"normal needs a finite mean, got {self.mean}")
+        if not (self.sd > 0 and np.isfinite(self.sd)):
+            raise ValueError(f"normal needs a finite sd > 0, got {self.sd}")
         if not self.trunc_lo < self.trunc_hi:
             raise ValueError("truncation needs trunc_lo < trunc_hi")
         mass = self._raw_mass(self.trunc_lo, self.trunc_hi)

@@ -143,13 +143,12 @@ def pairwise_concordance(
     )
 
 
-def discordance_matrix(grid) -> np.ndarray:
-    """Elementwise sqrt((1 - kappa)/2) over the member-level grid.
-
-    Accepts a PairwiseGrid or a raw concordance matrix. The result is
-    symmetric with a zero diagonal and entries in [0, 1].
+def discordance_matrix(kappa) -> np.ndarray:
+    """Elementwise sqrt((1 - kappa)/2) over a member-level concordance
+    matrix such as PairwiseGrid.kappa. The result is symmetric with a zero
+    diagonal and entries in [0, 1].
     """
-    kappa = np.asarray(getattr(grid, "kappa", grid), dtype=float)
+    kappa = np.asarray(kappa, dtype=float)
     if kappa.ndim != 2 or kappa.shape[0] != kappa.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {kappa.shape}")
     if np.any(np.isnan(kappa)):
@@ -239,16 +238,18 @@ def _torgerson(D: np.ndarray, dims: int) -> np.ndarray:
     return V[:, idx] * np.sqrt(lam)
 
 
-def mds_embed(D, dims: int = 2, seed: int = 0, max_iter: int = 500) -> Embedding:
-    """Kruskal non-metric MDS: classical-scaling start, then alternating
-    monotone regression and Guttman updates.
+# the most Guttman iterations one embedding takes
+_MDS_MAX_ITER = 500
+
+
+def mds_embed(D, dims: int = 2, seed: int = 0) -> Embedding:
+    """Kruskal non-metric MDS of a dissimilarity matrix D: classical-scaling
+    start, then alternating monotone regression and Guttman updates.
 
     Stops at the first Guttman step that would raise stress-1 (the step is
     rejected, so the recorded stress history is non-increasing), when the
-    improvement drops below 1e-8, or after max_iter iterations.
+    improvement drops below 1e-8, or after _MDS_MAX_ITER iterations.
     """
-    if hasattr(D, "kappa"):  # a grid was passed; convert
-        D = discordance_matrix(D)
     D = np.asarray(D, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {D.shape}")
@@ -274,7 +275,7 @@ def mds_embed(D, dims: int = 2, seed: int = 0, max_iter: int = 500) -> Embedding
     stress, dhat = _stress(dist, order, blocks)
     history = [stress]
 
-    for _ in range(max_iter):
+    for _ in range(_MDS_MAX_ITER):
         if stress == 0.0:
             break
         # Guttman transform at the current disparities
@@ -300,13 +301,13 @@ def mds_embed(D, dims: int = 2, seed: int = 0, max_iter: int = 500) -> Embedding
     return Embedding(points=X, stress=stress, stress_history=history)
 
 
-def model_centers(embedding, membership) -> np.ndarray:
-    """Per-model means of the embedded points.
+def model_centers(points, membership) -> np.ndarray:
+    """Per-model means of embedded points such as Embedding.points.
 
     membership[i] is the model index (0..K-1) of point i; every model
     index must own at least one point.
     """
-    points = np.asarray(getattr(embedding, "points", embedding), dtype=float)
+    points = np.asarray(points, dtype=float)
     membership = np.asarray(membership, dtype=int)
     if membership.shape[0] != points.shape[0]:
         raise ValueError("membership length must match the number of points")

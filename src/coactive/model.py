@@ -67,6 +67,8 @@ class BasisTerm:
     factors: tuple[HingeFactor, ...]
 
     def __post_init__(self):
+        if not np.isfinite(self.coef):
+            raise ValueError(f"coef must be finite, got {self.coef!r}")
         object.__setattr__(self, "factors", tuple(self.factors))
         seen = [f.var for f in self.factors]
         if len(set(seen)) != len(seen):
@@ -96,9 +98,13 @@ class MarsSurrogate:
         object.__setattr__(
             self, "domain", tuple((float(lo), float(hi)) for lo, hi in self.domain)
         )
+        if not np.isfinite(self.intercept):
+            raise ValueError(f"intercept must be finite, got {self.intercept!r}")
         if len(self.domain) != self.p:
             raise ValueError(f"domain has {len(self.domain)} entries for p={self.p}")
         for lo, hi in self.domain:
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ValueError(f"domain bounds must be finite, got [{lo}, {hi}]")
             if not lo < hi:
                 raise ValueError(f"domain bounds must satisfy lo < hi, got [{lo}, {hi}]")
         for term in self.terms:
@@ -292,21 +298,22 @@ def save_ensemble(ens: Ensemble, directory, meta: dict | None = None) -> list:
     return paths
 
 
-def load_ensemble(directory, label: str | None = None) -> Ensemble:
-    """The members save_ensemble wrote under directory; its other files,
-    such as the fit report.json, are not models."""
+def load_ensemble(directory) -> Ensemble:
+    """The members save_ensemble wrote under directory, labelled with its
+    basename; its other files, such as the fit report.json, are not models."""
     members = [load_model(path) for path in _member_paths(directory)]
     if not members:
         raise ValueError(f"no member_NNN.json model files found in {directory}")
-    return Ensemble(members=tuple(members), label=label or os.path.basename(str(directory).rstrip("/")))
+    return Ensemble(members=tuple(members), label=os.path.basename(str(directory).rstrip("/")))
 
 
 def load_training_csv(path, response: str | None = None):
     """Read a training CSV: header row, p input columns, one response column.
 
     response selects the response column by name; default is the last
-    column. Returns (X, y, input_names, response_name). Malformed rows
-    raise ValueError with the 1-based line number.
+    column. Returns (X, y, input_names, response_name). Malformed rows and
+    non-finite fields (nan, inf) raise ValueError with the 1-based line
+    number.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -333,9 +340,13 @@ def load_training_csv(path, response: str | None = None):
                     f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
                 )
             try:
-                rows.append([float(v) for v in row])
+                vals = [float(v) for v in row]
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
+            if not all(map(math.isfinite, vals)):
+                col = next(h for h, v in zip(header, vals) if not math.isfinite(v))
+                raise ValueError(f"{path}: line {lineno}: non-finite value in column {col!r}")
+            rows.append(vals)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     data = np.asarray(rows)
@@ -352,6 +363,10 @@ def load_training_csv(path, response: str | None = None):
 # ---------------------------------------------------------------------------
 
 
+# the fewest training rows fit accepts
+_MIN_SAMPLES = 10
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Knobs for the stepwise fitter.
@@ -360,15 +375,14 @@ class FitConfig:
     2.0 for additive models (max_degree == 1). max_knots caps candidate
     knots per variable; candidates are always observed data values.
 
-    endspan and minspan are the usual span guards: an interior knot must
-    leave at least endspan points of the parent's support on each side,
-    and consecutive candidate knots are at least minspan support points
-    apart. The minimum support value is always offered as a knot (it
-    yields a hinge linear over the parent's support). None computes both
-    from the alpha=0.05 span formulas. Without these guards a term can
-    end up supported by a handful of points in a thin corner; its wild
-    coefficient barely moves the training error but dominates gradient
-    integrals over the corner.
+    The span guards are fixed by the alpha=0.05 span formulas (see
+    _span_lengths): an interior knot must leave at least endspan points of
+    the parent's support on each side, and consecutive candidate knots are
+    at least minspan support points apart. The minimum support value is
+    always offered as a knot (it yields a hinge linear over the parent's
+    support). Without these guards a term can end up supported by a
+    handful of points in a thin corner; its wild coefficient barely moves
+    the training error but dominates gradient integrals over the corner.
 
     No knob touches tie-breaking: candidates whose SSE reductions agree to
     a relative 1e-8 tie and go to a fixed order, and a plus/minus hinge
@@ -378,10 +392,7 @@ class FitConfig:
 
     max_terms: int = 50
     max_degree: int = 3
-    min_samples: int = 10
     max_knots: int = 64
-    endspan: int | None = None
-    minspan: int | None = None
     penalty: float | None = None
     domain: tuple[tuple[float, float], ...] | None = None
     label: str = ""
@@ -452,8 +463,11 @@ def fit_with_report(X, y, cfg: FitConfig = FitConfig()) -> tuple[MarsSurrogate, 
     n, p = X.shape
     if y.shape[0] != n:
         raise ValueError(f"X has {n} rows but y has {y.shape[0]}")
-    if n < cfg.min_samples:
-        raise ValueError(f"need at least {cfg.min_samples} samples, got {n}")
+    if n < _MIN_SAMPLES:
+        raise ValueError(f"need at least {_MIN_SAMPLES} samples, got {n}")
+    for name, arr in (("X", X), ("y", y)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} has non-finite values")
 
     domain = cfg.domain
     if domain is None:
@@ -495,25 +509,19 @@ def fit_with_report(X, y, cfg: FitConfig = FitConfig()) -> tuple[MarsSurrogate, 
     return m, rep
 
 
-def _span_lengths(cfg: FitConfig, p: int, count: int) -> tuple[int, int]:
-    """endspan/minspan per the alpha=0.05 span formulas; count is the
-    number of support points of the parent being extended."""
-    if cfg.endspan is not None:
-        endspan = int(cfg.endspan)
-    else:
-        endspan = int(round(3.0 - math.log2(0.05 / p)))
-    if cfg.minspan is not None:
-        minspan = int(cfg.minspan)
-    elif count <= 0:
-        minspan = 1
-    else:
-        minspan = int(round(-math.log2(-math.log1p(-0.05) / (p * count)) / 2.5))
-    return max(0, endspan), max(1, minspan)
+def _span_lengths(p: int, count: int) -> tuple[int, int]:
+    """endspan/minspan per the alpha=0.05 span formulas (Friedman 1991);
+    count >= 1 is the number of support points of the parent being
+    extended. For every p >= 1 they give endspan >= 7 and minspan >= 2."""
+    endspan = int(round(3.0 - math.log2(0.05 / p)))
+    minspan = int(round(-math.log2(-math.log1p(-0.05) / (p * count)) / 2.5))
+    return endspan, minspan
 
 
 def _parent_candidates(xs: np.ndarray, cfg: FitConfig, p: int) -> np.ndarray:
     """Eligible knot values on one variable given the parent's support xs,
-    sorted ascending.
+    sorted ascending; xs is never empty, as every parent column the forward
+    pass keeps has a positive entry.
 
     The minimum support value always qualifies (the resulting hinge is
     linear across the support); interior values are rank-trimmed by
@@ -521,8 +529,8 @@ def _parent_candidates(xs: np.ndarray, cfg: FitConfig, p: int) -> np.ndarray:
     max_knots evenly spaced order statistics.
     """
     a = xs.size
-    endspan, minspan = _span_lengths(cfg, p, a)
-    if a < max(2, endspan + 1):
+    endspan, minspan = _span_lengths(p, a)
+    if a < endspan + 1:
         return np.empty(0)
     cands = [xs[:1]]
     if a >= 2 * endspan + 1:

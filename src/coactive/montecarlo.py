@@ -21,7 +21,6 @@ __all__ = [
     "SampledFunction",
     "MCResult",
     "lhs_design",
-    "fd_gradient",
     "mc_cmat",
     "poly_pair",
     "piston",
@@ -84,15 +83,14 @@ class SampledFunction:
 
     evaluator maps (n, p) arrays to (n,) outputs. grad, when given, maps
     (n, p) to (n, p) analytic gradients; otherwise central finite
-    differences with step h (default 1e-5 of the per-dimension range) are
-    used, falling back to one-sided differences at the domain boundary.
+    differences with a step of 1e-5 of each input's range are used,
+    falling back to one-sided differences at the domain boundary.
     """
 
     evaluator: callable
     p: int
     domain: tuple[tuple[float, float], ...]
     grad: callable = None
-    h: float | None = None
     label: str = ""
 
     def __post_init__(self):
@@ -117,8 +115,6 @@ class SampledFunction:
         return np.asarray(self.evaluator(X), dtype=float)
 
     def steps(self) -> np.ndarray:
-        if self.h is not None:
-            return np.full(self.p, float(self.h))
         return np.array([1e-5 * (hi - lo) for lo, hi in self.domain])
 
     def gradients(self, X: np.ndarray) -> tuple[np.ndarray, int]:
@@ -156,24 +152,6 @@ def _fd_gradients_batch(evaluator, X, steps, domain):
     return G, onesided
 
 
-def fd_gradient(f, x, h: float, domain=None) -> np.ndarray:
-    """Central-difference gradient (f(x+h e_i) - f(x-h e_i)) / (2h).
-
-    When a domain is given and x is within h of a boundary, the one-sided
-    difference is used for that coordinate.
-    """
-    x = np.asarray(x, dtype=float)
-    p = x.shape[0]
-    if domain is None:
-        domain = tuple((-np.inf, np.inf) for _ in range(p))
-    if callable(getattr(f, "evaluator", None)):
-        evaluator = f.evaluator
-    else:
-        evaluator = lambda X: np.array([f(row) for row in X])
-    G, _ = _fd_gradients_batch(evaluator, x[None, :], np.full(p, float(h)), domain)
-    return G[0]
-
-
 # Rows per block of the cross products in mc_cmat: a (p x 256)(256 x p)
 # product stays below OpenBLAS's threading threshold (measured up to p = 40),
 # so no worker thread wakes and spins after it, whatever the sample size.
@@ -207,36 +185,28 @@ def mc_cmat(
     prior: InputPrior,
     B: int,
     seed: int,
-    shards: int = 1,
 ) -> MCResult:
     """Plain MC estimator: mean of B gradient outer products at i.i.d.
     prior draws, with the elementwise standard error of the mean.
 
-    B may be sharded; shard s draws from a stream seeded by (seed, s), so
-    results are reproducible for a fixed shard count regardless of how the
-    shards are executed. The sums run over blocks of _MC_BLOCK rows.
+    The draws come from one stream seeded by (seed, 0). The sums run over
+    blocks of _MC_BLOCK rows.
     """
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
     if f_k.p != f_l.p or f_k.p != prior.p:
         raise ValueError("function and prior dimensions must agree")
     p = f_k.p
-    shards = max(1, min(int(shards), B))
-    sizes = [B // shards + (1 if s < B % shards else 0) for s in range(shards)]
+    X = prior.sample(np.random.default_rng([seed, 0]), B)
+    Gk, o1 = f_k.gradients(X)
+    Gl, o2 = (Gk, 0) if f_l is f_k else f_l.gradients(X)
+    Gk2, Gl2 = Gk * Gk, Gl * Gl
     sum1 = np.zeros((p, p))
     sum2 = np.zeros((p, p))
-    onesided = 0
-    for s, ns in enumerate(sizes):
-        rng = np.random.default_rng([seed, s])
-        X = prior.sample(rng, ns)
-        Gk, o1 = f_k.gradients(X)
-        Gl, o2 = (Gk, 0) if f_l is f_k else f_l.gradients(X)
-        onesided += o1 + o2
-        Gk2, Gl2 = Gk * Gk, Gl * Gl
-        for a in range(0, ns, _MC_BLOCK):
-            rows = slice(a, a + _MC_BLOCK)
-            sum1 += Gk[rows].T @ Gl[rows]
-            sum2 += Gk2[rows].T @ Gl2[rows]
+    for a in range(0, B, _MC_BLOCK):
+        rows = slice(a, a + _MC_BLOCK)
+        sum1 += Gk[rows].T @ Gl[rows]
+        sum2 += Gk2[rows].T @ Gl2[rows]
     mean = sum1 / B
     var = np.maximum(sum2 / B - mean**2, 0.0)
     se = np.sqrt(var / B)
@@ -249,7 +219,7 @@ def mc_cmat(
         labels=(f_k.label, f_l.label),
     )
     h = max((float(np.max(f.steps())) for f in (f_k, f_l) if f.grad is None), default=None)
-    return MCResult(matrix=C, se=se, B=B, seed=seed, h=h, n_onesided=onesided)
+    return MCResult(matrix=C, se=se, B=B, seed=seed, h=h, n_onesided=o1 + o2)
 
 
 # ---------------------------------------------------------------------------
@@ -314,17 +284,14 @@ def piston(p0: float = 90000.0, ta: float = 284.0) -> SampledFunction:
         evaluator=evaluator,
         p=5,
         domain=tuple((0.0, 1.0) for _ in range(5)),
-        h=1e-5,
         label=f"piston-p0{p0:g}-ta{ta:g}",
     )
 
 
-def linear_function(a, domain=None) -> SampledFunction:
-    """f(x) = a . x with constant analytic gradient."""
+def linear_function(a) -> SampledFunction:
+    """f(x) = a . x on the unit box, with constant analytic gradient."""
     a = np.asarray(a, dtype=float)
     p = a.shape[0]
-    if domain is None:
-        domain = tuple((0.0, 1.0) for _ in range(p))
 
     def evaluator(X):
         return np.asarray(X, dtype=float) @ a
@@ -332,7 +299,7 @@ def linear_function(a, domain=None) -> SampledFunction:
     def grad(X):
         return np.tile(a, (np.asarray(X).shape[0], 1))
 
-    return SampledFunction(evaluator=evaluator, p=p, domain=tuple(domain), grad=grad, label="linear")
+    return SampledFunction(evaluator=evaluator, p=p, domain=((0.0, 1.0),) * p, grad=grad, label="linear")
 
 
 def builtin_functions(spec: str) -> tuple[SampledFunction, ...]:

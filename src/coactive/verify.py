@@ -143,22 +143,17 @@ def check_piston(B: int = 100_000, n_fit: int = 1000, seed: int = 20260813) -> l
     ]
 
 
-def random_surrogate_corpus(
-    n_models: int,
-    seed: int = 0,
-    p_choices=(2, 3),
-    n_train: int = 150,
-    max_terms: int = 15,
-) -> list:
-    """Surrogates fitted to random cubic polynomials on the unit box.
+def random_surrogate_corpus(n_models: int, seed: int = 0) -> list:
+    """Surrogates of at most 15 terms fitted to random cubic polynomials,
+    each on one shared 150-point LHS of the unit box.
 
-    All models share p (drawn once from p_choices) and the unit-box
-    domain, so every pair is comparable under one prior.
+    All models share p (2 or 3, drawn once) and the unit-box domain, so
+    every pair is comparable under one prior.
     """
     rng = np.random.default_rng(seed)
-    p = int(rng.choice(p_choices))
+    p = int(rng.choice((2, 3)))
     domain = tuple((0.0, 1.0) for _ in range(p))
-    X = lhs_design(n_train, p, domain, seed=seed)
+    X = lhs_design(150, p, domain, seed=seed)
     models = []
     for m in range(n_models):
         # random polynomial: linear + quadratic + a few cubic interactions
@@ -166,7 +161,7 @@ def random_surrogate_corpus(
         quad = rng.normal(size=(p, p))
         cubic = rng.normal(size=p)
         y = X @ lin + np.einsum("ni,ij,nj->n", X, quad, X) + (X**3) @ cubic
-        cfg = FitConfig(max_terms=max_terms, domain=domain, label=f"rand-{m:03d}")
+        cfg = FitConfig(max_terms=15, domain=domain, label=f"rand-{m:03d}")
         models.append(fit(X, y, cfg))
     return models
 
@@ -174,12 +169,15 @@ def random_surrogate_corpus(
 def check_metric(n_models: int = 12, seed: int = 7) -> list[CheckResult]:
     """Pseudo-metric properties of the discordance over a random fitted
     corpus: non-negativity, zero self-distance, symmetry, and every
-    triangle inequality."""
+    triangle inequality. A triangle needs three models, so fewer are
+    refused."""
+    if n_models < 3:
+        raise ValueError(f"the metric check needs at least 3 models, got {n_models}")
     models = random_surrogate_corpus(n_models, seed=seed)
     prior = InputPrior.uniform_box(models[0].domain)
     ens = [Ensemble(members=(m,), label=m.label) for m in models]
     grid = pairwise_concordance(ens, prior)
-    D = discordance_matrix(grid)
+    D = discordance_matrix(grid.kappa)
     n = D.shape[0]
 
     sym = float(np.abs(D - D.T).max())

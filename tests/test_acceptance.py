@@ -216,7 +216,8 @@ def test_criterion_09_projection_bound_minimality(metric_corpus):
     H = shared_matrix(mats)
     p = H.shape[0]
 
-    full = poincare_bound(H, prior, np.eye(p))
+    Sigma = prior.covariance()
+    full = poincare_bound(H, Sigma, np.eye(p))
     full_ok = abs(full) <= 1e-10 * float(np.trace(H))
 
     lam, W = np.linalg.eigh(H)
@@ -224,10 +225,10 @@ def test_criterion_09_projection_bound_minimality(metric_corpus):
     rng = np.random.default_rng(20260813)
     min_ok = True
     for r in range(1, p):
-        b0 = poincare_bound(H, prior, lead[:, :r])
+        b0 = poincare_bound(H, Sigma, lead[:, :r])
         for _ in range(100):
             Q, _ = np.linalg.qr(rng.standard_normal((p, r)))
-            if poincare_bound(H, prior, Q) < b0 - 1e-12 * float(np.trace(H)):
+            if poincare_bound(H, Sigma, Q) < b0 - 1e-12 * float(np.trace(H)):
                 min_ok = False
     dt = time.perf_counter() - t0
     ok = full_ok and min_ok
@@ -255,12 +256,12 @@ def test_criterion_10_cluster_pipeline_separates_families():
     means = np.array([[grid.summary(k, l).mean for l in range(3)] for k in range(3)])
     order_ok = means[0, 1] > means[1, 2] > means[0, 2]  # 0.988 > 0.744 > 0.631 exactly
 
-    D = discordance_matrix(grid)
+    D = discordance_matrix(grid.kappa)
     emb = mds_embed(D, dims=2, seed=0)
     hist = np.asarray(emb.stress_history)
     stress_ok = bool(np.all(np.diff(hist) <= 1e-12))
 
-    centers = model_centers(emb, grid.membership)
+    centers = model_centers(emb.points, grid.membership)
     spread4 = float(
         np.linalg.norm(emb.points[grid.membership == 2] - centers[2], axis=1).max()
     )

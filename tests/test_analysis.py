@@ -271,9 +271,9 @@ def test_poincare_orthogonal_direction_picks_up_full_variance():
     # f(x) = x0 on U(0,1)^2: C = e0 e0^T; projecting onto e1 keeps all of it
     C = np.outer([1.0, 0.0], [1.0, 0.0])
     prior = InputPrior.uniform_box(((0.0, 1.0), (0.0, 1.0)))
-    val = poincare_bound(C, prior, np.array([0.0, 1.0]))
+    val = poincare_bound(C, prior.covariance(), np.array([0.0, 1.0]))
     assert val == pytest.approx(1.0 / 12.0, rel=1e-12)
-    assert poincare_bound(C, prior, np.array([1.0, 0.0])) == pytest.approx(0.0, abs=1e-14)
+    assert poincare_bound(C, prior.covariance(), np.array([1.0, 0.0])) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_poincare_nonnegative_and_monotone_isotropic():

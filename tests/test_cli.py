@@ -209,6 +209,29 @@ def test_fit_malformed_csv_reports_line(tmp_path, prior2, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row, line", [("0.1,0.2,nan", 2), ("0.1,inf,1.0", 2), ("nan,0.2,1.0", 2)])
+def test_fit_refuses_a_non_finite_field_and_writes_nothing(tmp_path, capsys, row, line):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"x1,x2,y\n{row}\n0.3,0.4,2.0\n")
+    for args in ([], ["--ensemble", "2"]):
+        out = tmp_path / "out"
+        assert main(["fit", str(bad), "--out", str(out), *args]) == 1
+        assert f"line {line}: non-finite value" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["bad.csv"]
+
+
+def test_cmat_refuses_a_nan_prior_mean_by_name(tmp_path, fitted_pair, capsys):
+    prior = tmp_path / "nan_prior.json"
+    prior.write_text(json.dumps({"p": 2, "dims": [
+        {"type": "normal", "mean": float("nan"), "sd": 1.0},
+        {"type": "uniform", "lo": 0.0, "hi": 1.0},
+    ]}))
+    out = tmp_path / "out"
+    assert main(["cmat", *fitted_pair, "--prior", str(prior), "--out-dir", str(out)]) == 1
+    assert "normal needs a finite mean, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_input_file_fails_cleanly(tmp_path, capsys):
     assert main(["fit", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "m.json")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -747,6 +770,15 @@ def test_verify_metric_passes(tmp_path, capsys):
     assert main(["verify", "metric", "--n", "6", "--seed", "2"]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l]
     assert len(lines) == 4 and all(l.startswith("PASS") for l in lines)
+
+
+@pytest.mark.parametrize("n", ["0", "2"])
+def test_verify_metric_uses_n_as_given_and_refuses_under_three(tmp_path, capsys, n):
+    # --n 0 once fell back to the default 12 models; 2 models have no triangle
+    out = tmp_path / "verify.json"
+    assert main(["verify", "metric", "--n", n, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: the metric check needs at least 3 models, got {n}\n"
+    assert not out.exists()
 
 
 # -- misc ---------------------------------------------------------------------------------

@@ -98,6 +98,9 @@ def test_uniform_moments_clip_and_empty():
 def test_uniform_validation_and_order():
     with pytest.raises(ValueError, match="lo < hi"):
         UniformDim(1.0, 1.0)
+    for lo, hi in ((0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="uniform needs finite bounds"):
+            UniformDim(lo, hi)
     with pytest.raises(ValueError, match="moment order"):
         U01.moment(3, 0.0, 1.0)
 
@@ -153,6 +156,16 @@ def test_normal_validation():
         NormalDim(mean=0.0, sd=1.0, trunc_lo=1.0, trunc_hi=1.0)
     with pytest.raises(ValueError, match="vanishing"):
         NormalDim(mean=0.0, sd=1.0, trunc_lo=50.0, trunc_hi=51.0)
+    with pytest.raises(ValueError, match="finite mean"):
+        NormalDim(mean=np.nan, sd=1.0)
+    for sd in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite sd > 0"):
+            NormalDim(mean=0.0, sd=sd)
+    with pytest.raises(ValueError, match="trunc_lo < trunc_hi"):
+        NormalDim(mean=0.0, sd=1.0, trunc_lo=np.nan)
+    # a truncation bound may be infinite
+    half = NormalDim(mean=0.0, sd=1.0, trunc_lo=-np.inf, trunc_hi=0.0)
+    assert half.support() == (-np.inf, 0.0)
 
 
 # -- hinge support bounds -----------------------------------------------------

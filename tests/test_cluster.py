@@ -170,7 +170,7 @@ def test_grid_validation():
 def test_discordance_matrix_from_grid_and_raw():
     e1 = _beta_ensemble(0.5, B=2, seed=10)
     grid = pairwise_concordance([e1], PRIOR2)
-    D = discordance_matrix(grid)
+    D = discordance_matrix(grid.kappa)
     np.testing.assert_allclose(D, np.sqrt((1.0 - np.minimum(grid.kappa, 1.0)) / 2.0), atol=1e-15)
     np.testing.assert_array_equal(np.diag(D), 0.0)
     raw = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -285,11 +285,11 @@ def test_mds_stress_invariant_under_relabeling():
     assert a.stress == pytest.approx(b.stress, abs=1e-6)
 
 
-def test_mds_accepts_grid_directly():
+def test_mds_embeds_a_grids_discordance():
     e1 = _beta_ensemble(0.5, B=2, seed=13)
     e2 = _beta_ensemble(4.0, B=2, seed=14)
     grid = pairwise_concordance([e1, e2], PRIOR2)
-    emb = mds_embed(grid, dims=2, seed=0)
+    emb = mds_embed(discordance_matrix(grid.kappa), dims=2, seed=0)
     assert emb.points.shape == (4, 2)
     assert 0.0 <= emb.stress <= 1.0
 
@@ -377,8 +377,8 @@ def test_model_centers_from_embedding_and_grid():
     e1 = _beta_ensemble(0.25, B=2, seed=15)
     e2 = _beta_ensemble(4.0, B=2, seed=16)
     grid = pairwise_concordance([e1, e2], PRIOR2)
-    emb = mds_embed(grid, dims=2, seed=0)
-    centers = model_centers(emb, grid.membership)
+    emb = mds_embed(discordance_matrix(grid.kappa), dims=2, seed=0)
+    centers = model_centers(emb.points, grid.membership)
     assert centers.shape == (2, 2)
     d_between = np.linalg.norm(centers[0] - centers[1])
     spread = max(

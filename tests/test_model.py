@@ -293,6 +293,25 @@ def test_model_dict_round_trip():
     assert model_from_dict(json.loads(json.dumps(d))).to_dict() == d
 
 
+@pytest.mark.parametrize("path, value", [
+    (("intercept",), float("nan")),
+    (("terms", 0, "coef"), float("nan")),
+    (("terms", 0, "coef"), float("inf")),
+    (("domain", 1, 1), float("inf")),
+    (("domain", 0, 0), float("-inf")),
+])
+def test_model_refuses_non_finite_numbers(path, value):
+    d = model_to_dict(_awkward_model())
+    model_from_dict(d)
+    *head, last = path
+    node = d
+    for key in head:
+        node = node[key]
+    node[last] = value
+    with pytest.raises(ValueError, match="must be finite"):
+        model_from_dict(json.loads(json.dumps(d)))
+
+
 def test_load_model_missing_field(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"intercept": 1.0}')
@@ -331,6 +350,14 @@ def test_load_training_csv_malformed_row_reports_line(tmp_path):
     g.write_text("x1,y\n0.1,1.0\n0.2,oops\n")
     with pytest.raises(ValueError, match="line 3: non-numeric"):
         load_training_csv(g)
+
+
+@pytest.mark.parametrize("row, column", [("0.2,nan", "y"), ("inf,1.0", "x1"), ("nan,1.0", "x1")])
+def test_load_training_csv_refuses_a_non_finite_field(tmp_path, row, column):
+    f = tmp_path / "bad.csv"
+    f.write_text(f"x1,y\n0.1,1.0\n\n{row}\n")
+    with pytest.raises(ValueError, match=f"line 4: non-finite value in column '{column}'"):
+        load_training_csv(f)
 
 
 def test_load_training_csv_empty(tmp_path):
@@ -415,13 +442,28 @@ def test_fit_constant_response_warns():
 def test_fit_input_validation():
     X, y = _poly_xy(n=30)
     with pytest.raises(ValueError, match="at least"):
-        fit(X[:5], y[:5], FitConfig(min_samples=10))
+        fit(X[:9], y[:9])
     with pytest.raises(ValueError, match="2-D"):
         fit(y, y)
     with pytest.raises(ValueError, match="rows"):
         fit(X, y[:-1])
     with pytest.raises(ValueError, match="outside declared domain"):
         fit(X, y, FitConfig(domain=((0.0, 0.5), (0.0, 1.0))))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_refuses_non_finite_data(bad):
+    # a NaN response once gave a constant model with a NaN intercept, and an
+    # infinite input a model with an infinite domain bound
+    X, y = _poly_xy(n=30)
+    Xb, yb = X.copy(), y.copy()
+    Xb[3, 1], yb[3] = bad, bad
+    with pytest.raises(ValueError, match="X has non-finite values"):
+        fit_with_report(Xb, y)
+    with pytest.raises(ValueError, match="y has non-finite values"):
+        fit_with_report(X, yb)
+    with pytest.raises(ValueError, match="X has non-finite values"):
+        fit_ensemble(Xb, y, FitConfig(), B=2, seed=0)
 
 
 def test_fit_respects_term_budget():
@@ -462,14 +504,6 @@ def test_full_refit_to_own_predictions_stays_close():
     m2 = fit(X, yhat, cfg)
     rel = np.sqrt(np.mean((m2.evaluate_batch(X) - yhat) ** 2)) / np.std(yhat)
     assert rel < 0.05
-
-
-def test_span_guard_overrides():
-    X, y = _poly_xy(n=60)
-    m_tight = fit(X, y, FitConfig(domain=UNIT2, endspan=20, minspan=20))
-    m_loose = fit(X, y, FitConfig(domain=UNIT2, endspan=0, minspan=1))
-    knots = {f.knot for t in m_tight.terms for f in t.factors}
-    assert len(knots) <= len({f.knot for t in m_loose.terms for f in t.factors})
 
 
 # -- ensembles ---------------------------------------------------------------

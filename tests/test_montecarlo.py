@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ import pytest
 from coactive import (
     FitConfig,
     InputPrior,
-    fd_gradient,
     fit,
     lhs_design,
     mc_cmat,
@@ -84,23 +84,25 @@ def test_lhs_validation():
 # -- finite differences ---------------------------------------------------------
 
 
+def _fd(evaluator, x, domain=UNIT2):
+    """The finite-difference gradient at one point, without an analytic one."""
+    f = SampledFunction(evaluator=evaluator, p=len(domain), domain=domain)
+    return f.gradients(np.asarray(x, dtype=float)[None, :])[0][0]
+
+
 def test_fd_gradient_linear():
-    f = lambda x: 3.0 * x[0]
-    np.testing.assert_allclose(fd_gradient(f, [0.4, 0.6], h=1e-5), [3.0, 0.0], atol=1e-9)
+    np.testing.assert_allclose(_fd(lambda X: 3.0 * X[:, 0], [0.4, 0.6]), [3.0, 0.0], atol=1e-9)
 
 
 def test_fd_gradient_quadratic_is_exact_centered():
-    f = lambda x: x[0] ** 2
-    g = fd_gradient(f, [0.5, 0.25], h=1e-5, domain=UNIT2)
+    g = _fd(lambda X: X[:, 0] ** 2, [0.5, 0.25])
     np.testing.assert_allclose(g, [1.0, 0.0], atol=1e-10)
 
 
 def test_fd_gradient_one_sided_at_boundary():
-    f = lambda x: x[0] ** 2
-    g = fd_gradient(f, [1.0, 0.5], h=1e-5, domain=UNIT2)
-    assert g[0] == pytest.approx(2.0, abs=1e-4)
-    g0 = fd_gradient(f, [0.0, 0.5], h=1e-5, domain=UNIT2)
-    assert g0[0] == pytest.approx(0.0, abs=1e-4)
+    square = lambda X: X[:, 0] ** 2
+    assert _fd(square, [1.0, 0.5])[0] == pytest.approx(2.0, abs=1e-4)
+    assert _fd(square, [0.0, 0.5])[0] == pytest.approx(0.0, abs=1e-4)
 
 
 def test_sampled_function_wrapper():
@@ -115,17 +117,19 @@ def test_sampled_function_wrapper():
 
 
 def test_sampled_function_fd_path_counts_onesided():
-    f = SampledFunction(evaluator=lambda X: X[:, 0] ** 2, p=1, domain=((0.0, 1.0),), h=1e-5)
-    G, ones = f.gradients(np.array([[0.5], [1.0]]))
+    # the step is 1e-5 of each input's range
+    f = SampledFunction(evaluator=lambda X: X[:, 0] ** 2, p=1, domain=((0.0, 2.0),))
+    G, ones = f.gradients(np.array([[0.5], [2.0]]))
     assert ones == 1
-    np.testing.assert_allclose(G[:, 0], [1.0, 2.0], atol=1e-4)
-    np.testing.assert_array_equal(f.steps(), [1e-5])
+    np.testing.assert_allclose(G[:, 0], [1.0, 4.0], atol=1e-4)
+    np.testing.assert_array_equal(f.steps(), [2e-5])
+    np.testing.assert_array_equal(piston().steps(), [1e-5] * 5)
 
 
 def test_fd_gradients_of_an_evaluator_that_returns_a_view():
     # X[:, 0] is a view of the stepped input: each output must be kept
     # before the input is stepped again
-    f = SampledFunction(evaluator=lambda X: X[:, 0], p=2, domain=UNIT2, h=1e-3)
+    f = SampledFunction(evaluator=lambda X: X[:, 0], p=2, domain=UNIT2)
     G, ones = f.gradients(np.array([[0.25, 0.5], [0.5, 1.0], [1.0, 0.75]]))
     assert ones == 2
     np.testing.assert_allclose(G, [[1.0, 0.0]] * 3, rtol=1e-9)
@@ -149,7 +153,7 @@ def test_piston_gradient_matches_symbolic():
             x = rng.uniform(0.05, 0.95, size=5)
             assert fn(x) == pytest.approx(float(value(*x)), rel=1e-12)
             ref = np.array(grads(*x), dtype=float)
-            got = fd_gradient(fn, x, h=1e-5, domain=fn.domain)
+            got = _fd(fn.evaluator, x, fn.domain)
             np.testing.assert_allclose(got, ref, atol=1e-6 * max(1.0, np.abs(ref).max()))
 
 
@@ -184,13 +188,14 @@ def test_mc_self_matrix_symmetric_psd():
     assert np.linalg.eigvalsh(E).min() >= -1e-10 * np.abs(E).max()
 
 
-def test_mc_reproducible_and_sharded():
+def test_mc_reproducible_from_one_stream():
     fa, fb = poly_pair(2.0)
     prior = InputPrior.uniform_box(UNIT2)
-    r1 = mc_cmat(fa, fb, prior, B=4000, seed=5, shards=4)
-    r2 = mc_cmat(fa, fb, prior, B=4000, seed=5, shards=4)
+    r1 = mc_cmat(fa, fb, prior, B=4000, seed=5)
+    r2 = mc_cmat(fa, fb, prior, B=4000, seed=5)
     np.testing.assert_array_equal(r1.matrix.entries, r2.matrix.entries)
-    r3 = mc_cmat(fa, fb, prior, B=4000, seed=5, shards=1)
+    np.testing.assert_array_equal(r1.se, r2.se)
+    r3 = mc_cmat(fa, fb, prior, B=4000, seed=6)
     assert not np.array_equal(r1.matrix.entries, r3.matrix.entries)
     gap = np.abs(r1.matrix.entries - r3.matrix.entries)
     assert np.all(gap <= 6.0 * (r1.se + r3.se) + 1e-12)
@@ -238,11 +243,11 @@ def test_mc_fd_path_reports_step():
 def test_mc_reports_the_step_of_the_differenced_function_only():
     # the linear function has an analytic gradient; its range alone would
     # give a step of 1e-5 * 10 = 1e-4
-    lin = linear_function([1.0] * 5, domain=[(0.0, 10.0)] * 5)
+    lin = replace(linear_function([1.0] * 5), domain=((0.0, 10.0),) * 5)
     prior = InputPrior.uniform_box(piston().domain)
     for pair in ((lin, piston()), (piston(), lin)):
         assert mc_cmat(*pair, prior, B=8, seed=1).h == 1e-5
-    wide = SampledFunction(evaluator=lin.evaluator, p=5, domain=lin.domain, h=2e-5)
+    wide = replace(lin, grad=None, domain=((0.0, 2.0),) * 5)
     assert mc_cmat(piston(), wide, prior, B=8, seed=1).h == 2e-5
 
 
@@ -258,26 +263,24 @@ def _wave(p, freq, phase, label):
     )
 
 
-@pytest.mark.parametrize("B, shards", [(1, 1), (100, 1), (600, 1), (1000, 3), (2048, 2)])
-def test_mc_block_sums_match_one_shot_products(B, shards):
+@pytest.mark.parametrize("B, seed", [(1, 1), (100, 1), (600, 1), (1000, 3), (2048, 2)])
+def test_mc_block_sums_match_one_shot_products(B, seed):
     p = 24
     rng = np.random.default_rng(B)
     fk = _wave(p, rng.uniform(1.0, 6.0, p), rng.uniform(0.0, 6.0, p), "k")
     fl = _wave(p, rng.uniform(1.0, 6.0, p), rng.uniform(0.0, 6.0, p), "l")
     prior = InputPrior.uniform_box(fk.domain)
-    sizes = [B // shards + (1 if s < B % shards else 0) for s in range(shards)]
+    # the one stream mc_cmat draws from
+    X = prior.sample(np.random.default_rng([seed, 0]), B)
     for f_l in (fl, fk):
-        sum1, sum2 = np.zeros((p, p)), np.zeros((p, p))
-        for s, ns in enumerate(sizes):
-            X = prior.sample(np.random.default_rng([4, s]), ns)
-            Gk, Gl = fk.grad(X), f_l.grad(X)
-            sum1 += Gk.T @ Gl
-            sum2 += (Gk * Gk).T @ (Gl * Gl)
+        Gk, Gl = fk.grad(X), f_l.grad(X)
+        sum1 = Gk.T @ Gl
+        sum2 = (Gk * Gk).T @ (Gl * Gl)
         mean = sum1 / B
         var = np.maximum(sum2 / B - mean**2, 0.0)
         if f_l is fk:
             mean = 0.5 * (mean + mean.T)
-        res = mc_cmat(fk, f_l, prior, B=B, seed=4, shards=shards)
+        res = mc_cmat(fk, f_l, prior, B=B, seed=seed)
         scale = np.abs(mean).max()
         np.testing.assert_allclose(res.matrix.entries, mean, rtol=0, atol=1e-13 * scale)
         scale2 = np.abs(sum2 / B).max()
