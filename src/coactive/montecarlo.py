@@ -72,9 +72,18 @@ def lhs_design(n: int, p: int, domain, seed: int, refine: int = 200) -> np.ndarr
     return out
 
 
+# Rows per block of _pdist2: its (block, n, p) difference array is 1.5 MiB
+# at n = 600, p = 5, where a one-shot (n, n, p) array would be 13.7 MiB.
+_PDIST_BLOCK = 64
+
+
 def _pdist2(X: np.ndarray) -> np.ndarray:
-    diff = X[:, None, :] - X[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    n = X.shape[0]
+    out = np.empty((n, n))
+    for a in range(0, n, _PDIST_BLOCK):
+        diff = X[a:a + _PDIST_BLOCK, None, :] - X[None, :, :]
+        out[a:a + _PDIST_BLOCK] = np.einsum("ijk,ijk->ij", diff, diff)
+    return out
 
 
 @dataclass(frozen=True)
@@ -126,36 +135,51 @@ class SampledFunction:
 
 
 def _fd_gradients_batch(evaluator, X, steps, domain):
+    """Central differences from one evaluator call on a (2p*n, p) stack.
+
+    Copy 2i of X steps column i up and copy 2i + 1 steps it down, each only
+    where the step stays inside the domain; a row with one step refused
+    gets a one-sided difference. The stack is not changed after the call,
+    so an evaluator may return a view of it.
+    """
     n, p = X.shape
-    G = np.empty((n, p))
-    onesided = 0
     lo = np.array([d[0] for d in domain])
     hi = np.array([d[1] for d in domain])
-    W = X.copy()  # one working copy: each column is stepped up, down, then restored
-    for i in range(p):
-        h = steps[i]
-        x = X[:, i]
-        up_ok = x + h <= hi[i]
-        dn_ok = x - h >= lo[i]
-        xp = np.where(up_ok, x + h, x)
-        xm = np.where(dn_ok, x - h, x)
-        W[:, i] = xp
-        # a copy: the evaluator may return a view of W, which changes next
-        fp = np.array(evaluator(W), dtype=float)
-        W[:, i] = xm
-        fm = np.asarray(evaluator(W), dtype=float)
-        width = xp - xm
-        safe = width > 0
-        G[:, i] = np.where(safe, (fp - fm) / np.where(safe, width, 1.0), 0.0)
-        W[:, i] = x
-        onesided += int(np.sum(~up_ok) + np.sum(~dn_ok))
-    return G, onesided
+    up, dn = X + steps, X - steps
+    up_ok, dn_ok = up <= hi, dn >= lo
+    xp = np.where(up_ok, up, X)
+    xm = np.where(dn_ok, dn, X)
+    stack = np.empty((p, 2, n, p))
+    stack[:] = X
+    cols = np.arange(p)
+    stack[cols, 0, :, cols] = xp.T
+    stack[cols, 1, :, cols] = xm.T
+    F = np.asarray(evaluator(stack.reshape(2 * p * n, p)), dtype=float).reshape(p, 2, n)
+    width = xp - xm
+    safe = width > 0
+    G = np.where(safe, (F[:, 0] - F[:, 1]).T / np.where(safe, width, 1.0), 0.0)
+    # C-ordered: on a transposed G the BLAS products in mc_cmat take other
+    # paths and give other bits
+    return np.ascontiguousarray(G), int(np.sum(~up_ok) + np.sum(~dn_ok))
 
 
 # Rows per block of the cross products in mc_cmat: a (p x 256)(256 x p)
 # product stays below OpenBLAS's threading threshold (measured up to p = 40),
 # so no worker thread wakes and spins after it, whatever the sample size.
 _MC_BLOCK = 256
+
+# Rows per gradient call in mc_cmat, counted after finite differences stack
+# 2p copies of each row: 3,072 sample rows per chunk for a differenced
+# p = 5 function, 32,768 for an analytic gradient, so an analytic sample of
+# 20,000 points is one chunk. On a 2-core Xeon the raw piston pair at
+# B = 1e5 took 0.14-0.16 s with 2^13 to 2^15 stacked rows and 0.21 s with 2^17.
+_MC_STACK_ROWS = 1 << 15
+
+
+def _chunk_rows(fs) -> int:
+    """Sample rows per chunk, a whole number of _MC_BLOCK blocks."""
+    per_row = max(1 if f.grad is not None else 2 * f.p for f in fs)
+    return max(1, _MC_STACK_ROWS // per_row // _MC_BLOCK) * _MC_BLOCK
 
 
 @dataclass(frozen=True)
@@ -189,8 +213,10 @@ def mc_cmat(
     """Plain MC estimator: mean of B gradient outer products at i.i.d.
     prior draws, with the elementwise standard error of the mean.
 
-    The draws come from one stream seeded by (seed, 0). The sums run over
-    blocks of _MC_BLOCK rows.
+    The draws come from one stream seeded by (seed, 0) and are drawn at
+    once. The gradients are taken over chunks of _chunk_rows rows, so the
+    working memory is the sample and one chunk; the sums run over blocks
+    of _MC_BLOCK rows in sample order, whatever the chunk size.
     """
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
@@ -198,15 +224,20 @@ def mc_cmat(
         raise ValueError("function and prior dimensions must agree")
     p = f_k.p
     X = prior.sample(np.random.default_rng([seed, 0]), B)
-    Gk, o1 = f_k.gradients(X)
-    Gl, o2 = (Gk, 0) if f_l is f_k else f_l.gradients(X)
-    Gk2, Gl2 = Gk * Gk, Gl * Gl
+    chunk = _chunk_rows((f_k, f_l))
     sum1 = np.zeros((p, p))
     sum2 = np.zeros((p, p))
-    for a in range(0, B, _MC_BLOCK):
-        rows = slice(a, a + _MC_BLOCK)
-        sum1 += Gk[rows].T @ Gl[rows]
-        sum2 += Gk2[rows].T @ Gl2[rows]
+    onesided = 0
+    for c in range(0, B, chunk):
+        Xc = X[c:c + chunk]
+        Gk, o1 = f_k.gradients(Xc)
+        Gl, o2 = (Gk, 0) if f_l is f_k else f_l.gradients(Xc)
+        onesided += o1 + o2
+        Gk2, Gl2 = Gk * Gk, Gl * Gl
+        for a in range(0, Xc.shape[0], _MC_BLOCK):
+            rows = slice(a, a + _MC_BLOCK)
+            sum1 += Gk[rows].T @ Gl[rows]
+            sum2 += Gk2[rows].T @ Gl2[rows]
     mean = sum1 / B
     var = np.maximum(sum2 / B - mean**2, 0.0)
     se = np.sqrt(var / B)
@@ -219,7 +250,7 @@ def mc_cmat(
         labels=(f_k.label, f_l.label),
     )
     h = max((float(np.max(f.steps())) for f in (f_k, f_l) if f.grad is None), default=None)
-    return MCResult(matrix=C, se=se, B=B, seed=seed, h=h, n_onesided=o1 + o2)
+    return MCResult(matrix=C, se=se, B=B, seed=seed, h=h, n_onesided=onesided)
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,10 @@ def check_piston(B: int = 100_000, n_fit: int = 1000, seed: int = 20260813) -> l
     agreement within 5% relative Frobenius. Both surrogates are fitted on
     one shared design with a generous term budget; the gap is dominated
     by surrogate gradient bias (the MC standard error is ~0.4% here).
+    A design of fewer than 2 samples is refused before the MC runs.
     """
+    if n_fit < 2:
+        raise ValueError(f"the piston check needs at least 2 fit samples (--n), got {n_fit}")
     fa = piston(90000.0, 284.0)
     fb = piston(110000.0, 302.0)
     prior = InputPrior.uniform_box(fa.domain)

@@ -781,6 +781,22 @@ def test_verify_metric_uses_n_as_given_and_refuses_under_three(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", ["1", "0"])
+def test_verify_piston_refuses_a_small_n_before_the_mc(tmp_path, capsys, monkeypatch, n):
+    # the 100,000-sample MC once ran first, and lhs_design refused after it
+    import coactive.verify
+
+    def no_mc(*args, **kwargs):
+        raise AssertionError("mc_cmat ran before --n was checked")
+
+    monkeypatch.setattr(coactive.verify, "mc_cmat", no_mc)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "piston", "--n", n, "--out", str(out)]) == 1
+    err = f"error: the piston check needs at least 2 fit samples (--n), got {n}\n"
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
 # -- misc ---------------------------------------------------------------------------------
 
 

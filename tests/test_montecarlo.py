@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,12 +19,16 @@ from coactive import (
     cmat,
 )
 from coactive.montecarlo import (
+    _MC_STACK_ROWS,
     SampledFunction,
+    _chunk_rows,
+    _pdist2,
     builtin_functions,
     linear_function,
     piston,
     poly_pair,
 )
+from mc_reference import loop_fd_gradients, whole_sample_mc
 
 UNIT2 = ((0.0, 1.0), (0.0, 1.0))
 
@@ -81,6 +86,29 @@ def test_lhs_validation():
         lhs_design(10, 2, ((0.0, 1.0),), seed=1)
 
 
+@pytest.mark.parametrize("n, p", [(1, 3), (2, 1), (63, 2), (64, 5), (65, 5), (130, 3), (600, 5)])
+def test_blocked_pdist2_matches_the_one_shot_einsum(n, p):
+    X = np.random.default_rng(n * p).uniform(size=(n, p))
+    diff = X[:, None, :] - X[None, :, :]
+    np.testing.assert_array_equal(_pdist2(X), np.einsum("ijk,ijk->ij", diff, diff))
+
+
+def _traced_peak_mib(call) -> float:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_lhs_design_working_memory():
+    # the one-shot (n, n, p) difference array alone was 13.7 MiB here, and
+    # the traced peak 16.5 MiB; the (n, n) distances are 2.7 MiB
+    peak = _traced_peak_mib(lambda: lhs_design(600, 5, ((0.0, 1.0),) * 5, seed=1))
+    assert peak < 8.0, f"lhs_design(600, 5) peaked at {peak:.1f} MiB"
+
+
 # -- finite differences ---------------------------------------------------------
 
 
@@ -126,13 +154,55 @@ def test_sampled_function_fd_path_counts_onesided():
     np.testing.assert_array_equal(piston().steps(), [1e-5] * 5)
 
 
+def _view_function():
+    # X[:, 0] is a view of the stepped input, not a copy of its values
+    return SampledFunction(evaluator=lambda X: X[:, 0], p=2, domain=UNIT2)
+
+
+VIEW_POINTS = np.array([[0.25, 0.5], [0.5, 1.0], [1.0, 0.75]])
+
+
 def test_fd_gradients_of_an_evaluator_that_returns_a_view():
-    # X[:, 0] is a view of the stepped input: each output must be kept
-    # before the input is stepped again
-    f = SampledFunction(evaluator=lambda X: X[:, 0], p=2, domain=UNIT2)
-    G, ones = f.gradients(np.array([[0.25, 0.5], [0.5, 1.0], [1.0, 0.75]]))
+    G, ones = _view_function().gradients(VIEW_POINTS)
     assert ones == 2
     np.testing.assert_allclose(G, [[1.0, 0.0]] * 3, rtol=1e-9)
+
+
+def _boundary_points(domain, rng):
+    """Interior rows, then one row per domain bound with that input on it,
+    then the two corners."""
+    lo = np.array([d[0] for d in domain])
+    hi = np.array([d[1] for d in domain])
+    p = lo.shape[0]
+    rows = [lo + (hi - lo) * rng.uniform(0.1, 0.9, size=(40, p))]
+    for j in range(p):
+        for bound in (lo, hi):
+            x = lo + (hi - lo) * rng.uniform(0.1, 0.9, size=p)
+            x[j] = bound[j]
+            rows.append(x[None, :])
+    rows += [lo[None, :], hi[None, :]]
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize("case", ["piston", "piston boundary", "box boundary", "view"])
+def test_stacked_fd_gradients_match_the_column_loop_bitwise(case):
+    rng = np.random.default_rng(17)
+    if case == "view":
+        f, X = _view_function(), VIEW_POINTS
+    elif case == "box boundary":
+        f = SampledFunction(evaluator=lambda X: np.exp(X).prod(axis=1) + X[:, 0] * X[:, 2],
+                            p=3, domain=((-1.0, 2.0), (0.5, 0.75), (10.0, 30.0)))
+        X = _boundary_points(f.domain, rng)
+    else:
+        f = piston(110000.0, 302.0)
+        X = rng.uniform(size=(500, 5)) if case == "piston" else _boundary_points(f.domain, rng)
+    G, ones = f.gradients(X)
+    G_ref, ones_ref = loop_fd_gradients(f.evaluator, X, f.steps(), f.domain)
+    np.testing.assert_array_equal(G, G_ref)
+    assert ones == ones_ref
+    assert G.flags.c_contiguous
+    if case != "piston":
+        assert ones > 0
 
 
 def test_piston_gradient_matches_symbolic():
@@ -285,6 +355,71 @@ def test_mc_block_sums_match_one_shot_products(B, seed):
         np.testing.assert_allclose(res.matrix.entries, mean, rtol=0, atol=1e-13 * scale)
         scale2 = np.abs(sum2 / B).max()
         np.testing.assert_allclose(res.se**2 * B, var, rtol=0, atol=1e-13 * scale2)
+
+
+def _stream_case(kind):
+    """(f_k, f_l, prior): raw piston functions by finite differences, two
+    analytic waves, or an analytic linear function on a wider domain than
+    the differenced piston."""
+    if kind == "piston":
+        fk, fl = piston(90000.0, 284.0), piston(110000.0, 302.0)
+    elif kind == "wave":
+        rng = np.random.default_rng(5)
+        fk = _wave(5, rng.uniform(1.0, 6.0, 5), rng.uniform(0.0, 6.0, 5), "k")
+        fl = _wave(5, rng.uniform(1.0, 6.0, 5), rng.uniform(0.0, 6.0, 5), "l")
+    else:
+        fk = replace(linear_function([1.0, -2.0, 0.5, 3.0, 1.5]), domain=((0.0, 10.0),) * 5)
+        fl = piston()
+    return fk, fl, InputPrior.uniform_box(((0.0, 1.0),) * 5)
+
+
+def test_chunk_rows():
+    fk, fl, _ = _stream_case("mixed")
+    assert _chunk_rows((fl,)) == 3072 and _chunk_rows((fk, fl)) == 3072
+    assert _chunk_rows((fk,)) == _MC_STACK_ROWS == 32_768
+    assert _chunk_rows((replace(fl, p=24, domain=((0.0, 1.0),) * 24),)) == 512
+    # a chunk is never less than one block
+    assert _chunk_rows((replace(fl, p=200, domain=((0.0, 1.0),) * 200),)) == 256
+
+
+@pytest.mark.parametrize("kind", ["piston", "wave", "mixed"])
+@pytest.mark.parametrize("size", ["1", "255", "256", "chunk-1", "chunk", "chunk+257"])
+def test_mc_streams_bitwise_as_the_whole_sample(kind, size):
+    fk, fl, prior = _stream_case(kind)
+    pairs = [(fk, fl), (fl, fk)] if kind == "mixed" else [(fk, fl), (fk, fk)]
+    for a, b in pairs:
+        chunk = _chunk_rows((a,) if b is a else (a, b))
+        B = {"1": 1, "255": 255, "256": 256, "chunk-1": chunk - 1,
+             "chunk": chunk, "chunk+257": chunk + 257}[size]
+        res = mc_cmat(a, b, prior, B=B, seed=9)
+        mean, se, ones, h = whole_sample_mc(a, b, prior, B, seed=9)
+        np.testing.assert_array_equal(res.matrix.entries, mean)
+        np.testing.assert_array_equal(res.se, se)
+        assert res.n_onesided == ones and res.h == h
+
+
+def test_mc_calls_each_differenced_function_once_per_chunk():
+    fn = piston()
+    sizes = []
+
+    def counted(X):
+        sizes.append(X.shape[0])
+        return fn.evaluator(X)
+
+    f = replace(fn, evaluator=counted)
+    chunk = _chunk_rows((f,))
+    mc_cmat(f, f, InputPrior.uniform_box(f.domain), B=2 * chunk + 5, seed=1)
+    assert sizes == [10 * chunk, 10 * chunk, 10 * 5]
+    assert max(sizes) <= _MC_STACK_ROWS
+
+
+def test_mc_working_memory_is_the_sample_and_one_chunk():
+    # the whole-sample path held every (B, p) gradient array at once and
+    # peaked at 27 MiB here; the sample alone is 3.8 MiB
+    fa, fb = piston(90000.0, 284.0), piston(110000.0, 302.0)
+    prior = InputPrior.uniform_box(fa.domain)
+    peak = _traced_peak_mib(lambda: mc_cmat(fa, fb, prior, B=100_000, seed=1))
+    assert peak < 12.0, f"mc_cmat(B=1e5) peaked at {peak:.1f} MiB"
 
 
 def test_fits_and_mc_sums_leave_the_blas_workers_asleep():
