@@ -181,19 +181,22 @@ class Embedding:
 def _pava(y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Weighted pool-adjacent-violators: the non-decreasing sequence
     nearest to y in the weighted least-squares sense."""
-    vals, wts, size = [], [], []
-    for v, wt in zip(y.tolist(), w.tolist()):
+    # the first m entries of the lists are the pooled blocks so far; block
+    # m is never ahead of the input being read, so the lists hold both
+    vals, wts = y.tolist(), w.tolist()
+    size = [1] * len(vals)
+    m = 0
+    for v, wt in zip(vals, wts):
         s = 1
-        while vals and vals[-1] > v:
-            tot = wts[-1] + wt
-            v = (wts[-1] * vals.pop() + wt * v) / tot
+        while m and vals[m - 1] > v:
+            m -= 1
+            tot = wts[m] + wt
+            v = (wts[m] * vals[m] + wt * v) / tot
             wt = tot
-            wts.pop()
-            s += size.pop()
-        vals.append(v)
-        wts.append(wt)
-        size.append(s)
-    return np.repeat(vals, size)
+            s += size[m]
+        vals[m], wts[m], size[m] = v, wt, s
+        m += 1
+    return np.repeat(vals[:m], size[:m])
 
 
 def _tie_blocks(d_sorted: np.ndarray) -> np.ndarray:
@@ -207,12 +210,16 @@ def _stress(dist_flat, order, blocks):
     pooled within equal-dissimilarity blocks before isotonic fitting.
     Returns (stress, fitted disparities in flat order)."""
     d = dist_flat[order]
-    starts, counts = blocks[:-1], np.diff(blocks)
+    counts = np.diff(blocks)
     # reduceat seeds each block's sum with its first element, where np.mean
     # sums from 0; a zero ahead of every block keeps the block means
     # bitwise equal to a per-block np.mean
-    padded = np.insert(d, starts, 0.0)
-    pooled = np.add.reduceat(padded, starts + np.arange(starts.size)) / counts
+    heads = blocks[:-1] + np.arange(counts.size)
+    padded = np.zeros(d.size + counts.size)
+    rest = np.ones(padded.size, dtype=bool)
+    rest[heads] = False
+    padded[rest] = d
+    pooled = np.add.reduceat(padded, heads) / counts
     dhat_sorted = np.repeat(_pava(pooled, counts.astype(float)), counts)
     denom = float(np.sum(d * d))
     if denom == 0.0:

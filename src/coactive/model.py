@@ -550,25 +550,36 @@ def _gcv(sse: float, n: int, ncols: int, nterms: int, penalty: float) -> float:
     return (sse / n) / denom**2
 
 
-def _hinge_sums(W, G, xc, loc, tc, ip, im):
+def _hinge_sums(W, G, xc, tc, end, ip, im):
     """Inner products of the columns of W with both candidate hinges.
 
-    Slot s holds a parent column G[s] (n) and the columns W[s] (n x k),
-    both in the row order of its sorted centred inputs xc[s]. Candidate i
-    is slot loc[i] with centred knot tc[i]; ip[i] and im[i] count the
-    sorted x <= t and x < t. Returns (plus, minus), each (L x k):
+    Slot s holds a parent column G[s] and the columns W[s] (width x k),
+    both on the rows of its sorted centred inputs xc[s]. end, ip and im
+    index each candidate's row of the flattened (slots x (width + 1))
+    prefix table: its slot's last row, and the count of sorted x <= t and
+    x < t for its centred knot tc. Returns (plus, minus), each (L x k):
     w . g(x - t)_+ is a suffix sum and w . g(t - x)_+ a prefix sum of w*g
-    and w*g*x, taken from one cumsum over all slots at once.
+    and w*g*x, taken from one cumsum over all slots at once. W is a
+    scratch gather and is overwritten.
     """
-    WG = G[:, :, None] * W
-    c0 = np.zeros((WG.shape[0], WG.shape[1] + 1, WG.shape[2]))
+    S, width, k = W.shape
+    c0 = np.zeros((S, width + 1, k))
     c1 = np.zeros_like(c0)
-    np.cumsum(WG, axis=1, out=c0[:, 1:])
-    np.cumsum(WG * xc[:, :, None], axis=1, out=c1[:, 1:])
+    W *= G[:, :, None]
+    np.cumsum(W, axis=1, out=c0[:, 1:])
+    W *= xc[:, :, None]
+    np.cumsum(W, axis=1, out=c1[:, 1:])
+    c0, c1 = c0.reshape(-1, k), c1.reshape(-1, k)
     t = tc[:, None]
-    plus = (c1[loc, -1] - c1[loc, ip]) - t * (c0[loc, -1] - c0[loc, ip])
-    minus = t * c0[loc, im] - c1[loc, im]
+    plus = (_rows(c1, end) - _rows(c1, ip)) - t * (_rows(c0, end) - _rows(c0, ip))
+    minus = t * _rows(c0, im) - _rows(c1, im)
     return plus, minus
+
+
+def _rows(a, at):
+    """a[at] for an index array at: np.take, which is several times faster
+    than row indexing when the rows are short."""
+    return np.take(a, at, axis=0)
 
 
 # relative width of a tie between candidate reductions. Against the dense
@@ -576,18 +587,74 @@ def _hinge_sums(W, G, xc, loc, tc, ip, im):
 # while distinct top-two reductions of piston fits differ by 2e-7 or more
 _TIE_RTOL = 1e-8
 
+# the narrowest width class of the knot scan's slots
+_MIN_WIDTH = 128
+
+
+class _WidthClass:
+    """The slots of a _KnotScan whose parent support fits in width rows.
+
+    Row s of rows, g and xc is one slot's support in its variable's sorted
+    order, left-aligned and zero-padded: the sample rows, the parent column
+    there and the centred input. A zero g leaves every running sum
+    bitwise unchanged, so the sums over these rows are those over all n.
+    cand lists the scan's candidates of these slots and tc their centred
+    knots; end, ip and im index their prefix sums as _hinge_sums reads them.
+    The row buffers grow on demand.
+    """
+
+    def __init__(self, width: int):
+        self.width = width
+        self.size = 0
+        self.rows = np.zeros((0, width), dtype=np.intp)
+        self.g = np.zeros((0, width))
+        self.xc = np.zeros((0, width))
+        self.cand = self.end = self.ip = self.im = np.empty(0, dtype=np.intp)
+        self.tc = np.empty(0)
+
+    def add(self, rows, g, xc, cand, loc, tc, ip, im):
+        """Append slots given as zero-padded rows (at most width of them in
+        use) and their candidates, loc indexing the slots given."""
+        s0, k = self.size, rows.shape[0]
+        if s0 + k > self.rows.shape[0]:
+            cap = max(2 * self.rows.shape[0], s0 + k)
+            for name in ("rows", "g", "xc"):
+                old = getattr(self, name)
+                new = np.zeros((cap, self.width), dtype=old.dtype)
+                new[:s0] = old[:s0]
+                setattr(self, name, new)
+        w = min(self.width, rows.shape[1])
+        self.rows[s0 : s0 + k, :w] = rows[:, :w]
+        self.g[s0 : s0 + k, :w] = g[:, :w]
+        self.xc[s0 : s0 + k, :w] = xc[:, :w]
+        self.size = s0 + k
+        base = (loc + s0) * (self.width + 1)
+        cat = np.concatenate
+        self.cand, self.tc = cat([self.cand, cand]), cat([self.tc, tc])
+        self.end = cat([self.end, base + self.width])
+        self.ip, self.im = cat([self.ip, base + ip]), cat([self.im, base + im])
+
+    def sums(self, W):
+        """_hinge_sums of this class's candidates for the columns of W (n x k)
+        in sample-row order."""
+        s = slice(0, self.size)
+        return _hinge_sums(_rows(W, self.rows[s]), self.g[s], self.xc[s], self.tc, self.end, self.ip, self.im)
+
 
 class _KnotScan:
     """Friedman's fast knot update (Friedman 1991, Ann. Stat., sec. 3.9).
 
     Keeps the orthonormal basis Q of the forward pass and running sums from
-    which every candidate knot is scored in O(n) per step. Each eligible
-    (parent, variable) pair is a slot, in (parent, variable) order: its
-    parent par[s], variable var[s] and the parent column g in the
-    variable's sorted row order G[s]. Flat over the candidates in (slot,
-    knot) order, loc holds each one's slot, next to the raw hinge norms
-    |C+|^2, |C-|^2 and the sums over the columns q of Q of (q.C+)^2,
-    (q.C-)^2 and (q.C+)(q.C-). C+ . C- is exactly 0 (disjoint supports).
+    which every candidate knot is scored in O(n) per step. Each term added
+    comes with one column of Q and becomes a parent. Each eligible (parent,
+    variable) pair is a slot, in (parent, variable) order, with parent
+    par[s] and variable var[s]; it is stored in the narrowest width class
+    (n, n/2, n/4, ... down to _MIN_WIDTH) that holds its parent's support.
+    Flat over the candidates in (slot, knot) order, loc holds each one's
+    slot, next to the raw hinge norms |C+|^2, |C-|^2, the sums over the
+    columns q of Q of (q.C+)^2, (q.C-)^2 and (q.C+)(q.C-), and the residual
+    sums u = resid.C+ and w = resid.C-, updated as each column takes its
+    share off the residual. C+ . C- is exactly 0 (disjoint supports).
     """
 
     def __init__(self, X: np.ndarray, cfg: FitConfig, capacity: int):
@@ -596,85 +663,153 @@ class _KnotScan:
         self.cfg = cfg
         self.Q = np.empty((n, capacity))
         self.m = 0
+        self.betas: list[float] = []  # of the columns not yet folded in
         self.parent_cols: list[np.ndarray] = []
         self.parent_factors: list[tuple[HingeFactor, ...]] = []
         self.order = np.argsort(X, axis=0, kind="stable").T  # (p, n)
         self.xs = np.take_along_axis(X, self.order.T, axis=0).T
         self.center = np.median(X, axis=0)
         self.xc = self.xs - self.center[:, None]
-        # one row per slot, so only the rows in use are ever touched
-        self.G = np.empty((p * capacity, n))
-        self.par = self.var = self.loc = self.ip = self.im = np.empty(0, dtype=np.intp)
-        self.knot = self.tc = self.raw_p = self.raw_m = np.empty(0)
-        self.spp = self.smm = self.spm = np.empty(0)
+        widths = [n]
+        while widths[-1] // 2 >= _MIN_WIDTH:
+            widths.append(widths[-1] // 2)
+        self.classes = [_WidthClass(w) for w in widths]
+        self.par = self.var = self.loc = np.empty(0, dtype=np.intp)
+        self.knot = self.raw_p = self.raw_m = np.empty(0)
+        self.spp = self.smm = self.spm = self.u = self.w = np.empty(0)
 
     @property
     def basis(self) -> np.ndarray:
         return self.Q[:, : self.m]
 
-    def add_parent(self, pcol: np.ndarray, factors: tuple[HingeFactor, ...]) -> None:
-        """A selected term becomes a parent on each variable it leaves free,
-        registered on all of them in one stacked pass."""
-        pi = len(self.parent_factors)
-        self.parent_cols.append(pcol)
-        self.parent_factors.append(factors)
-        if len(factors) >= self.cfg.max_degree:
-            return
-        p = self.p
-        used = {f.var for f in factors}
-        gs = pcol[self.order]  # the parent column in each variable's sorted order
-        cands = {v: _parent_candidates(self.xs[v][gs[v] > 0], self.cfg, p)
-                 for v in range(p) if v not in used}
-        vs = np.array([v for v, kn in cands.items() if kn.size], dtype=np.intp)
-        if not vs.size:
-            return
-        knots, s0 = [cands[v] for v in vs], self.par.size
-        g, xc, xs = gs[vs], self.xc[vs], self.xs[vs]
-        loc = np.repeat(np.arange(vs.size), [kn.size for kn in knots])
-        knot = np.concatenate(knots)
-        tc = knot - self.center[vs][loc]
-        ip = np.concatenate([np.searchsorted(x, kn, side="right") for x, kn in zip(xs, knots)])
-        im = np.concatenate([np.searchsorted(x, kn, side="left") for x, kn in zip(xs, knots)])
-        self.G[s0 : s0 + vs.size] = g
-        # raw norms: sum of g^2 (x - t)^2 over the suffix / prefix
-        g2 = g * g
-        S = np.zeros((vs.size, g.shape[1] + 1, 3))
-        np.cumsum(np.stack([g2, g2 * xc, g2 * xc**2], axis=-1), axis=1, out=S[:, 1:])
-        suf, pre = S[loc, -1] - S[loc, ip], S[loc, im]
-        raw_p = suf[:, 2] - 2.0 * tc * suf[:, 1] + tc * tc * suf[:, 0]
-        raw_m = pre[:, 2] - 2.0 * tc * pre[:, 1] + tc * tc * pre[:, 0]
-        plus, minus = _hinge_sums(self.basis[self.order[vs]], g, xc, loc, tc, ip, im)
-        cat = np.concatenate
-        self.par, self.var = cat([self.par, np.full(vs.size, pi)]), cat([self.var, vs])
-        self.loc, self.ip, self.im = cat([self.loc, loc + s0]), cat([self.ip, ip]), cat([self.im, im])
-        self.knot, self.tc = cat([self.knot, knot]), cat([self.tc, tc])
-        self.raw_p = cat([self.raw_p, np.maximum(raw_p, 0.0)])
-        self.raw_m = cat([self.raw_m, np.maximum(raw_m, 0.0)])
-        self.spp = cat([self.spp, np.einsum("ij,ij->i", plus, plus)])
-        self.smm = cat([self.smm, np.einsum("ij,ij->i", minus, minus)])
-        self.spm = cat([self.spm, np.einsum("ij,ij->i", plus, minus)])
-
-    def _sums(self, w: np.ndarray):
-        """w.C+ and w.C- of every candidate, for a w in original row order."""
-        ws, G = w[self.order[self.var]][:, :, None], self.G[: self.par.size]
-        plus, minus = _hinge_sums(ws, G, self.xc[self.var], self.loc, self.tc, self.ip, self.im)
-        return plus[:, 0], minus[:, 0]
-
-    def add_column(self, q: np.ndarray) -> None:
-        """Add a basis column; fold it into every candidate's sums."""
+    def add_term(self, q: np.ndarray, beta: float, col: np.ndarray,
+                 factors: tuple[HingeFactor, ...]) -> None:
+        """Append the basis column q of the term col with factors; beta is
+        q.resid, the share q takes off the residual. update folds it in."""
         self.Q[:, self.m] = q
         self.m += 1
-        if not self.par.size:
-            return
-        plus, minus = self._sums(q)
-        self.spp = self.spp + plus**2
-        self.smm = self.smm + minus**2
-        self.spm = self.spm + plus * minus
+        self.betas.append(beta)
+        self.parent_cols.append(col)
+        self.parent_factors.append(factors)
 
-    def reductions(self, resid: np.ndarray):
+    def update(self, resid: np.ndarray) -> None:
+        """Fold the terms added since the last update into the scan, for
+        the residual resid after them: one pass over the existing slots for
+        all their columns, then one registration of them as parents."""
+        betas, self.betas = self.betas, []
+        k = len(betas)
+        if not k:
+            return
+        if self.loc.size:
+            plus, minus = self._sums(self.Q[:, self.m - k : self.m])
+            for j in range(k):
+                pj, mj = plus[:, j], minus[:, j]
+                self.spp = self.spp + pj**2
+                self.smm = self.smm + mj**2
+                self.spm = self.spm + pj * mj
+                self.u = self.u - betas[j] * pj
+                self.w = self.w - betas[j] * mj
+        self._register(range(self.m - k, self.m), resid)
+
+    def _sums(self, W: np.ndarray):
+        """W.C+ and W.C- (L x k) of every candidate, for the columns of W
+        (n x k) in sample-row order: one cumsum per width class."""
+        shape = (self.loc.size, W.shape[1])
+        plus, minus = np.empty(shape), np.empty(shape)
+        for c in self.classes:
+            if c.size:
+                plus[c.cand], minus[c.cand] = c.sums(W)
+        return plus, minus
+
+    def _register(self, terms, resid: np.ndarray) -> None:
+        """The terms (indices into parent_cols) become parents on each
+        variable they leave free, all in one stacked pass over their
+        supports, projected on every column of Q and on resid at once.
+        Term j came with column j of Q: its sums over columns 0..j are
+        one einsum and the later columns are added one at a time, as when
+        each term was registered right after its own column."""
+        p, cfg = self.p, self.cfg
+        slots = []  # (parent, variable, support positions in sorted order, parent there, knots)
+        for pi in terms:
+            factors = self.parent_factors[pi]
+            if len(factors) >= cfg.max_degree:
+                continue
+            used = {f.var for f in factors}
+            gs = self.parent_cols[pi][self.order]  # the parent in each variable's sorted order
+            for v in range(p):
+                if v not in used:
+                    sup = np.flatnonzero(gs[v] > 0)
+                    kn = _parent_candidates(self.xs[v][sup], cfg, p)
+                    if kn.size:
+                        slots.append((pi, v, sup, gs[v][sup], kn))
+        if not slots:
+            return
+        S = len(slots)
+        support = np.array([s[2].size for s in slots])
+        width = int(support.max())
+        rows = np.zeros((S, width), dtype=np.intp)
+        g, xc = np.zeros((S, width)), np.zeros((S, width))
+        ip, im = [], []
+        for s, (_, v, sup, gv, kn) in enumerate(slots):
+            rows[s, : sup.size] = self.order[v][sup]
+            g[s, : sup.size] = gv
+            xc[s, : sup.size] = self.xc[v][sup]
+            xs = self.xs[v][sup]
+            ip.append(np.searchsorted(xs, kn, side="right"))
+            im.append(np.searchsorted(xs, kn, side="left"))
+        par = np.array([s[0] for s in slots], dtype=np.intp)
+        var = np.array([s[1] for s in slots], dtype=np.intp)
+        loc = np.repeat(np.arange(S), [s[4].size for s in slots])
+        knot = np.concatenate([s[4] for s in slots])
+        tc = knot - self.center[var][loc]
+        ip, im = np.concatenate(ip), np.concatenate(im)
+        base = loc * (width + 1)
+        end, fip, fim = base + width, base + ip, base + im
+        # raw norms: sum of g^2 (x - t)^2 over the suffix / prefix
+        g2 = g * g
+        R = np.zeros((S, width + 1, 3))
+        np.cumsum(np.stack([g2, g2 * xc, g2 * xc**2], axis=-1), axis=1, out=R[:, 1:])
+        R = R.reshape(-1, 3)
+        suf, pre = _rows(R, end) - _rows(R, fip), _rows(R, fim)
+        raw_p = suf[:, 2] - 2.0 * tc * suf[:, 1] + tc * tc * suf[:, 0]
+        raw_m = pre[:, 2] - 2.0 * tc * pre[:, 1] + tc * tc * pre[:, 0]
+        m = self.m
+        W = np.empty((self.Q.shape[0], m + 1))
+        W[:, :m], W[:, m] = self.basis, resid
+        plus, minus = _hinge_sums(_rows(W, rows), g, xc, tc, end, fip, fim)
+        spp, smm, spm = np.empty(knot.size), np.empty(knot.size), np.empty(knot.size)
+        owner = par[loc]  # ascending: each parent's candidates are one run
+        for pi in dict.fromkeys(par.tolist()):
+            at = slice(*np.searchsorted(owner, [pi, pi + 1]))
+            P, M = plus[at, : pi + 1], minus[at, : pi + 1]
+            spp[at] = np.einsum("ij,ij->i", P, P)
+            smm[at] = np.einsum("ij,ij->i", M, M)
+            spm[at] = np.einsum("ij,ij->i", P, M)
+            for j in range(pi + 1, m):
+                spp[at] += plus[at, j] ** 2
+                smm[at] += minus[at, j] ** 2
+                spm[at] += plus[at, j] * minus[at, j]
+        s0, c0 = self.par.size, self.loc.size
+        cat = np.concatenate
+        self.par, self.var = cat([self.par, par]), cat([self.var, var])
+        self.loc, self.knot = cat([self.loc, loc + s0]), cat([self.knot, knot])
+        self.raw_p = cat([self.raw_p, np.maximum(raw_p, 0.0)])
+        self.raw_m = cat([self.raw_m, np.maximum(raw_m, 0.0)])
+        self.spp, self.smm, self.spm = cat([self.spp, spp]), cat([self.smm, smm]), cat([self.spm, spm])
+        self.u, self.w = cat([self.u, plus[:, m]]), cat([self.w, minus[:, m]])
+        # each slot goes to the narrowest width class that holds its support
+        cls = np.array([sum(c.width >= a for c in self.classes) - 1 for a in support.tolist()])
+        for ci in set(cls.tolist()):
+            sel = cls == ci
+            at = sel[loc]
+            pos = np.cumsum(sel) - 1  # the slot's place among those selected
+            self.classes[ci].add(rows[sel], g[sel], xc[sel], c0 + np.flatnonzero(at),
+                                 pos[loc[at]], tc[at], ip[at], im[at])
+
+    def reductions(self):
         """SSE reductions (paired, plus only, minus only) of every candidate,
-        for a residual orthogonal to the basis."""
-        u, w = self._sums(resid)
+        for the residual of the last update."""
+        u, w = self.u, self.w
         a = self.raw_p - self.spp
         c = self.raw_m - self.smm
         b = -self.spm
@@ -697,8 +832,9 @@ class _KnotScan:
         red_m = np.where(ok_p & ok_m & ~ok2, 0.0, red_m)
         return red2, red_p, red_m
 
-    def best(self, resid: np.ndarray):
-        """(reduction, parent, var, knot, mode) of the best candidate, or None.
+    def best(self):
+        """(reduction, parent, var, knot, mode) of the best candidate for the
+        residual of the last update, or None.
 
         Reductions within a relative _TIE_RTOL of the largest one tie, and
         a tie goes to the first candidate in (parent, var, mode, knot)
@@ -708,7 +844,7 @@ class _KnotScan:
         """
         if not self.loc.size:
             return None
-        reds = np.stack(self.reductions(resid))
+        reds = np.stack(self.reductions())
         top = max(float(r.max()) for r in reds)
         if not top > 0:
             return None
@@ -733,17 +869,18 @@ def _forward_pass(X, y, cfg: FitConfig, sst):
     max_cols = min(cfg.max_terms + 1, max(3, int(0.9 * n)))
     scan = _KnotScan(X, cfg, max_cols)
     q0 = np.full(n, 1.0 / np.sqrt(n))
-    scan.add_column(q0)
-    scan.add_parent(np.ones(n), ())
+    beta = q0 @ y
+    resid = y - q0 * beta
+    scan.add_term(q0, beta, np.ones(n), ())
     factor_sets: list[tuple[HingeFactor, ...]] = []
 
-    resid = y - q0 * (q0 @ y)
     sse = float(resid @ resid)
     rss_path = [sse]
     floor = 1e-24 * sst
 
     while len(factor_sets) + 2 <= cfg.max_terms and scan.m + 2 <= max_cols and sse > floor:
-        best = scan.best(resid)
+        scan.update(resid)
+        best = scan.best()
         if best is None or best[0] <= 1e-13 * sst:
             break
         _, pi, v, knot, mode = best
@@ -765,11 +902,11 @@ def _forward_pass(X, y, cfg: FitConfig, sst):
             if nrm2 <= 1e-20 * max(raw2, 1e-300):
                 continue
             qnew = r / np.sqrt(nrm2)
-            scan.add_column(qnew)
-            resid = resid - qnew * (qnew @ resid)
+            beta = qnew @ resid
+            resid = resid - qnew * beta
             fs = pf + (HingeFactor(var=v, sign=sign, knot=knot),)
             factor_sets.append(fs)
-            scan.add_parent(col, fs)
+            scan.add_term(qnew, beta, col, fs)
             added = True
         if not added:
             break

@@ -1,4 +1,5 @@
-"""Test-only references: the dense fitter and the per-column gradient loop.
+"""Test-only references: the dense fitter, the full-width knot scan and the
+per-column gradient loop.
 
 The forward pass builds the full n x K hinge block of every (parent,
 variable) pair on every step and projects it on the whole orthonormal
@@ -10,6 +11,11 @@ coefficients from an orthogonal solve (LAPACK gelsd) on the tall design
 block, where the fitter uses the corrected semi-normal equations.
 Candidate sets, span rules, thresholds, the mirror-tie rule and the tie
 order are the fitter's.
+
+FullWidthScan is the knot scan with one row of all n sorted samples per
+slot, each new parent registered right after its own column and u, w
+summed afresh from the residual: the support-compacted ``_KnotScan`` must
+keep the same sums bitwise, and running u, w close to fresh ones.
 
 loop_gradient is the surrogate gradient as one strided column pass per
 factor; ``MarsSurrogate.gradient_batch`` must equal it bitwise.
@@ -60,9 +66,10 @@ def dense_reductions(pcol, xv, kn, Q, resid):
 def dense_forward(X, y, cfg: FitConfig, sst, mirror=None, on_step=None):
     """Dense forward pass; returns (factor_sets, rss_path).
 
-    mirror, if given, receives add_column(q) and add_parent(col, factors)
-    as the basis and the parents grow. on_step(resid, sse, scores) sees
-    every step's scores {(parent, var): (knots, red2, red_p, red_m)}.
+    mirror, if given, receives add_term(q, q.resid, col, factors) for each
+    column and term the fit adds, and update(resid) ahead of every step, as
+    the fitter's scan does. on_step(resid, sse, scores) then sees every
+    step's scores {(parent, var): (knots, red2, red_p, red_m)}.
     """
     n, p = X.shape
     max_cols = min(cfg.max_terms + 1, max(3, int(0.9 * n)))
@@ -72,16 +79,17 @@ def dense_forward(X, y, cfg: FitConfig, sst, mirror=None, on_step=None):
     parent_factors: list[tuple[HingeFactor, ...]] = [()]
     factor_sets: list[tuple[HingeFactor, ...]] = []
     cand_cache: dict[tuple[int, int], np.ndarray] = {}
+    beta = q0 @ y
+    resid = y - q0 * beta
     if mirror is not None:
-        mirror.add_column(q0)
-        mirror.add_parent(parent_cols[0], ())
-
-    resid = y - q0 * (q0 @ y)
+        mirror.add_term(q0, beta, parent_cols[0], ())
     sse = float(resid @ resid)
     rss_path = [sse]
     floor = 1e-24 * sst
 
     while len(factor_sets) + 2 <= cfg.max_terms and Q.shape[1] + 2 <= max_cols and sse > floor:
+        if mirror is not None:
+            mirror.update(resid)
         scores = {}
         for pi, pf in enumerate(parent_factors):
             if len(pf) >= cfg.max_degree:
@@ -119,20 +127,142 @@ def dense_forward(X, y, cfg: FitConfig, sst, mirror=None, on_step=None):
                 continue
             qnew = r / np.sqrt(nrm2)
             Q = np.hstack([Q, qnew[:, None]])
-            resid = resid - qnew * (qnew @ resid)
+            beta = qnew @ resid
+            resid = resid - qnew * beta
             fs = parent_factors[pi] + (HingeFactor(var=v, sign=sign, knot=knot),)
             factor_sets.append(fs)
             parent_cols.append(col)
             parent_factors.append(fs)
             if mirror is not None:
-                mirror.add_column(qnew)
-                mirror.add_parent(col, fs)
+                mirror.add_term(qnew, beta, col, fs)
             added = True
         if not added:
             break
         sse = float(resid @ resid)
         rss_path.append(sse)
     return factor_sets, rss_path
+
+
+def full_width_hinge_sums(W, G, xc, loc, tc, ip, im):
+    """Inner products of the columns of W with both candidate hinges.
+
+    Slot s holds a parent column G[s] (n) and the columns W[s] (n x k),
+    both in the row order of its sorted centred inputs xc[s]. Candidate i
+    is slot loc[i] with centred knot tc[i]; ip[i] and im[i] count the
+    sorted x <= t and x < t. Returns (plus, minus), each (L x k).
+    """
+    WG = G[:, :, None] * W
+    c0 = np.zeros((WG.shape[0], WG.shape[1] + 1, WG.shape[2]))
+    c1 = np.zeros_like(c0)
+    np.cumsum(WG, axis=1, out=c0[:, 1:])
+    np.cumsum(WG * xc[:, :, None], axis=1, out=c1[:, 1:])
+    t = tc[:, None]
+    plus = (c1[loc, -1] - c1[loc, ip]) - t * (c0[loc, -1] - c0[loc, ip])
+    minus = t * c0[loc, im] - c1[loc, im]
+    return plus, minus
+
+
+class FullWidthScan:
+    """The running sums of the knot scan, one row of all n sorted samples
+    per (parent, variable) slot.
+
+    add_column folds a basis column into every candidate's sums and
+    add_parent registers a term on each variable it leaves free, projected
+    on the basis so far. add_term and update take the fitter's calls and
+    replay them in that order, each parent right after its own column;
+    residual_sums gives u = resid.C+ and w = resid.C- afresh.
+    """
+
+    def __init__(self, X: np.ndarray, cfg: FitConfig, capacity: int):
+        n, p = X.shape
+        self.p = p
+        self.cfg = cfg
+        self.Q = np.empty((n, capacity))
+        self.m = 0
+        self.staged = []
+        self.resid = None
+        self.parent_cols: list[np.ndarray] = []
+        self.parent_factors: list[tuple[HingeFactor, ...]] = []
+        self.order = np.argsort(X, axis=0, kind="stable").T  # (p, n)
+        self.xs = np.take_along_axis(X, self.order.T, axis=0).T
+        self.center = np.median(X, axis=0)
+        self.xc = self.xs - self.center[:, None]
+        self.G = np.empty((p * capacity, n))
+        self.par = self.var = self.loc = self.ip = self.im = np.empty(0, dtype=np.intp)
+        self.knot = self.tc = self.raw_p = self.raw_m = np.empty(0)
+        self.spp = self.smm = self.spm = np.empty(0)
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self.Q[:, : self.m]
+
+    def add_term(self, q, beta, col, factors) -> None:
+        self.staged.append((q, col, factors))
+
+    def update(self, resid) -> None:
+        for q, col, factors in self.staged:
+            self.add_column(q)
+            self.add_parent(col, factors)
+        self.staged, self.resid = [], resid
+
+    def residual_sums(self):
+        return self._sums(self.resid)
+
+    def add_parent(self, pcol: np.ndarray, factors: tuple[HingeFactor, ...]) -> None:
+        pi = len(self.parent_factors)
+        self.parent_cols.append(pcol)
+        self.parent_factors.append(factors)
+        if len(factors) >= self.cfg.max_degree:
+            return
+        p = self.p
+        used = {f.var for f in factors}
+        gs = pcol[self.order]  # the parent column in each variable's sorted order
+        cands = {v: _parent_candidates(self.xs[v][gs[v] > 0], self.cfg, p)
+                 for v in range(p) if v not in used}
+        vs = np.array([v for v, kn in cands.items() if kn.size], dtype=np.intp)
+        if not vs.size:
+            return
+        knots, s0 = [cands[v] for v in vs], self.par.size
+        g, xc, xs = gs[vs], self.xc[vs], self.xs[vs]
+        loc = np.repeat(np.arange(vs.size), [kn.size for kn in knots])
+        knot = np.concatenate(knots)
+        tc = knot - self.center[vs][loc]
+        ip = np.concatenate([np.searchsorted(x, kn, side="right") for x, kn in zip(xs, knots)])
+        im = np.concatenate([np.searchsorted(x, kn, side="left") for x, kn in zip(xs, knots)])
+        self.G[s0 : s0 + vs.size] = g
+        # raw norms: sum of g^2 (x - t)^2 over the suffix / prefix
+        g2 = g * g
+        S = np.zeros((vs.size, g.shape[1] + 1, 3))
+        np.cumsum(np.stack([g2, g2 * xc, g2 * xc**2], axis=-1), axis=1, out=S[:, 1:])
+        suf, pre = S[loc, -1] - S[loc, ip], S[loc, im]
+        raw_p = suf[:, 2] - 2.0 * tc * suf[:, 1] + tc * tc * suf[:, 0]
+        raw_m = pre[:, 2] - 2.0 * tc * pre[:, 1] + tc * tc * pre[:, 0]
+        plus, minus = full_width_hinge_sums(self.basis[self.order[vs]], g, xc, loc, tc, ip, im)
+        cat = np.concatenate
+        self.par, self.var = cat([self.par, np.full(vs.size, pi)]), cat([self.var, vs])
+        self.loc, self.ip, self.im = cat([self.loc, loc + s0]), cat([self.ip, ip]), cat([self.im, im])
+        self.knot, self.tc = cat([self.knot, knot]), cat([self.tc, tc])
+        self.raw_p = cat([self.raw_p, np.maximum(raw_p, 0.0)])
+        self.raw_m = cat([self.raw_m, np.maximum(raw_m, 0.0)])
+        self.spp = cat([self.spp, np.einsum("ij,ij->i", plus, plus)])
+        self.smm = cat([self.smm, np.einsum("ij,ij->i", minus, minus)])
+        self.spm = cat([self.spm, np.einsum("ij,ij->i", plus, minus)])
+
+    def _sums(self, w: np.ndarray):
+        """w.C+ and w.C- of every candidate, for a w in original row order."""
+        ws, G = w[self.order[self.var]][:, :, None], self.G[: self.par.size]
+        plus, minus = full_width_hinge_sums(ws, G, self.xc[self.var], self.loc, self.tc, self.ip, self.im)
+        return plus[:, 0], minus[:, 0]
+
+    def add_column(self, q: np.ndarray) -> None:
+        self.Q[:, self.m] = q
+        self.m += 1
+        if not self.par.size:
+            return
+        plus, minus = self._sums(q)
+        self.spp = self.spp + plus**2
+        self.smm = self.smm + minus**2
+        self.spm = self.spm + plus * minus
 
 
 def select(scores):
@@ -160,8 +290,9 @@ def _lstsq_fit(B: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def dense_backward(X, y, factor_sets, cfg: FitConfig):
-    """Deletion path with one solve per candidate subset; returns
-    (kept column indices, coefficients with the intercept first, gcv path)."""
+    """Deletion path with one solve per candidate subset, LU where Cholesky
+    accepts the Gram block and lstsq where it does not; returns (kept
+    column indices, coefficients with the intercept first, gcv path)."""
     n = X.shape[0]
     penalty = cfg.effective_penalty()
     B = _design_from_factor_sets(X, factor_sets)
@@ -170,11 +301,15 @@ def dense_backward(X, y, factor_sets, cfg: FitConfig):
     g = B.T @ y
 
     def subset_coef(idx):
+        # a block that Cholesky rejects, exactly or numerically singular,
+        # goes to lstsq as in the fitter; LU would solve a numerically
+        # singular one into huge coefficients
         Gs, gs = G[np.ix_(idx, idx)], g[idx]
         try:
-            return np.linalg.solve(Gs, gs)
+            np.linalg.cholesky(Gs)
         except np.linalg.LinAlgError:
             return np.linalg.lstsq(Gs, gs, rcond=None)[0]
+        return np.linalg.solve(Gs, gs)
 
     def gram_sse(idx):
         return max(yty - float(g[idx] @ subset_coef(idx)), 0.0)

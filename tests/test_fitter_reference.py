@@ -2,8 +2,9 @@
 
 The forward pass must select the same factor sets as the dense n x K
 scan, and every candidate's reduction must agree with the dense value on
-every step; the backward pass must keep the same subset as one solve per
-deletion candidate, with the same coefficients.
+every step; its support-compacted running sums must equal those of the
+full-width scan bitwise. The backward pass must keep the same subset as
+one solve per deletion candidate, with the same coefficients.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from mars_reference import dense_backward, dense_forward, select
+from mars_reference import FullWidthScan, dense_backward, dense_forward, select
 
-from coactive import FitConfig, fit_with_report, lhs_design, piston
+from coactive import FitConfig, fit_with_report, lhs_design, model, piston
 from coactive.model import (
+    _MIN_WIDTH,
     HingeFactor,
     _backward_pass,
     _design_from_factor_sets,
@@ -81,6 +83,16 @@ def _large_offset():
     return X, y, FitConfig(max_terms=30, max_degree=2)
 
 
+def _ensemble_member():
+    # one bootstrap member of a cubic response at the size fit --ensemble
+    # runs in the benchmark: n = 200 < 2 * _MIN_WIDTH, so one width class
+    rng = np.random.default_rng(13)
+    X = rng.uniform(size=(200, 3))
+    y = X @ [1.0, -0.5, 0.3] + (X**2) @ [0.4, 0.9, -1.2] + (X**3) @ [-0.7, 0.2, 1.1] + X[:, 0] * X[:, 1]
+    rows = rng.integers(0, 200, size=200)
+    return X[rows], y[rows], FitConfig(max_terms=15)
+
+
 CASES = {
     **{f"piston-{v}-seed{s}": (lambda s=s, fn=fn: _piston(s, fn))
        for s in range(1, 6) for v, fn in (("a", PISTON_A), ("b", PISTON_B))},
@@ -90,6 +102,7 @@ CASES = {
     "max-degree-1": _degree_one,
     "p-1": _one_input,
     "large-offset": _large_offset,
+    "ensemble-member": _ensemble_member,
 }
 
 
@@ -100,14 +113,15 @@ def test_fitter_matches_dense_reference(case):
     sst = float(np.sum((y - y.mean()) ** 2))
     factor_sets, rss = _forward_pass(X, y, cfg, sst)
 
-    # run the dense scan, mirroring its basis and parents into a fresh
-    # knot scan, and compare both scores of every candidate on every step
+    # run the dense scan, mirroring its terms, columns and residual into a
+    # fresh knot scan, and compare both scores of every candidate on every
+    # step: the scan's running u, w against the dense scan's fresh ones
     scan = _KnotScan(X, cfg, min(cfg.max_terms + 1, max(3, int(0.9 * n))))
     worst = []
 
     def on_step(resid, sse, dense):
         fast = {}
-        reds = scan.reductions(resid)
+        reds = scan.reductions()
         for s, key in enumerate(zip(scan.par.tolist(), scan.var.tolist())):
             at = scan.loc == s
             fast[key] = (scan.knot[at], *(r[at] for r in reds))
@@ -144,6 +158,121 @@ def test_fitter_matches_dense_reference(case):
     np.testing.assert_allclose(gcv_path, ref_gcv, rtol=1e-6)
 
 
+# running u = resid.C+ and w = resid.C- against fresh sums, relative to
+# their Cauchy-Schwarz bound sqrt(sse * |C|^2): measured up to 4.4e-12 on
+# these cases, and a reduction u^2/a must hold to RED_TOL of the SSE
+RUNNING_TOL = 1e-10
+
+
+def _fit_with_scan(X, y, cfg, scan_class, monkeypatch):
+    """The forward pass with scan_class for its knot scan; returns the
+    forward pass's result and the scan."""
+    scans = []
+
+    class Recorded(scan_class):
+        def __init__(self, *args):
+            super().__init__(*args)
+            scans.append(self)
+
+    monkeypatch.setattr(model, "_KnotScan", Recorded)
+    out = _forward_pass(X, y, cfg, float(np.sum((y - y.mean()) ** 2)))
+    monkeypatch.undo()
+    return out, scans[0]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_compacted_scan_matches_the_full_width_scan(case, monkeypatch):
+    # after every update, the sums over each parent's support rows equal
+    # those over all n sorted rows bitwise, and the running residual sums
+    # stay close to fresh ones
+    X, y, cfg = CASES[case]()
+    errors = []
+
+    class Lockstep(_KnotScan):
+        def __init__(self, X, cfg, capacity):
+            super().__init__(X, cfg, capacity)
+            self.ref = FullWidthScan(X, cfg, capacity)
+
+        def add_term(self, *args):
+            super().add_term(*args)
+            self.ref.add_term(*args)
+
+        def update(self, resid):
+            super().update(resid)
+            self.ref.update(resid)
+            for name in ("par", "var", "loc", "knot", "raw_p", "raw_m", "spp", "smm", "spm"):
+                assert getattr(self, name).tobytes() == getattr(self.ref, name).tobytes(), name
+            sse = float(resid @ resid)
+            for got, want, raw in zip((self.u, self.w), self.ref.residual_sums(),
+                                      (self.raw_p, self.raw_m)):
+                live = raw > 0
+                assert np.all(got[~live] == 0.0)
+                errors.append(float(np.max(np.abs(got - want)[live] / np.sqrt(sse * raw[live]),
+                                            initial=0.0)))
+
+    (factor_sets, rss), _ = _fit_with_scan(X, y, cfg, Lockstep, monkeypatch)
+    assert (factor_sets, rss) == _forward_pass(X, y, cfg, float(np.sum((y - y.mean()) ** 2)))
+    assert len(errors) >= 10 and max(errors) <= RUNNING_TOL
+
+
+def test_a_step_makes_one_pass_and_one_registration(monkeypatch):
+    # each update folds its new columns into the existing slots with one
+    # pass and registers its new terms with one call; scoring makes none
+    X, y, cfg = _piston(1, PISTON_A)
+    log = []
+
+    class Counted(_KnotScan):
+        def update(self, resid):
+            log.append(("update", len(self.betas), self.m, self.loc.size > 0))
+            super().update(resid)
+
+        def _sums(self, W):
+            log.append(("pass", W.shape[1]))
+            return super()._sums(W)
+
+        def _register(self, terms, resid):
+            log.append(("register", list(terms)))
+            super()._register(terms, resid)
+
+    _, scan = _fit_with_scan(X, y, cfg, Counted, monkeypatch)
+    steps = [i for i, entry in enumerate(log) if entry[0] == "update"]
+    assert log[:2] == [("update", 1, 1, False), ("register", [0])]
+    widths = []
+    for i, j in zip(steps[1:], steps[2:] + [len(log)]):
+        _, k, m, live = log[i]
+        assert live and log[i + 1 : j] == [("pass", k), ("register", list(range(m - k, m)))]
+        widths.append(k)
+    assert len(widths) >= 20 and set(widths) == {1, 2}
+    assert scan.m == len(scan.parent_cols) == sum(widths) + 1 + len(scan.betas)
+
+
+def test_slots_sit_in_the_narrowest_width_class(monkeypatch):
+    X, y, cfg = _piston(1, PISTON_A)
+    _, scan = _fit_with_scan(X, y, cfg, _KnotScan, monkeypatch)
+    widths = [c.width for c in scan.classes]
+    assert widths == [600, 300, 150] and widths[-1] >= _MIN_WIDTH > widths[-1] // 2
+    cands = np.concatenate([c.cand for c in scan.classes])
+    np.testing.assert_array_equal(np.sort(cands), np.arange(scan.loc.size))
+    assert sum(c.size for c in scan.classes) == scan.par.size
+    for i, c in enumerate(scan.classes):
+        assert c.size and c.rows.shape[0] <= 2 * c.size  # grown on demand
+        slots = c.end // (c.width + 1)
+        for s in range(c.size):
+            gs = scan.loc[c.cand[slots == s][0]]
+            pcol, v = scan.parent_cols[scan.par[gs]], scan.var[gs]
+            a = np.count_nonzero(pcol)
+            assert a <= c.width and (i + 1 == len(widths) or a > widths[i + 1])
+            # the support rows in the variable's sorted order, then padding
+            order = scan.order[v]
+            np.testing.assert_array_equal(c.rows[s, :a], order[pcol[order] > 0])
+            np.testing.assert_array_equal(c.g[s, :a], pcol[c.rows[s, :a]])
+            assert not np.any(c.g[s, a:]) and not np.any(c.rows[s, a:])
+    # below twice the floor every slot shares one class of width n
+    for n, count in ((2 * _MIN_WIDTH - 1, 1), (2 * _MIN_WIDTH, 2)):
+        Xn = np.random.default_rng(n).uniform(size=(n, 2))
+        assert [c.width for c in _KnotScan(Xn, cfg, 4).classes] == [n, n // 2][:count]
+
+
 def test_collinear_pair_scores_plus_only():
     # after x itself is in the model, C+ - C- = x - t lies in the basis, so
     # for every knot the pair is not scored and minus mirrors plus
@@ -151,14 +280,15 @@ def test_collinear_pair_scores_plus_only():
     y = np.sin(5.0 * X[:, 0])
     cfg = FitConfig(max_terms=10)
     scan = _KnotScan(X, cfg, 11)
-    n = X.shape[0]
+    n, x = X.shape[0], X[:, 0]
     q0 = np.full(n, 1.0 / np.sqrt(n))
-    scan.add_column(q0)
-    scan.add_parent(np.ones(n), ())
-    q1 = X[:, 0] - X[:, 0].mean()
-    scan.add_column(q1 / np.linalg.norm(q1))
-    resid = y - scan.basis @ (scan.basis.T @ y)
-    red2, red_p, red_m = scan.reductions(resid)
+    q1 = (x - x.mean()) / np.linalg.norm(x - x.mean())
+    # the intercept, then x itself as the hinge at its minimum; it leaves no
+    # variable free, so it adds no slot
+    scan.add_term(q0, q0 @ y, np.ones(n), ())
+    scan.add_term(q1, q1 @ y, x - x.min(), (HingeFactor(var=0, sign=1, knot=float(x.min())),))
+    scan.update(y - scan.basis @ (scan.basis.T @ y))
+    red2, red_p, red_m = scan.reductions()
     assert np.all(red2 == 0.0) and np.all(red_m == 0.0)
     assert np.count_nonzero(red_p) >= red_p.size - 1
 
@@ -178,16 +308,16 @@ def test_best_breaks_ties_as_the_plain_scan():
         scan.loc = np.repeat(np.arange(len(pairs)), sizes)
         scan.knot = rng.uniform(size=scan.loc.size)
         reds = tuple(rng.choice(levels, size=(3, scan.loc.size), p=[0.3, 0.3, 0.2, 0.1, 0.1]))
-        scan.reductions = lambda resid, reds=reds: reds
+        scan.reductions = lambda reds=reds: reds
         at = np.cumsum(sizes)[:-1]
         scores = {key: (kn, *rs) for key, kn, *rs in
                   zip(pairs, np.split(scan.knot, at), *(np.split(r, at) for r in reds))}
-        got = scan.best(None)
+        got = scan.best()
         assert got == select(scores)
         picks.add(None if got is None else got[-1])
     assert {"both", "plus", "minus"} <= picks
-    scan.reductions = lambda resid: tuple(np.zeros((3, scan.loc.size)))
-    assert scan.best(None) is None
+    scan.reductions = lambda: tuple(np.zeros((3, scan.loc.size)))
+    assert scan.best() is None
 
 
 def test_singular_gram_block_falls_back_to_lstsq():
@@ -245,6 +375,26 @@ def test_backward_pass_through_a_singular_block(penalty):
     assert sse == pytest.approx(float(r @ r), rel=1e-10)
     np.testing.assert_allclose(np.r_[intercept, coefs], ref_coef,
                                rtol=1e-10, atol=1e-10 * np.abs(ref_coef).max())
+    np.testing.assert_allclose(gcv_path, ref_gcv, rtol=1e-6)
+
+
+def test_backward_pass_through_a_duplicated_factor_set():
+    # the first forward term doubled makes every Gram block that holds both
+    # copies numerically singular: Cholesky rejects them, and both the
+    # fitter and the reference solve those by lstsq
+    X = lhs_design(300, PISTON_A.p, PISTON_A.domain, seed=1)
+    y = PISTON_A(X)
+    cfg = FitConfig(max_terms=20, max_degree=2, domain=PISTON_A.domain)
+    factor_sets, _ = _forward_pass(X, y, cfg, float(np.sum((y - y.mean()) ** 2)))
+    factor_sets = factor_sets[:1] + factor_sets
+    B = _design_from_factor_sets(X, factor_sets)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(B.T @ B)
+
+    kept, coefs, intercept, _, gcv_path = _backward_pass(X, y, factor_sets, cfg)
+    ref_kept, ref_coef, ref_gcv = dense_backward(X, y, factor_sets, cfg)
+    assert len(kept) >= 10 and kept == [factor_sets[j - 1] for j in ref_kept[1:]]
+    np.testing.assert_allclose(np.r_[intercept, coefs], ref_coef, rtol=1e-10)
     np.testing.assert_allclose(gcv_path, ref_gcv, rtol=1e-6)
 
 

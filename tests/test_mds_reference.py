@@ -109,6 +109,19 @@ def test_pava_pools_by_block_weight():
     assert cluster._pava(np.array([1.0, 2.0]), np.ones(2)).tolist() == [1.0, 2.0]
 
 
+def test_pava_matches_the_loop_reference_bitwise():
+    # runs that pool across many blocks, none, all of them, and equal
+    # neighbours, under unit and uneven weights
+    rng = np.random.default_rng(9)
+    ys = [np.sort(rng.uniform(size=40)) + 0.3 * rng.uniform(size=40) for _ in range(20)]
+    ys += [np.arange(12.0), np.arange(12.0)[::-1], np.repeat([2.0, 1.0, 3.0], 4), np.array([5.0])]
+    for y in ys:
+        for w in (np.ones(y.size), rng.integers(1, 5, size=y.size).astype(float)):
+            out = cluster._pava(y, w)
+            assert out.tobytes() == mds_reference._pava(y, w).tobytes()
+            assert np.all(np.diff(out) >= 0.0)
+
+
 @pytest.mark.parametrize("case", ["duplicated_members", "noisy"])
 def test_mds_embed_matches_loop_reference(case, monkeypatch):
     D, _ = CASES[case]()
