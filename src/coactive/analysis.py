@@ -208,6 +208,8 @@ def poincare_bound(C_self, Sigma, B) -> float:
         raise ValueError("dimension mismatch between C, Sigma, and B")
     if B.shape[1] > p:
         raise ValueError(f"basis has {B.shape[1]} columns for p={p}")
+    if not (np.isfinite(B).all() and np.isfinite(Sigma).all()):
+        raise ValueError("basis and Sigma must be finite")
     Q, R = np.linalg.qr(B)
     diag = np.abs(np.diag(R))
     if diag.min() <= 1e-12 * max(diag.max(), 1.0):

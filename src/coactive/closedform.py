@@ -427,6 +427,8 @@ class CoActiveMatrix:
             raise ValueError(f"entries must be square, got {entries.shape}")
         if self.kind not in ("plain", "modified"):
             raise ValueError(f"kind must be plain or modified, got {self.kind!r}")
+        if not (np.isfinite(entries).all() and np.isfinite(self.trace)):
+            raise ValueError("co-active matrix entries and trace must be finite")
         diag = float(np.trace(entries))
         scale = max(abs(diag), abs(self.trace), 1e-300)
         if abs(diag - self.trace) > 1e-12 * scale:

@@ -124,9 +124,6 @@ class MarsSurrogate:
         X = _as_batch(X, self.p)
         return _design_from_factor_sets(X, [t.factors for t in self.terms])[:, 1:]
 
-    def evaluate(self, x) -> float:
-        return float(self.evaluate_batch(np.asarray(x, dtype=float)[None, :])[0])
-
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
         X = _as_batch(X, self.p)
         coefs = np.array([t.coef for t in self.terms])
@@ -134,16 +131,7 @@ class MarsSurrogate:
             return np.full(X.shape[0], self.intercept)
         return self.intercept + self.design_matrix(X) @ coefs
 
-    def __call__(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            return self.evaluate(X)
-        return self.evaluate_batch(X)
-
     # -- differentiation -------------------------------------------------
-
-    def gradient(self, x) -> np.ndarray:
-        return self.gradient_batch(np.asarray(x, dtype=float)[None, :])[0]
 
     def gradient_batch(self, X: np.ndarray) -> np.ndarray:
         """Analytic gradient, shape (n, p).
@@ -550,36 +538,24 @@ def _gcv(sse: float, n: int, ncols: int, nterms: int, penalty: float) -> float:
     return (sse / n) / denom**2
 
 
-def _hinge_sums(W, G, xc, tc, end, ip, im):
-    """Inner products of the columns of W with both candidate hinges.
-
-    Slot s holds a parent column G[s] and the columns W[s] (width x k),
-    both on the rows of its sorted centred inputs xc[s]. end, ip and im
-    index each candidate's row of the flattened (slots x (width + 1))
-    prefix table: its slot's last row, and the count of sorted x <= t and
-    x < t for its centred knot tc. Returns (plus, minus), each (L x k):
-    w . g(x - t)_+ is a suffix sum and w . g(t - x)_+ a prefix sum of w*g
-    and w*g*x, taken from one cumsum over all slots at once. W is a
-    scratch gather and is overwritten.
-    """
-    S, width, k = W.shape
-    c0 = np.zeros((S, width + 1, k))
-    c1 = np.zeros_like(c0)
-    W *= G[:, :, None]
-    np.cumsum(W, axis=1, out=c0[:, 1:])
-    W *= xc[:, :, None]
-    np.cumsum(W, axis=1, out=c1[:, 1:])
-    c0, c1 = c0.reshape(-1, k), c1.reshape(-1, k)
-    t = tc[:, None]
-    plus = (_rows(c1, end) - _rows(c1, ip)) - t * (_rows(c0, end) - _rows(c0, ip))
-    minus = t * _rows(c0, im) - _rows(c1, im)
-    return plus, minus
+def _slot_rows(loc, ip, im, width):
+    """Rows of a prefix table flattened from (slots x (width + 1)): each
+    candidate's slot end, and its counts ip and im into its slot loc."""
+    base = loc * (width + 1)
+    return base + width, base + ip, base + im
 
 
-def _rows(a, at):
-    """a[at] for an index array at: np.take, which is several times faster
-    than row indexing when the rows are short."""
-    return np.take(a, at, axis=0)
+def _split_sums(A, at):
+    """Sums of A (slots x width x k) over each candidate's sorted support
+    rows, from one prefix table over all slots read at at = _slot_rows:
+    (suffix from ip on, prefix before im), each (L x k). Rows are read with
+    take, several times faster than indexing when they are short."""
+    S, width, k = A.shape
+    T = np.zeros((S, width + 1, k))
+    np.cumsum(A, axis=1, out=T[:, 1:])
+    T = T.reshape(-1, k)
+    end, ip, im = at
+    return T.take(end, axis=0) - T.take(ip, axis=0), T.take(im, axis=0)
 
 
 # relative width of a tie between candidate reductions. Against the dense
@@ -598,9 +574,9 @@ class _WidthClass:
     order, left-aligned and zero-padded: the sample rows, the parent column
     there and the centred input. A zero g leaves every running sum
     bitwise unchanged, so the sums over these rows are those over all n.
-    cand lists the scan's candidates of these slots and tc their centred
-    knots; end, ip and im index their prefix sums as _hinge_sums reads them.
-    The row buffers grow on demand.
+    cand lists the scan's candidates of these slots, loc each one's slot
+    here, tc its centred knot t, and ip and im the counts of its slot's
+    sorted x <= t and x < t. The row buffers grow on demand.
     """
 
     def __init__(self, width: int):
@@ -609,13 +585,16 @@ class _WidthClass:
         self.rows = np.zeros((0, width), dtype=np.intp)
         self.g = np.zeros((0, width))
         self.xc = np.zeros((0, width))
-        self.cand = self.end = self.ip = self.im = np.empty(0, dtype=np.intp)
+        self.cand = self.loc = self.ip = self.im = np.empty(0, dtype=np.intp)
         self.tc = np.empty(0)
 
-    def add(self, rows, g, xc, cand, loc, tc, ip, im):
-        """Append slots given as zero-padded rows (at most width of them in
-        use) and their candidates, loc indexing the slots given."""
-        s0, k = self.size, rows.shape[0]
+    def add(self, slots, cand, W):
+        """Write each of slots, (sample rows, parent values, centred inputs,
+        centred knots, ip, im) with its support in sorted order, once into
+        the next rows of the buffers; cand are their candidates' places in
+        the scan. Returns the candidates' raw hinge norms |C+|^2 and |C-|^2
+        and their sums for the columns of W, over the widest new support."""
+        s0, k = self.size, len(slots)
         if s0 + k > self.rows.shape[0]:
             cap = max(2 * self.rows.shape[0], s0 + k)
             for name in ("rows", "g", "xc"):
@@ -623,22 +602,43 @@ class _WidthClass:
                 new = np.zeros((cap, self.width), dtype=old.dtype)
                 new[:s0] = old[:s0]
                 setattr(self, name, new)
-        w = min(self.width, rows.shape[1])
-        self.rows[s0 : s0 + k, :w] = rows[:, :w]
-        self.g[s0 : s0 + k, :w] = g[:, :w]
-        self.xc[s0 : s0 + k, :w] = xc[:, :w]
+        for s, (rows, g, xc, *_) in enumerate(slots, start=s0):
+            self.rows[s, : rows.size], self.g[s, : rows.size], self.xc[s, : rows.size] = rows, g, xc
         self.size = s0 + k
-        base = (loc + s0) * (self.width + 1)
+        w = max(s[0].size for s in slots)
+        tc, ip, im = (np.concatenate([s[i] for s in slots]) for i in (3, 4, 5))
+        loc = np.repeat(np.arange(k), [s[3].size for s in slots])
         cat = np.concatenate
-        self.cand, self.tc = cat([self.cand, cand]), cat([self.tc, tc])
-        self.end = cat([self.end, base + self.width])
-        self.ip, self.im = cat([self.ip, base + ip]), cat([self.im, base + im])
+        self.cand, self.loc, self.tc = cat([self.cand, cand]), cat([self.loc, s0 + loc]), cat([self.tc, tc])
+        self.ip, self.im = cat([self.ip, ip]), cat([self.im, im])
+        at = _slot_rows(loc, ip, im, w)
+        # raw norms: sum of g^2 (x - t)^2 over the suffix / prefix
+        g, xc = self.g[s0 : self.size, :w], self.xc[s0 : self.size, :w]
+        g2 = g * g
+        suf, pre = _split_sums(np.stack([g2, g2 * xc, g2 * xc**2], axis=-1), at)
+        raw_p = suf[:, 2] - 2.0 * tc * suf[:, 1] + tc * tc * suf[:, 0]
+        raw_m = pre[:, 2] - 2.0 * tc * pre[:, 1] + tc * tc * pre[:, 0]
+        return (raw_p, raw_m, *self._hinge_sums(W, s0, w, at, tc))
 
     def sums(self, W):
-        """_hinge_sums of this class's candidates for the columns of W (n x k)
-        in sample-row order."""
-        s = slice(0, self.size)
-        return _hinge_sums(_rows(W, self.rows[s]), self.g[s], self.xc[s], self.tc, self.end, self.ip, self.im)
+        """W.C+ and W.C- (L x k) of all candidates here, for the columns of
+        W (n x k) in sample-row order."""
+        at = _slot_rows(self.loc, self.ip, self.im, self.width)
+        return self._hinge_sums(W, 0, self.width, at, self.tc)
+
+    def _hinge_sums(self, W, s0, width, at, tc):
+        """W.C+ and W.C- of the candidates of slots s0 on, whose supports fit
+        in width rows, read at at = _slot_rows, with centred knots tc:
+        w . g(x - t)_+ is a suffix sum and w . g(t - x)_+ a prefix sum of w*g
+        and w*g*x."""
+        s = (slice(s0, self.size), slice(0, width))
+        A = W.take(self.rows[s], axis=0)
+        A *= self.g[s][:, :, None]
+        suf0, pre0 = _split_sums(A, at)
+        A *= self.xc[s][:, :, None]
+        suf1, pre1 = _split_sums(A, at)
+        t = tc[:, None]
+        return suf1 - t * suf0, t * pre0 - pre1
 
 
 class _KnotScan:
@@ -723,13 +723,14 @@ class _KnotScan:
 
     def _register(self, terms, resid: np.ndarray) -> None:
         """The terms (indices into parent_cols) become parents on each
-        variable they leave free, all in one stacked pass over their
-        supports, projected on every column of Q and on resid at once.
-        Term j came with column j of Q: its sums over columns 0..j are
-        one einsum and the later columns are added one at a time, as when
-        each term was registered right after its own column."""
+        variable they leave free, each slot written once into the narrowest
+        width class that holds its support and projected there on every
+        column of Q and on resid at once. Term j came with column j of Q:
+        its sums over columns 0..j are one einsum and the later columns are
+        added one at a time, as when each term was registered right after
+        its own column."""
         p, cfg = self.p, self.cfg
-        slots = []  # (parent, variable, support positions in sorted order, parent there, knots)
+        slots, par, var, knots = [], [], [], []
         for pi in terms:
             factors = self.parent_factors[pi]
             if len(factors) >= cfg.max_degree:
@@ -737,47 +738,36 @@ class _KnotScan:
             used = {f.var for f in factors}
             gs = self.parent_cols[pi][self.order]  # the parent in each variable's sorted order
             for v in range(p):
-                if v not in used:
-                    sup = np.flatnonzero(gs[v] > 0)
-                    kn = _parent_candidates(self.xs[v][sup], cfg, p)
-                    if kn.size:
-                        slots.append((pi, v, sup, gs[v][sup], kn))
+                if v in used:
+                    continue
+                sup = np.flatnonzero(gs[v] > 0)
+                xs = self.xs[v][sup]
+                kn = _parent_candidates(xs, cfg, p)
+                if kn.size:
+                    slots.append((self.order[v][sup], gs[v][sup], self.xc[v][sup], kn - self.center[v],
+                                  np.searchsorted(xs, kn, side="right"), np.searchsorted(xs, kn, side="left")))
+                    par.append(pi)
+                    var.append(v)
+                    knots.append(kn)
         if not slots:
             return
-        S = len(slots)
-        support = np.array([s[2].size for s in slots])
-        width = int(support.max())
-        rows = np.zeros((S, width), dtype=np.intp)
-        g, xc = np.zeros((S, width)), np.zeros((S, width))
-        ip, im = [], []
-        for s, (_, v, sup, gv, kn) in enumerate(slots):
-            rows[s, : sup.size] = self.order[v][sup]
-            g[s, : sup.size] = gv
-            xc[s, : sup.size] = self.xc[v][sup]
-            xs = self.xs[v][sup]
-            ip.append(np.searchsorted(xs, kn, side="right"))
-            im.append(np.searchsorted(xs, kn, side="left"))
-        par = np.array([s[0] for s in slots], dtype=np.intp)
-        var = np.array([s[1] for s in slots], dtype=np.intp)
-        loc = np.repeat(np.arange(S), [s[4].size for s in slots])
-        knot = np.concatenate([s[4] for s in slots])
-        tc = knot - self.center[var][loc]
-        ip, im = np.concatenate(ip), np.concatenate(im)
-        base = loc * (width + 1)
-        end, fip, fim = base + width, base + ip, base + im
-        # raw norms: sum of g^2 (x - t)^2 over the suffix / prefix
-        g2 = g * g
-        R = np.zeros((S, width + 1, 3))
-        np.cumsum(np.stack([g2, g2 * xc, g2 * xc**2], axis=-1), axis=1, out=R[:, 1:])
-        R = R.reshape(-1, 3)
-        suf, pre = _rows(R, end) - _rows(R, fip), _rows(R, fim)
-        raw_p = suf[:, 2] - 2.0 * tc * suf[:, 1] + tc * tc * suf[:, 0]
-        raw_m = pre[:, 2] - 2.0 * tc * pre[:, 1] + tc * tc * pre[:, 0]
-        m = self.m
+        sizes = [kn.size for kn in knots]
+        m, L = self.m, sum(sizes)
         W = np.empty((self.Q.shape[0], m + 1))
         W[:, :m], W[:, m] = self.basis, resid
-        plus, minus = _hinge_sums(_rows(W, rows), g, xc, tc, end, fip, fim)
-        spp, smm, spm = np.empty(knot.size), np.empty(knot.size), np.empty(knot.size)
+        raw_p, raw_m = np.empty(L), np.empty(L)
+        plus, minus = np.empty((L, m + 1)), np.empty((L, m + 1))
+        # each slot goes to the narrowest width class that holds its support
+        widths = [c.width for c in reversed(self.classes)]
+        cls = (len(widths) - 1 - np.searchsorted(widths, [s[0].size for s in slots])).tolist()
+        home = np.repeat(cls, sizes)  # each candidate's class
+        for ci in dict.fromkeys(cls):
+            at = np.flatnonzero(home == ci)
+            mine = [s for s, c in zip(slots, cls) if c == ci]
+            raw_p[at], raw_m[at], plus[at], minus[at] = self.classes[ci].add(mine, self.loc.size + at, W)
+        par, var = np.array(par, dtype=np.intp), np.array(var, dtype=np.intp)
+        loc = np.repeat(np.arange(par.size), sizes)
+        spp, smm, spm = np.empty(L), np.empty(L), np.empty(L)
         owner = par[loc]  # ascending: each parent's candidates are one run
         for pi in dict.fromkeys(par.tolist()):
             at = slice(*np.searchsorted(owner, [pi, pi + 1]))
@@ -789,22 +779,14 @@ class _KnotScan:
                 spp[at] += plus[at, j] ** 2
                 smm[at] += minus[at, j] ** 2
                 spm[at] += plus[at, j] * minus[at, j]
-        s0, c0 = self.par.size, self.loc.size
+        s0 = self.par.size
         cat = np.concatenate
         self.par, self.var = cat([self.par, par]), cat([self.var, var])
-        self.loc, self.knot = cat([self.loc, loc + s0]), cat([self.knot, knot])
+        self.loc, self.knot = cat([self.loc, loc + s0]), cat([self.knot, *knots])
         self.raw_p = cat([self.raw_p, np.maximum(raw_p, 0.0)])
         self.raw_m = cat([self.raw_m, np.maximum(raw_m, 0.0)])
         self.spp, self.smm, self.spm = cat([self.spp, spp]), cat([self.smm, smm]), cat([self.spm, spm])
         self.u, self.w = cat([self.u, plus[:, m]]), cat([self.w, minus[:, m]])
-        # each slot goes to the narrowest width class that holds its support
-        cls = np.array([sum(c.width >= a for c in self.classes) - 1 for a in support.tolist()])
-        for ci in set(cls.tolist()):
-            sel = cls == ci
-            at = sel[loc]
-            pos = np.cumsum(sel) - 1  # the slot's place among those selected
-            self.classes[ci].add(rows[sel], g[sel], xc[sel], c0 + np.flatnonzero(at),
-                                 pos[loc[at]], tc[at], ip[at], im[at])
 
     def reductions(self):
         """SSE reductions (paired, plus only, minus only) of every candidate,

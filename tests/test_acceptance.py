@@ -201,7 +201,7 @@ def test_criterion_08_analytic_gradients_match_finite_differences(metric_corpus)
         for i in range(m.p):
             E = np.zeros_like(X)
             E[:, i] = h
-            fd[:, i] = (m(X + E) - m(X - E)) / (2 * h)
+            fd[:, i] = (m.evaluate_batch(X + E) - m.evaluate_batch(X - E)) / (2 * h)
         worst = max(worst, float(np.abs(m.gradient_batch(X) - fd).max()))
     dt = time.perf_counter() - t0
     ok = worst <= 1e-6

@@ -303,6 +303,10 @@ def test_poincare_validation():
         poincare_bound(C, Sigma, np.ones((3, 1)))
     with pytest.raises(ValueError, match="columns"):
         poincare_bound(C, Sigma, np.ones((2, 3)))
+    with pytest.raises(ValueError, match="must be finite"):
+        poincare_bound(C, np.diag([1.0, np.nan]), np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="must be finite"):
+        poincare_bound(C, Sigma, np.array([1.0, np.inf]))
 
 
 # -- dimension selection -----------------------------------------------------------------

@@ -509,6 +509,25 @@ def test_analyze_rejects_the_other_models_self_matrix(tmp_path, prior2, fitted_p
     assert main(argv("ckk.json", "cll_bare.json")) == 0
 
 
+@pytest.mark.parametrize("where", ["trace", "off-diagonal"])
+def test_analyze_refuses_a_non_finite_matrix(tmp_path, prior2, fitted_pair, capsys, where):
+    # a NaN trace passes any comparison with the diagonal, and a NaN pair
+    # fails the symmetry check with advice a CLI user cannot act on
+    argv = _pair_matrices(tmp_path, prior2, fitted_pair)
+    d = json.loads((tmp_path / "ckl.json").read_text())
+    if where == "trace":
+        d["trace"] = float("nan")
+    else:
+        d["entries"][0][1] = d["entries"][1][0] = float("nan")
+    (tmp_path / "ckl.json").write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(argv("ckk.json", "cll.json")) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: co-active matrix entries and trace must be finite\n"
+    assert not (tmp_path / "an.json").exists() and not (tmp_path / "r.csv").exists()
+
+
 # -- mc ----------------------------------------------------------------------------
 
 
@@ -730,6 +749,22 @@ def test_bound_argument_validation(tmp_path, prior2, fitted_pair, capsys):
                  "--out", out]) == 2
     assert "exactly one" in capsys.readouterr().err
     assert main(["bound", ma, "--prior", prior2, "--r", "5", "--out", out]) == 1
+
+
+@pytest.mark.parametrize("basis", ["1\nnan\n", "1,nan\n0,1\n", "inf\n0\n"])
+def test_bound_refuses_a_non_finite_basis(tmp_path, prior2, fitted_pair, capsys, basis):
+    # unchecked, these wrote a NaN bound (not JSON), a bound of 0.0, and a
+    # report of a rank-deficient basis
+    ma, _ = fitted_pair
+    path = tmp_path / "basis.csv"
+    path.write_text(basis)
+    out = tmp_path / "b.json"
+    capsys.readouterr()
+    assert main(["bound", ma, "--prior", prior2, "--basis", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: basis and Sigma must be finite\n"
+    assert not out.exists()
 
 
 # -- verify ------------------------------------------------------------------------------

@@ -256,7 +256,7 @@ def test_slots_sit_in_the_narrowest_width_class(monkeypatch):
     assert sum(c.size for c in scan.classes) == scan.par.size
     for i, c in enumerate(scan.classes):
         assert c.size and c.rows.shape[0] <= 2 * c.size  # grown on demand
-        slots = c.end // (c.width + 1)
+        slots = c.loc
         for s in range(c.size):
             gs = scan.loc[c.cand[slots == s][0]]
             pcol, v = scan.parent_cols[scan.par[gs]], scan.var[gs]
@@ -271,6 +271,30 @@ def test_slots_sit_in_the_narrowest_width_class(monkeypatch):
     for n, count in ((2 * _MIN_WIDTH - 1, 1), (2 * _MIN_WIDTH, 2)):
         Xn = np.random.default_rng(n).uniform(size=(n, 2))
         assert [c.width for c in _KnotScan(Xn, cfg, 4).classes] == [n, n // 2][:count]
+
+
+def test_a_support_of_a_class_width_sits_in_that_class():
+    # n = 600 makes classes 600/300/150: a parent supported on exactly 150
+    # rows goes to the 150 class, one on 151 rows to the 300 class
+    n = 600
+    X = lhs_design(n, 2, ((0.0, 1.0),) * 2, seed=5)
+    y = np.sin(4.0 * X[:, 0]) + X[:, 1]
+    x = np.sort(X[:, 0])
+    knots = [float(x[n - 1 - a]) for a in (150, 151)]
+    cols = [np.ones(n)] + [np.maximum(X[:, 0] - t, 0.0) for t in knots]
+    factors = [()] + [(HingeFactor(var=0, sign=1, knot=t),) for t in knots]
+    assert [np.count_nonzero(c) for c in cols] == [600, 150, 151]
+    Q = np.linalg.qr(np.column_stack(cols))[0]
+    scan = _KnotScan(X, FitConfig(), 4)
+    for q, col, fs in zip(Q.T, cols, factors):
+        scan.add_term(q, float(q @ y), col, fs)
+    scan.update(y - Q @ (Q.T @ y))
+    width = {}
+    for c in scan.classes:
+        for s in np.unique(c.loc):
+            gs = scan.loc[c.cand[c.loc == s][0]]
+            width[int(scan.par[gs]), int(scan.var[gs])] = c.width
+    assert width == {(0, 0): 600, (0, 1): 600, (1, 1): 150, (2, 1): 300}
 
 
 def test_collinear_pair_scores_plus_only():

@@ -81,19 +81,19 @@ def test_surrogate_validation():
 
 def test_evaluate_intercept_only():
     m = MarsSurrogate(intercept=2.0, terms=(), p=2, domain=UNIT2)
-    assert m.evaluate([0.3, 0.9]) == 2.0
+    assert m.evaluate_batch([[0.3, 0.9]])[0] == 2.0
     assert np.array_equal(m.evaluate_batch(np.zeros((4, 2))), np.full(4, 2.0))
 
 
 def test_evaluate_single_hinge():
     t = BasisTerm(coef=3.0, factors=(HingeFactor(var=0, sign=1, knot=0.25),))
     m = MarsSurrogate(intercept=1.0, terms=(t,), p=2, domain=UNIT2)
-    assert m.evaluate([0.75, 0.0]) == pytest.approx(1.0 + 3.0 * 0.5)
-    assert m.evaluate([0.1, 0.0]) == 1.0
+    assert m.evaluate_batch([[0.75, 0.0]])[0] == pytest.approx(1.0 + 3.0 * 0.5)
+    assert m.evaluate_batch([[0.1, 0.0]])[0] == 1.0
     # knot at the domain edge makes the hinge linear over the whole box
     lin = BasisTerm(coef=1.0, factors=(HingeFactor(var=0, sign=1, knot=0.0),))
     m2 = MarsSurrogate(intercept=0.0, terms=(lin,), p=2, domain=UNIT2)
-    assert m2.evaluate([0.3, 0.8]) == pytest.approx(0.3)
+    assert m2.evaluate_batch([[0.3, 0.8]])[0] == pytest.approx(0.3)
 
 
 def test_evaluate_interaction_term():
@@ -102,16 +102,15 @@ def test_evaluate_interaction_term():
         factors=(HingeFactor(var=0, sign=1, knot=0.5), HingeFactor(var=1, sign=-1, knot=0.5)),
     )
     m = MarsSurrogate(intercept=0.0, terms=(t,), p=2, domain=UNIT2)
-    assert m.evaluate([0.75, 0.25]) == pytest.approx(2.0 * 0.25 * 0.25)
-    assert m.evaluate([0.25, 0.25]) == 0.0
-    assert m.evaluate([0.75, 0.75]) == 0.0
+    assert m.evaluate_batch([[0.75, 0.25]])[0] == pytest.approx(2.0 * 0.25 * 0.25)
+    assert m.evaluate_batch([[0.25, 0.25]])[0] == 0.0
+    assert m.evaluate_batch([[0.75, 0.75]])[0] == 0.0
 
 
-def test_call_dispatches_on_ndim():
+def test_evaluate_batch_of_two_rows():
     t = BasisTerm(coef=1.0, factors=(HingeFactor(var=0, sign=1, knot=0.0),))
     m = MarsSurrogate(intercept=0.0, terms=(t,), p=1, domain=((0.0, 1.0),))
-    assert isinstance(m([0.5]), float)
-    out = m(np.array([[0.25], [0.5]]))
+    out = m.evaluate_batch(np.array([[0.25], [0.5]]))
     assert out.shape == (2,)
     assert out[1] == pytest.approx(0.5)
 
@@ -139,14 +138,14 @@ def test_coefficient_scaling_scales_output():
 
 def test_gradient_constant_is_zero():
     m = MarsSurrogate(intercept=5.0, terms=(), p=3, domain=((0.0, 1.0),) * 3)
-    assert np.array_equal(m.gradient([0.1, 0.2, 0.3]), np.zeros(3))
+    assert np.array_equal(m.gradient_batch([[0.1, 0.2, 0.3]])[0], np.zeros(3))
 
 
 def test_gradient_single_hinge():
     t = BasisTerm(coef=2.0, factors=(HingeFactor(var=0, sign=1, knot=0.5),))
     m = MarsSurrogate(intercept=0.0, terms=(t,), p=2, domain=UNIT2)
-    np.testing.assert_array_equal(m.gradient([0.75, 0.3]), [2.0, 0.0])
-    np.testing.assert_array_equal(m.gradient([0.25, 0.3]), [0.0, 0.0])
+    np.testing.assert_array_equal(m.gradient_batch([[0.75, 0.3]])[0], [2.0, 0.0])
+    np.testing.assert_array_equal(m.gradient_batch([[0.25, 0.3]])[0], [0.0, 0.0])
 
 
 def test_gradient_right_continuous_at_knot():
@@ -154,9 +153,9 @@ def test_gradient_right_continuous_at_knot():
     dn = BasisTerm(coef=1.0, factors=(HingeFactor(var=0, sign=-1, knot=0.5),))
     m_up = MarsSurrogate(intercept=0.0, terms=(up,), p=1, domain=((0.0, 1.0),))
     m_dn = MarsSurrogate(intercept=0.0, terms=(dn,), p=1, domain=((0.0, 1.0),))
-    assert m_up.gradient([0.5])[0] == 1.0
-    assert m_dn.gradient([0.5])[0] == 0.0
-    assert m_dn.gradient([0.499999])[0] == -1.0
+    assert m_up.gradient_batch([[0.5]])[0, 0] == 1.0
+    assert m_dn.gradient_batch([[0.5]])[0, 0] == 0.0
+    assert m_dn.gradient_batch([[0.499999]])[0, 0] == -1.0
 
 
 def test_gradient_interaction_product_rule():
@@ -165,7 +164,7 @@ def test_gradient_interaction_product_rule():
         factors=(HingeFactor(var=0, sign=1, knot=0.2), HingeFactor(var=1, sign=1, knot=0.4)),
     )
     m = MarsSurrogate(intercept=0.0, terms=(t,), p=2, domain=UNIT2)
-    g = m.gradient([0.7, 0.9])
+    g = m.gradient_batch([[0.7, 0.9]])[0]
     np.testing.assert_allclose(g, [3.0 * 0.5, 3.0 * 0.5], rtol=1e-15)
 
 
@@ -192,7 +191,7 @@ def test_gradient_matches_finite_differences():
 def test_fitted_gradient_close_to_target_gradient():
     X, y = _poly_xy()
     m = fit(X, y, FitConfig(domain=UNIT2))
-    g = m.gradient([0.5, 0.5])
+    g = m.gradient_batch([[0.5, 0.5]])[0]
     np.testing.assert_allclose(g, [1.5, 0.5], atol=0.05)
 
 
