@@ -152,7 +152,7 @@ def cmd_fit(args) -> int:
         max_knots=args.max_knots,
         penalty=args.penalty,
         domain=domain,
-        label=args.label or os.path.splitext(os.path.basename(args.out))[0],
+        label=args.label or os.path.splitext(os.path.basename(os.path.normpath(args.out)))[0],
     )
     meta = _meta(args, seed=args.seed)
     # the CV refits on its own folds, so a refused k stops the run before the main fit

@@ -292,7 +292,7 @@ def load_ensemble(directory) -> Ensemble:
     members = [load_model(path) for path in _member_paths(directory)]
     if not members:
         raise ValueError(f"no member_NNN.json model files found in {directory}")
-    return Ensemble(members=tuple(members), label=os.path.basename(str(directory).rstrip("/")))
+    return Ensemble(members=tuple(members), label=os.path.basename(os.path.normpath(directory)))
 
 
 def load_training_csv(path, response: str | None = None):
@@ -520,14 +520,15 @@ def _parent_candidates(xs: np.ndarray, cfg: FitConfig, p: int) -> np.ndarray:
     endspan, minspan = _span_lengths(p, a)
     if a < endspan + 1:
         return np.empty(0)
-    cands = [xs[:1]]
-    if a >= 2 * endspan + 1:
-        cands.append(xs[np.arange(endspan, a - endspan, minspan)])
-    vals = np.unique(np.concatenate(cands))
+    vals = _distinct(np.concatenate([xs[:1], xs[endspan : a - endspan : minspan]]))
     if vals.size > cfg.max_knots:
-        idx = np.unique(np.linspace(0, vals.size - 1, cfg.max_knots).round().astype(int))
-        vals = vals[idx]
+        vals = vals[_distinct(np.linspace(0, vals.size - 1, cfg.max_knots).round().astype(int))]
     return vals
+
+
+def _distinct(v: np.ndarray) -> np.ndarray:
+    """np.unique of v, which is sorted ascending, without its sort."""
+    return v[np.concatenate(([True], v[1:] != v[:-1]))]
 
 
 def _gcv(sse: float, n: int, ncols: int, nterms: int, penalty: float) -> float:
@@ -572,8 +573,9 @@ class _WidthClass:
 
     Row s of rows, g and xc is one slot's support in its variable's sorted
     order, left-aligned and zero-padded: the sample rows, the parent column
-    there and the centred input. A zero g leaves every running sum
-    bitwise unchanged, so the sums over these rows are those over all n.
+    there and the centred input. A parent's slots are consecutive rows, in
+    variable order. A zero g leaves every running sum bitwise unchanged, so
+    the sums over these rows are those over all n.
     cand lists the scan's candidates of these slots, loc each one's slot
     here, tc its centred knot t, and ip and im the counts of its slot's
     sorted x <= t and x < t. The row buffers grow on demand.
@@ -588,13 +590,14 @@ class _WidthClass:
         self.cand = self.loc = self.ip = self.im = np.empty(0, dtype=np.intp)
         self.tc = np.empty(0)
 
-    def add(self, slots, cand, W):
-        """Write each of slots, (sample rows, parent values, centred inputs,
-        centred knots, ip, im) with its support in sorted order, once into
-        the next rows of the buffers; cand are their candidates' places in
-        the scan. Returns the candidates' raw hinge norms |C+|^2 and |C-|^2
-        and their sums for the columns of W, over the widest new support."""
-        s0, k = self.size, len(slots)
+    def add(self, rows, g, xc, loc, tc, ip, im, cand, W):
+        """Write one parent's slots, its (slots x a) sample rows, parent
+        values and centred inputs in each free variable's sorted order, into
+        the next rows of the buffers. Its candidates, at places cand in the
+        scan, sit in slot loc of the block with centred knots tc and counts
+        ip and im. Returns their raw hinge norms |C+|^2 and |C-|^2 and their
+        sums for the columns of W, over width a."""
+        (k, a), s0 = rows.shape, self.size
         if s0 + k > self.rows.shape[0]:
             cap = max(2 * self.rows.shape[0], s0 + k)
             for name in ("rows", "g", "xc"):
@@ -602,23 +605,19 @@ class _WidthClass:
                 new = np.zeros((cap, self.width), dtype=old.dtype)
                 new[:s0] = old[:s0]
                 setattr(self, name, new)
-        for s, (rows, g, xc, *_) in enumerate(slots, start=s0):
-            self.rows[s, : rows.size], self.g[s, : rows.size], self.xc[s, : rows.size] = rows, g, xc
         self.size = s0 + k
-        w = max(s[0].size for s in slots)
-        tc, ip, im = (np.concatenate([s[i] for s in slots]) for i in (3, 4, 5))
-        loc = np.repeat(np.arange(k), [s[3].size for s in slots])
+        block = (slice(s0, self.size), slice(0, a))
+        self.rows[block], self.g[block], self.xc[block] = rows, g, xc
         cat = np.concatenate
         self.cand, self.loc, self.tc = cat([self.cand, cand]), cat([self.loc, s0 + loc]), cat([self.tc, tc])
         self.ip, self.im = cat([self.ip, ip]), cat([self.im, im])
-        at = _slot_rows(loc, ip, im, w)
+        at = _slot_rows(loc, ip, im, a)
         # raw norms: sum of g^2 (x - t)^2 over the suffix / prefix
-        g, xc = self.g[s0 : self.size, :w], self.xc[s0 : self.size, :w]
         g2 = g * g
         suf, pre = _split_sums(np.stack([g2, g2 * xc, g2 * xc**2], axis=-1), at)
         raw_p = suf[:, 2] - 2.0 * tc * suf[:, 1] + tc * tc * suf[:, 0]
         raw_m = pre[:, 2] - 2.0 * tc * pre[:, 1] + tc * tc * pre[:, 0]
-        return (raw_p, raw_m, *self._hinge_sums(W, s0, w, at, tc))
+        return (raw_p, raw_m, *self._hinge_sums(W, s0, a, at, tc))
 
     def sums(self, W):
         """W.C+ and W.C- (L x k) of all candidates here, for the columns of
@@ -648,8 +647,9 @@ class _KnotScan:
     which every candidate knot is scored in O(n) per step. Each term added
     comes with one column of Q and becomes a parent. Each eligible (parent,
     variable) pair is a slot, in (parent, variable) order, with parent
-    par[s] and variable var[s]; it is stored in the narrowest width class
-    (n, n/2, n/4, ... down to _MIN_WIDTH) that holds its parent's support.
+    par[s] and variable var[s]. A parent's slots are stored together in the
+    narrowest width class (n, n/2, n/4, ... down to _MIN_WIDTH) that holds
+    its support.
     Flat over the candidates in (slot, knot) order, loc holds each one's
     slot, next to the raw hinge norms |C+|^2, |C-|^2, the sums over the
     columns q of Q of (q.C+)^2, (q.C-)^2 and (q.C+)(q.C-), and the residual
@@ -669,7 +669,6 @@ class _KnotScan:
         self.order = np.argsort(X, axis=0, kind="stable").T  # (p, n)
         self.xs = np.take_along_axis(X, self.order.T, axis=0).T
         self.center = np.median(X, axis=0)
-        self.xc = self.xs - self.center[:, None]
         widths = [n]
         while widths[-1] // 2 >= _MIN_WIDTH:
             widths.append(widths[-1] // 2)
@@ -723,70 +722,54 @@ class _KnotScan:
 
     def _register(self, terms, resid: np.ndarray) -> None:
         """The terms (indices into parent_cols) become parents on each
-        variable they leave free, each slot written once into the narrowest
-        width class that holds its support and projected there on every
-        column of Q and on resid at once. Term j came with column j of Q:
-        its sums over columns 0..j are one einsum and the later columns are
-        added one at a time, as when each term was registered right after
-        its own column."""
-        p, cfg = self.p, self.cfg
-        slots, par, var, knots = [], [], [], []
-        for pi in terms:
-            factors = self.parent_factors[pi]
-            if len(factors) >= cfg.max_degree:
-                continue
-            used = {f.var for f in factors}
-            gs = self.parent_cols[pi][self.order]  # the parent in each variable's sorted order
-            for v in range(p):
-                if v in used:
-                    continue
-                sup = np.flatnonzero(gs[v] > 0)
-                xs = self.xs[v][sup]
-                kn = _parent_candidates(xs, cfg, p)
-                if kn.size:
-                    slots.append((self.order[v][sup], gs[v][sup], self.xc[v][sup], kn - self.center[v],
-                                  np.searchsorted(xs, kn, side="right"), np.searchsorted(xs, kn, side="left")))
-                    par.append(pi)
-                    var.append(v)
-                    knots.append(kn)
-        if not slots:
-            return
-        sizes = [kn.size for kn in knots]
-        m, L = self.m, sum(sizes)
+        variable they leave free. A parent column is non-negative and each
+        variable's sorted order permutes its rows, so a parent has one
+        support size a on every free variable: one span rule, one width
+        class, and candidates on all of those variables or on none. Its
+        slots go as one block into the narrowest class that holds a and are
+        projected there on every column of Q and on resid at once. Term j
+        came with column j of Q: its sums over columns 0..j are one einsum
+        and the later columns are added one at a time, as when each term was
+        registered right after its own column."""
+        p, cfg, m = self.p, self.cfg, self.m
         W = np.empty((self.Q.shape[0], m + 1))
         W[:, :m], W[:, m] = self.basis, resid
-        raw_p, raw_m = np.empty(L), np.empty(L)
-        plus, minus = np.empty((L, m + 1)), np.empty((L, m + 1))
-        # each slot goes to the narrowest width class that holds its support
         widths = [c.width for c in reversed(self.classes)]
-        cls = (len(widths) - 1 - np.searchsorted(widths, [s[0].size for s in slots])).tolist()
-        home = np.repeat(cls, sizes)  # each candidate's class
-        for ci in dict.fromkeys(cls):
-            at = np.flatnonzero(home == ci)
-            mine = [s for s, c in zip(slots, cls) if c == ci]
-            raw_p[at], raw_m[at], plus[at], minus[at] = self.classes[ci].add(mine, self.loc.size + at, W)
-        par, var = np.array(par, dtype=np.intp), np.array(var, dtype=np.intp)
-        loc = np.repeat(np.arange(par.size), sizes)
-        spp, smm, spm = np.empty(L), np.empty(L), np.empty(L)
-        owner = par[loc]  # ascending: each parent's candidates are one run
-        for pi in dict.fromkeys(par.tolist()):
-            at = slice(*np.searchsorted(owner, [pi, pi + 1]))
-            P, M = plus[at, : pi + 1], minus[at, : pi + 1]
-            spp[at] = np.einsum("ij,ij->i", P, P)
-            smm[at] = np.einsum("ij,ij->i", M, M)
-            spm[at] = np.einsum("ij,ij->i", P, M)
+        s0, c0, new = self.par.size, self.loc.size, []
+        for pi in terms:
+            factors = self.parent_factors[pi]
+            used = {f.var for f in factors}
+            free = [v for v in range(p) if v not in used]
+            if len(factors) >= cfg.max_degree or not free:
+                continue
+            order = self.order[free]
+            gs = self.parent_cols[pi][order]  # the parent in each free variable's sorted order
+            sup = np.flatnonzero(gs > 0)
+            shape = (len(free), sup.size // len(free))
+            rows, g, xs = (B.take(sup).reshape(shape) for B in (order, gs, self.xs[free]))
+            knots = [_parent_candidates(x, cfg, p) for x in xs]
+            if not knots[0].size:  # too few support points, so on every variable
+                continue
+            loc = np.repeat(np.arange(len(free)), [kn.size for kn in knots])
+            knot = np.concatenate(knots)
+            ip = np.concatenate([np.searchsorted(x, kn, side="right") for x, kn in zip(xs, knots)])
+            im = np.concatenate([np.searchsorted(x, kn, side="left") for x, kn in zip(xs, knots)])
+            c = self.classes[len(widths) - 1 - np.searchsorted(widths, shape[1])]
+            center = self.center[free]
+            raw_p, raw_m, plus, minus = c.add(rows, g, xs - center[:, None], loc, knot - center[loc], ip, im,
+                                              c0 + np.arange(knot.size), W)
+            P, M = plus[:, : pi + 1], minus[:, : pi + 1]
+            spp, smm, spm = (np.einsum("ij,ij->i", A, B) for A, B in ((P, P), (M, M), (P, M)))
             for j in range(pi + 1, m):
-                spp[at] += plus[at, j] ** 2
-                smm[at] += minus[at, j] ** 2
-                spm[at] += plus[at, j] * minus[at, j]
-        s0 = self.par.size
-        cat = np.concatenate
-        self.par, self.var = cat([self.par, par]), cat([self.var, var])
-        self.loc, self.knot = cat([self.loc, loc + s0]), cat([self.knot, *knots])
-        self.raw_p = cat([self.raw_p, np.maximum(raw_p, 0.0)])
-        self.raw_m = cat([self.raw_m, np.maximum(raw_m, 0.0)])
-        self.spp, self.smm, self.spm = cat([self.spp, spp]), cat([self.smm, smm]), cat([self.spm, spm])
-        self.u, self.w = cat([self.u, plus[:, m]]), cat([self.w, minus[:, m]])
+                spp += plus[:, j] ** 2
+                smm += minus[:, j] ** 2
+                spm += plus[:, j] * minus[:, j]
+            new.append((np.full(len(free), pi), np.array(free, dtype=np.intp), s0 + loc, knot,
+                        np.maximum(raw_p, 0.0), np.maximum(raw_m, 0.0), spp, smm, spm, plus[:, m], minus[:, m]))
+            s0, c0 = s0 + len(free), c0 + knot.size
+        for name, parts in zip(("par", "var", "loc", "knot", "raw_p", "raw_m", "spp", "smm", "spm", "u", "w"),
+                               zip(*new)):
+            setattr(self, name, np.concatenate([getattr(self, name), *parts]))
 
     def reductions(self):
         """SSE reductions (paired, plus only, minus only) of every candidate,

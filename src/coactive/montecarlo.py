@@ -88,7 +88,7 @@ def _pdist2(X: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """A deterministic scalar function of a p-vector, batch-evaluable.
+    """A deterministic scalar function of p inputs, evaluated on batches.
 
     evaluator maps (n, p) arrays to (n,) outputs. grad, when given, maps
     (n, p) to (n, p) analytic gradients; otherwise central finite
@@ -118,10 +118,7 @@ class SampledFunction:
         )
 
     def __call__(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            return float(self.evaluator(X[None, :])[0])
-        return np.asarray(self.evaluator(X), dtype=float)
+        return np.asarray(self.evaluator(np.asarray(X, dtype=float)), dtype=float)
 
     def steps(self) -> np.ndarray:
         return np.array([1e-5 * (hi - lo) for lo, hi in self.domain])

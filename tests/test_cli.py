@@ -141,6 +141,23 @@ def test_fit_ensemble_directory(tmp_path, prior2, capsys):
     assert "non-empty" in capsys.readouterr().err
 
 
+def test_ensemble_label_is_the_normalized_directory_name(tmp_path, prior2):
+    # members are labelled by the directory's name however --out spells it,
+    # so both spellings write the same bytes
+    train = _write_train(tmp_path / "t.csv")
+    files = []
+    for out in (str(tmp_path / "a" / "e2"), str(tmp_path / "b" / "e2") + "/"):
+        assert main(["fit", str(train), "--out", out, "--prior", prior2, "--ensemble", "2"]) == 0
+        files.append({name: open(os.path.join(out, name), "rb").read() for name in os.listdir(out)})
+    assert sorted(files[0]) == ["member_000.json", "member_001.json", "report.json"]
+    assert files[0] == files[1]
+    assert load_model(str(tmp_path / "b" / "e2" / "member_001.json")).label == "e2"
+    from coactive import load_ensemble
+
+    for spelling in ("e2", "e2/", "e2/.", "./e2/./"):
+        assert load_ensemble(os.path.join(tmp_path, "a", spelling)).label == "e2", spelling
+
+
 def test_fit_ensemble_refuses_a_file_before_fitting(tmp_path, prior2, capsys):
     train = _write_train(tmp_path / "t.csv")
     out = tmp_path / "ens"

@@ -25,6 +25,8 @@ from coactive.model import (
     _forward_pass,
     _gcv,
     _KnotScan,
+    _parent_candidates,
+    _span_lengths,
 )
 
 # Reductions are differences of sums over n <= 600 products, each sum
@@ -267,6 +269,19 @@ def test_slots_sit_in_the_narrowest_width_class(monkeypatch):
             np.testing.assert_array_equal(c.rows[s, :a], order[pcol[order] > 0])
             np.testing.assert_array_equal(c.g[s, :a], pcol[c.rows[s, :a]])
             assert not np.any(c.g[s, a:]) and not np.any(c.rows[s, a:])
+    # all slots of one parent sit in one class, as consecutive rows in
+    # variable order
+    home = {}  # the scan's slot -> (class, row there)
+    for i, c in enumerate(scan.classes):
+        for cand, s in zip(c.cand, c.loc):
+            home[int(scan.loc[cand])] = (i, int(s))
+    assert sorted(home) == list(range(scan.par.size))
+    for pi in np.unique(scan.par):
+        slots = np.flatnonzero(scan.par == pi)
+        np.testing.assert_array_equal(slots, np.arange(slots[0], slots[-1] + 1))
+        assert np.all(np.diff(scan.var[slots]) > 0)
+        cls, first = home[int(slots[0])]
+        assert [home[int(s)] for s in slots] == [(cls, first + k) for k in range(slots.size)]
     # below twice the floor every slot shares one class of width n
     for n, count in ((2 * _MIN_WIDTH - 1, 1), (2 * _MIN_WIDTH, 2)):
         Xn = np.random.default_rng(n).uniform(size=(n, 2))
@@ -295,6 +310,30 @@ def test_a_support_of_a_class_width_sits_in_that_class():
             gs = scan.loc[c.cand[c.loc == s][0]]
             width[int(scan.par[gs]), int(scan.var[gs])] = c.width
     assert width == {(0, 0): 600, (0, 1): 600, (1, 1): 150, (2, 1): 300}
+
+
+@pytest.mark.parametrize("p", [1, 3, 5, 24])
+def test_parent_candidates_are_empty_exactly_below_endspan_plus_one(p):
+    # the registration of a parent rests on this: the candidates depend on
+    # the support size, so a parent has them on every free variable or on
+    # none. Supports of endspan - 1 to 2 * endspan + 2 points and two larger
+    # ones, all with many ties, with and without thinning to max_knots
+    endspan = _span_lengths(p, 1)[0]
+    rng = np.random.default_rng(p)
+    for a in [*range(endspan - 1, 2 * endspan + 3), 60, 200]:
+        assert _span_lengths(p, a)[0] == endspan
+        xs = np.sort(rng.integers(0, 2 + a // 8, size=a).astype(float))
+        _, minspan = _span_lengths(p, a)
+        ranked = np.concatenate([xs[:1], xs[np.arange(endspan, a - endspan, minspan)]])
+        for cfg in (FitConfig(max_knots=64), FitConfig(max_knots=2)):
+            kn = _parent_candidates(xs, cfg, p)
+            assert (kn.size == 0) == (a < endspan + 1), a
+            if kn.size:
+                # np.unique of the rank-selected values, thinned to max_knots
+                want = np.unique(ranked)
+                if want.size > cfg.max_knots:
+                    want = want[np.unique(np.linspace(0, want.size - 1, cfg.max_knots).round().astype(int))]
+                np.testing.assert_array_equal(kn, want)
 
 
 def test_collinear_pair_scores_plus_only():

@@ -135,7 +135,7 @@ def test_fd_gradient_one_sided_at_boundary():
 
 def test_sampled_function_wrapper():
     fa, fb = poly_pair(3.0)
-    assert fa([0.5, 0.5]) == pytest.approx(0.5)
+    assert fa(np.array([[0.5, 0.5]])) == pytest.approx([0.5])
     batch = fb(np.array([[0.5, 0.5], [1.0, 1.0]]))
     assert batch.shape == (2,)
     assert batch[1] == pytest.approx(2.0 + 3.0)
@@ -221,7 +221,7 @@ def test_piston_gradient_matches_symbolic():
         rng = np.random.default_rng(6)
         for _ in range(5):
             x = rng.uniform(0.05, 0.95, size=5)
-            assert fn(x) == pytest.approx(float(value(*x)), rel=1e-12)
+            assert fn(x[None, :]) == pytest.approx([float(value(*x))], rel=1e-12)
             ref = np.array(grads(*x), dtype=float)
             got = _fd(fn.evaluator, x, fn.domain)
             np.testing.assert_allclose(got, ref, atol=1e-6 * max(1.0, np.abs(ref).max()))
