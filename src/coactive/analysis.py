@@ -52,34 +52,47 @@ def symmetrize(C_kl, C_lk=None) -> np.ndarray:
     return 0.5 * (V + V.T)
 
 
-def _require_nonconstant(t_k: float, t_l: float) -> None:
+def _require_nonconstant(t_k, t_l) -> None:
     # threshold is relative to the pair's own gradient-variance scale
-    tol = 1e-12 * max(abs(t_k), abs(t_l))
-    if t_k <= tol or t_l <= tol:
+    tol = 1e-12 * np.maximum(np.abs(t_k), np.abs(t_l))
+    if np.any((t_k <= tol) | (t_l <= tol)):
         raise ConstantFunctionError(
-            f"gradient variance too small (t_k={t_k:g}, t_l={t_l:g}); "
+            f"gradient variance too small (t_k={np.min(t_k):g}, t_l={np.min(t_l):g}); "
             "concordance is undefined for constant functions"
         )
 
 
-def concordance(t_kl: float, t_k: float, t_l: float) -> float:
-    """kappa = t_kl / sqrt(t_k t_l), in [-1, 1].
+def _clamp(kappa, what: str):
+    """kappa clipped to [-1, 1]. Floating-point overshoot beyond +-1 by at
+    most 1e-12 is clamped; larger overshoot, or NaN, raises with what."""
+    bad = ~(np.abs(kappa) <= 1.0 + 1e-12)
+    if np.any(bad):
+        raise ValueError(f"{what}: kappa={float(np.extract(bad, kappa)[0])!r}")
+    return np.clip(kappa, -1.0, 1.0)
+
+
+def concordance(t_kl, t_k, t_l):
+    """kappa = t_kl / sqrt(t_k t_l), in [-1, 1], elementwise: scalars give
+    a float, arrays broadcast to an array.
 
     Floating-point overshoot beyond +-1 by at most 1e-12 is clamped;
     larger overshoot indicates inconsistent traces and raises.
     """
+    t_kl, t_k, t_l = (np.asarray(t, dtype=float) for t in (t_kl, t_k, t_l))
     _require_nonconstant(t_k, t_l)
-    kappa = float(t_kl) / math.sqrt(float(t_k) * float(t_l))
-    if abs(kappa) > 1.0 + 1e-12:
-        raise ValueError(f"traces violate the Cauchy-Schwarz bound: kappa={kappa!r}")
-    return min(1.0, max(-1.0, kappa))
+    kappa = _clamp(t_kl / np.sqrt(t_k * t_l), "traces violate the Cauchy-Schwarz bound")
+    return float(kappa) if np.ndim(kappa) == 0 else kappa
 
 
-def discordance(conc: float) -> float:
-    """sqrt((1 - kappa)/2), in [0, 1]. A pseudo-metric across models."""
-    if not -1.0 - 1e-12 <= conc <= 1.0 + 1e-12:
-        raise ValueError(f"concordance out of range: {conc!r}")
-    return math.sqrt(max(0.0, (1.0 - min(1.0, conc))) / 2.0)
+def discordance(conc):
+    """sqrt((1 - kappa)/2), in [0, 1], elementwise: a scalar gives a float,
+    an array an array. A pseudo-metric across models."""
+    conc = np.asarray(conc, dtype=float)
+    bad = ~((-1.0 - 1e-12 <= conc) & (conc <= 1.0 + 1e-12))
+    if np.any(bad):
+        raise ValueError(f"concordance out of range: {float(np.extract(bad, conc)[0])!r}")
+    d = np.sqrt((1.0 - np.minimum(1.0, conc)) / 2.0)
+    return float(d) if d.ndim == 0 else d
 
 
 @dataclass(frozen=True)
@@ -149,10 +162,7 @@ def decompose(V, t_k: float, t_l: float) -> CoActiveDecomposition:
 
     denom = math.sqrt(float(t_k) * float(t_l))
     pi = lam / denom
-    kappa = float(math.fsum(pi))
-    if abs(kappa) > 1.0 + 1e-12:
-        raise ValueError(f"traces inconsistent with V: kappa={kappa!r}")
-    kappa = min(1.0, max(-1.0, kappa))
+    kappa = float(_clamp(math.fsum(pi), "traces inconsistent with V"))
     return CoActiveDecomposition(
         V=V,
         eigvals=lam,

@@ -33,6 +33,8 @@ from .cluster import discordance_matrix, mds_embed, model_centers, pairwise_conc
 from .model import (
     Ensemble,
     FitConfig,
+    _write_json,
+    _write_meta_csv,
     cross_validated_rmspe,
     fit_ensemble_with_report,
     fit_with_report,
@@ -85,23 +87,6 @@ def _write_all(bundle: dict, directory=None) -> None:
         os.makedirs(directory, exist_ok=True)
     for path, write in bundle.items():
         write(path if directory is None else os.path.join(directory, path))
-
-
-def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_rows_csv(path, header, rows, meta: dict) -> None:
-    def cell(v):
-        return f"{v:.17g}" if isinstance(v, float) else str(v)
-
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(cell(v) for v in row) + "\n")
 
 
 def _domain_from_prior(prior: InputPrior):
@@ -178,8 +163,8 @@ def cmd_fit(args) -> int:
         )
         report = {**_fit_summary(fr), "gcv": fr.gcv, "constant": fr.constant, **_fit_paths(fr)}
         save = lambda path: save_model(model, path, meta=meta)
-    report.update(response=response, inputs=names, meta=meta, **cv)
-    _write_all({args.out: save, report_path: lambda path: _write_json(path, report)})
+    report.update(response=response, inputs=names, **cv)
+    _write_all({args.out: save, report_path: lambda path: _write_json(path, report, meta)})
     print(f"fit: {report['n_terms']} terms, rmse={report['rmse']:.6g} -> {args.out}")
     return 0
 
@@ -239,7 +224,7 @@ def _ratios_csv(Ck, Cl, dec, q, meta):
         rl = float(a_l[i] / denom) if denom != 0 else float("nan")
         rows.append((f"x{i + 1}", rk, rl))
     header = ["input", "alpha_k_over_kl", "alpha_l_over_kl"]
-    return lambda path: _write_rows_csv(path, header, rows, meta)
+    return lambda path: _write_meta_csv(path, rows, meta, header)
 
 
 def _z_entries(C, C_mc, se):
@@ -268,7 +253,6 @@ def cmd_cmat(args) -> int:
     Ck = cmat(ma, ma, prior)
     Cl = cmat(mb, mb, prior)
     dec, q, report = _analyze(C, Ck, Cl, args)
-    report["meta"] = meta
     bundle = {
         "c_kl.csv": lambda path: write_matrix_csv(path, C.entries, meta=meta),
         "c_kl.json": lambda path: save_matrix(C, path, meta=meta),
@@ -289,13 +273,12 @@ def cmd_cmat(args) -> int:
         res = mc_cmat(fa, fb, prior, B=args.mc, seed=args.seed)
         mc = res.to_dict()
         mc["z_entries"] = _z_entries(C.entries, res.matrix.entries, res.se)
-        mc["meta"] = meta
-        bundle["mc.json"] = lambda path: _write_json(path, mc)
+        bundle["mc.json"] = lambda path: _write_json(path, mc, meta)
         frob = float(np.linalg.norm(C.entries - res.matrix.entries))
         report["mc_frobenius"] = frob
         report["mc_frobenius_rel"] = frob / float(np.linalg.norm(C.entries))
 
-    bundle["analysis.json"] = lambda path: _write_json(path, report)
+    bundle["analysis.json"] = lambda path: _write_json(path, report, meta)
     _write_all(bundle, args.out_dir)
     print(f"concordance kappa={dec.concordance:.6g} (q={q}) -> {args.out_dir}")
     return 0
@@ -308,8 +291,7 @@ def cmd_analyze(args) -> int:
     meta = _meta(args)
     _guard(args, [args.out, args.ratios])
     dec, q, report = _analyze(C, Ck, Cl, args)
-    report["meta"] = meta
-    bundle = {args.out: lambda path: _write_json(path, report)}
+    bundle = {args.out: lambda path: _write_json(path, report, meta)}
     if args.ratios:
         bundle[args.ratios] = _ratios_csv(Ck, Cl, dec, q, meta)
     _write_all(bundle)
@@ -347,8 +329,7 @@ def cmd_mc(args) -> int:
     d = res.to_dict()
     d["labels"] = [f_k.label, f_l.label]
     d["n_onesided"] = res.n_onesided
-    d["meta"] = meta
-    _write_json(args.out, d)
+    _write_json(args.out, d, meta)
     print(f"mc: B={args.B} trace={res.matrix.trace:.6g} -> {args.out}")
     return 0
 
@@ -390,11 +371,8 @@ def cmd_cluster(args) -> int:
     centers = model_centers(emb.points, grid.membership)
 
     K = len(grid.labels)
-    summary = [
-        (grid.labels[k], grid.labels[l], grid.summary(k, l).mean, grid.summary(k, l).sd)
-        for k in range(K)
-        for l in range(K)
-    ]
+    blocks = (grid.summary(k, l) for k in range(K) for l in range(K))
+    summary = [(*s.labels, s.mean, s.sd) for s in blocks]
     # a member is named by its index in its own ensemble, excluded ones counted
     first = np.cumsum([0] + [len(e) for e in ensembles])
     member_ids = [
@@ -415,20 +393,19 @@ def cmd_cluster(args) -> int:
         "n_members": n,
         "n_pairs": n_pairs,
         "n_excluded": grid.n_excluded,
-        "meta": meta,
     }
     _write_all(
         {
-            "grid_summary.csv": lambda path: _write_rows_csv(
-                path, ["model_k", "model_l", "mean", "sd"], summary, meta),
-            "grid_samples.csv": lambda path: _write_rows_csv(
-                path, ["member_k", "member_l", "kappa"], samples, meta),
+            "grid_summary.csv": lambda path: _write_meta_csv(
+                path, summary, meta, ["model_k", "model_l", "mean", "sd"]),
+            "grid_samples.csv": lambda path: _write_meta_csv(
+                path, samples, meta, ["member_k", "member_l", "kappa"]),
             "discordance.csv": lambda path: write_matrix_csv(path, D, meta=meta),
-            "embedding.csv": lambda path: _write_rows_csv(
-                path, ["label", "member_index"] + coords, points, meta),
-            "centers.csv": lambda path: _write_rows_csv(
-                path, ["label"] + [f"c{c}" for c in coords], center_rows, meta),
-            "embedding.json": lambda path: _write_json(path, embedding),
+            "embedding.csv": lambda path: _write_meta_csv(
+                path, points, meta, ["label", "member_index"] + coords),
+            "centers.csv": lambda path: _write_meta_csv(
+                path, center_rows, meta, ["label"] + [f"c{c}" for c in coords]),
+            "embedding.json": lambda path: _write_json(path, embedding, meta),
         },
         args.out_dir,
     )
@@ -457,8 +434,8 @@ def cmd_bound(args) -> int:
         B = dec.eigvecs[:, : args.r]
         source = f"leading-{args.r}-eigvecs"
     val = poincare_bound(C, prior.covariance(), B)
-    report = {"bound": val, "r": int(B.shape[1]), "basis_source": source, "meta": meta}
-    _write_json(args.out, report)
+    report = {"bound": val, "r": int(B.shape[1]), "basis_source": source}
+    _write_json(args.out, report, meta)
     print(f"bound: {val:.6g} (r={B.shape[1]}) -> {args.out}")
     return 0
 
@@ -482,11 +459,8 @@ def cmd_verify(args) -> int:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.name}: measured={r.measured:.6g} target={r.target:.6g} tol={r.tol:g}")
     if args.out:
-        _write_json(
-            args.out,
-            {"fixture": args.fixture, "checks": [r.to_dict() for r in results],
-             "meta": _meta(args, seed=args.seed)},
-        )
+        report = {"fixture": args.fixture, "checks": [r.to_dict() for r in results]}
+        _write_json(args.out, report, _meta(args, seed=args.seed))
     return 0 if all(r.passed for r in results) else 1
 
 

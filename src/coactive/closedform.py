@@ -17,13 +17,12 @@ expected_gradient (the kernel against the constant 1).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BasisTerm, MarsSurrogate
+from .model import BasisTerm, MarsSurrogate, _read_json, _write_json, _write_meta_csv
 
 __all__ = [
     "UniformDim",
@@ -233,17 +232,12 @@ def prior_from_dict(d: dict) -> InputPrior:
 
 
 def save_prior(prior: InputPrior, path, meta: dict | None = None) -> None:
-    d = prior_to_dict(prior)
-    if meta:
-        d["meta"] = meta
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(d, fh, indent=2)
-        fh.write("\n")
+    """Write a prior JSON file, keys in field order."""
+    _write_json(path, prior_to_dict(prior), meta, sort_keys=False)
 
 
 def load_prior(path) -> InputPrior:
-    with open(path, encoding="utf-8") as fh:
-        return prior_from_dict(json.load(fh))
+    return prior_from_dict(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -532,25 +526,14 @@ def matrix_from_dict(d: dict) -> CoActiveMatrix:
 
 
 def save_matrix(C: CoActiveMatrix, path, meta: dict | None = None) -> None:
-    d = matrix_to_dict(C)
-    if meta:
-        d["meta"] = meta
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(d, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, matrix_to_dict(C), meta)
 
 
 def load_matrix(path) -> CoActiveMatrix:
-    with open(path, encoding="utf-8") as fh:
-        return matrix_from_dict(json.load(fh))
+    return matrix_from_dict(_read_json(path))
 
 
 def write_matrix_csv(path, entries: np.ndarray, meta: dict | None = None) -> None:
     """p rows x p cols at 17 significant digits; optional leading comment
     line carrying run metadata."""
-    entries = np.asarray(entries, dtype=float)
-    with open(path, "w", encoding="utf-8") as fh:
-        if meta:
-            fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
-        for row in entries:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    _write_meta_csv(path, np.asarray(entries, dtype=float).tolist(), meta)

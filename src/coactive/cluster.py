@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import concordance, discordance
 from .closedform import InputPrior, _pair_traces
 from .model import Ensemble
 
@@ -46,8 +47,8 @@ class ConcordanceSummary:
 
 @dataclass(frozen=True)
 class PairwiseGrid:
-    """Member-level concordance matrix over all non-constant members,
-    with per-model-block summaries.
+    """Member-level concordance matrix over all non-constant members;
+    summary(k, l) gives a model block's summary.
 
     kappa is N x N over the included members; membership[i] is the model
     index of member row i and positions[i] its index among all the loaded
@@ -60,7 +61,6 @@ class PairwiseGrid:
     membership: np.ndarray
     positions: np.ndarray
     kappa: np.ndarray
-    summaries: list
     n_excluded: int = 0
 
     def __post_init__(self):
@@ -75,7 +75,13 @@ class PairwiseGrid:
         return self.kappa.shape[0]
 
     def summary(self, k: int, l: int) -> ConcordanceSummary:
-        return self.summaries[k][l]
+        samples = self.kappa[np.ix_(self.membership == k, self.membership == l)].ravel()
+        return ConcordanceSummary(
+            labels=(self.labels[k], self.labels[l]),
+            samples=samples,
+            mean=float(samples.mean()) if samples.size else math.nan,
+            sd=float(samples.std(ddof=0)) if samples.size else math.nan,
+        )
 
 
 def pairwise_concordance(
@@ -112,48 +118,29 @@ def pairwise_concordance(
     if n == 0:
         raise ValueError("all members are constant; no grid to compute")
 
-    # concordance() elementwise; included members pass its constant check
-    kappa = traces / np.sqrt(np.multiply.outer(t_self, t_self))
-    if np.any(np.abs(kappa) > 1.0 + 1e-12):
-        raise ValueError("traces violate the Cauchy-Schwarz bound")
-    kappa = np.clip(kappa, -1.0, 1.0)
+    # included members pass concordance()'s constant check
+    kappa = concordance(traces, t_self[:, None], t_self[None, :])
     np.fill_diagonal(kappa, 1.0)
-
-    K = len(ensembles)
-    summaries = [[None] * K for _ in range(K)]
-    for k in range(K):
-        ik = np.flatnonzero(membership == k)
-        for l in range(K):
-            il = np.flatnonzero(membership == l)
-            samples = kappa[np.ix_(ik, il)].ravel()
-            summaries[k][l] = ConcordanceSummary(
-                labels=(ensembles[k].label, ensembles[l].label),
-                samples=samples,
-                mean=float(samples.mean()) if samples.size else math.nan,
-                sd=float(samples.std(ddof=0)) if samples.size else math.nan,
-            )
-
     return PairwiseGrid(
         labels=tuple(e.label for e in ensembles),
         membership=membership,
         positions=np.flatnonzero(included),
         kappa=kappa,
-        summaries=summaries,
         n_excluded=n_excluded,
     )
 
 
 def discordance_matrix(kappa) -> np.ndarray:
-    """Elementwise sqrt((1 - kappa)/2) over a member-level concordance
-    matrix such as PairwiseGrid.kappa. The result is symmetric with a zero
-    diagonal and entries in [0, 1].
+    """Elementwise discordance() of a member-level concordance matrix such
+    as PairwiseGrid.kappa. The result is symmetric with a zero diagonal and
+    entries in [0, 1].
     """
     kappa = np.asarray(kappa, dtype=float)
     if kappa.ndim != 2 or kappa.shape[0] != kappa.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {kappa.shape}")
     if np.any(np.isnan(kappa)):
         raise ValueError("grid is incomplete (NaN entries)")
-    D = np.sqrt(np.maximum(0.0, (1.0 - np.minimum(1.0, kappa))) / 2.0)
+    D = discordance(kappa)
     D = 0.5 * (D + D.T)
     np.fill_diagonal(D, 0.0)
     return D
@@ -265,7 +252,7 @@ def mds_embed(D, dims: int = 2, seed: int = 0) -> Embedding:
         raise ValueError(f"need at least 3 points, got {n}")
     if not 1 <= dims <= n - 1:
         raise ValueError(f"dims must be in [1, {n - 1}] for {n} points, got {dims}")
-    if np.any(D < 0) or not np.allclose(D, D.T, atol=1e-12) or np.any(np.diag(D) != 0):
+    if np.any(D < 0) or not np.allclose(D, D.T, rtol=0.0, atol=1e-12) or np.any(np.diag(D) != 0):
         raise ValueError("D must be symmetric, non-negative, with a zero diagonal")
 
     iu = np.triu_indices(n, k=1)

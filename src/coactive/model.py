@@ -253,19 +253,45 @@ def model_from_dict(d: dict) -> MarsSurrogate:
     )
 
 
-def save_model(m: MarsSurrogate, path, meta: dict | None = None) -> None:
-    """Write a model JSON file. Floats round-trip bitwise (shortest repr)."""
-    d = model_to_dict(m)
+def _write_json(path, d: dict, meta: dict | None = None, sort_keys: bool = True) -> None:
+    """The one JSON artifact writer: indent 2, a final newline, meta last.
+    Floats round-trip bitwise (shortest repr)."""
     if meta:
-        d["meta"] = meta
+        d = {**d, "meta": meta}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(d, fh, indent=2)
+        json.dump(d, fh, indent=2, sort_keys=sort_keys)
         fh.write("\n")
 
 
-def load_model(path) -> MarsSurrogate:
+def _read_json(path) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        return json.load(fh)
+
+
+def _write_meta_csv(path, rows, meta: dict | None = None, header=None) -> None:
+    """The one CSV artifact writer: a `# k=v ...` meta line when meta is
+    given, the header when given, then one line per row, floats at 17
+    significant digits."""
+
+    def cell(v):
+        return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+    with open(path, "w", encoding="utf-8") as fh:
+        if meta:
+            fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
+        if header:
+            fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(cell(v) for v in row) + "\n")
+
+
+def save_model(m: MarsSurrogate, path, meta: dict | None = None) -> None:
+    """Write a model JSON file, keys in field order."""
+    _write_json(path, model_to_dict(m), meta, sort_keys=False)
+
+
+def load_model(path) -> MarsSurrogate:
+    return model_from_dict(_read_json(path))
 
 
 def _member_paths(directory) -> list:
@@ -827,8 +853,8 @@ class _KnotScan:
 def _forward_pass(X, y, cfg: FitConfig, sst):
     """Greedy paired-hinge growth.
 
-    Returns the selected factor sets and the SSE after each step, the
-    intercept-only fit first.
+    Returns the selected factor sets, the scan's parents after the
+    intercept, and the SSE after each step, the intercept-only fit first.
     """
     n = X.shape[0]
     max_cols = min(cfg.max_terms + 1, max(3, int(0.9 * n)))
@@ -837,13 +863,13 @@ def _forward_pass(X, y, cfg: FitConfig, sst):
     beta = q0 @ y
     resid = y - q0 * beta
     scan.add_term(q0, beta, np.ones(n), ())
-    factor_sets: list[tuple[HingeFactor, ...]] = []
 
     sse = float(resid @ resid)
     rss_path = [sse]
     floor = 1e-24 * sst
 
-    while len(factor_sets) + 2 <= cfg.max_terms and scan.m + 2 <= max_cols and sse > floor:
+    # max_cols <= max_terms + 1, so this also holds the scan.m - 1 terms to max_terms
+    while scan.m + 2 <= max_cols and sse > floor:
         scan.update(resid)
         best = scan.best()
         if best is None or best[0] <= 1e-13 * sst:
@@ -869,15 +895,13 @@ def _forward_pass(X, y, cfg: FitConfig, sst):
             qnew = r / np.sqrt(nrm2)
             beta = qnew @ resid
             resid = resid - qnew * beta
-            fs = pf + (HingeFactor(var=v, sign=sign, knot=knot),)
-            factor_sets.append(fs)
-            scan.add_term(qnew, beta, col, fs)
+            scan.add_term(qnew, beta, col, pf + (HingeFactor(var=v, sign=sign, knot=knot),))
             added = True
         if not added:
             break
         sse = float(resid @ resid)
         rss_path.append(sse)
-    return factor_sets, tuple(rss_path)
+    return scan.parent_factors[1:], tuple(rss_path)
 
 
 def _design_from_factor_sets(X, factor_sets) -> np.ndarray:

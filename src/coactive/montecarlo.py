@@ -29,11 +29,15 @@ __all__ = [
 ]
 
 
-def lhs_design(n: int, p: int, domain, seed: int, refine: int = 200) -> np.ndarray:
+# the random within-column swaps one maximin refinement proposes
+_LHS_REFINE = 200
+
+
+def lhs_design(n: int, p: int, domain, seed: int) -> np.ndarray:
     """Latin hypercube sample with maximin refinement.
 
     Each column is stratified: exactly one point per stratum of width
-    1/n. Refinement proposes `refine` random within-column value swaps
+    1/n. Refinement proposes _LHS_REFINE random within-column value swaps
     and keeps those that increase the minimum pairwise distance (computed
     on the unit cube). Reproducible from seed.
     """
@@ -47,10 +51,10 @@ def lhs_design(n: int, p: int, domain, seed: int, refine: int = 200) -> np.ndarr
     for j in range(p):
         unit[:, j] = (rng.permutation(n) + rng.uniform(size=n)) / n
 
-    if refine > 0 and n > 2:
+    if n > 2:
         d2 = _pdist2(unit)
         np.fill_diagonal(d2, np.inf)
-        for _ in range(refine):
+        for _ in range(_LHS_REFINE):
             j = int(rng.integers(p))
             r1, r2 = rng.choice(n, size=2, replace=False)
             cur = min(d2[r1].min(), d2[r2].min())

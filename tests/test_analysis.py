@@ -140,6 +140,31 @@ def test_discordance_endpoints_and_midpoint():
         discordance(1.5)
 
 
+def test_concordance_and_discordance_work_elementwise():
+    # one implementation for a pair and for a grid: an array gives an array
+    # whose entries equal the scalar calls bitwise, a scalar gives a float
+    t = np.array([[4.0, -1.0, 5.9], [-1.0, 9.0, 2.5], [5.9, 2.5, 16.0]])
+    d = np.diag(t)
+    kappa = concordance(t, d[:, None], d[None, :])
+    D = discordance(kappa)
+    assert isinstance(kappa, np.ndarray) and kappa.shape == (3, 3)
+    assert isinstance(D, np.ndarray) and D.shape == (3, 3)
+    for i in range(3):
+        for j in range(3):
+            assert kappa[i, j] == concordance(t[i, j], d[i], d[j])
+            assert D[i, j] == discordance(kappa[i, j])
+    assert type(concordance(1.0, 4.0, 9.0)) is float
+    assert type(discordance(0.5)) is float
+    with pytest.raises(ValueError, match="Cauchy-Schwarz"):
+        concordance(np.array([1.0, 7.0]), 4.0, 9.0)
+    with pytest.raises(ValueError, match="Cauchy-Schwarz"):
+        concordance(math.nan, 4.0, 9.0)
+    with pytest.raises(ConstantFunctionError):
+        concordance(np.array([1.0, 1.0]), np.array([4.0, 0.0]), 9.0)
+    with pytest.raises(ValueError, match="out of range"):
+        discordance(np.array([0.5, -1.5]))
+
+
 # -- decomposition ------------------------------------------------------------------
 
 

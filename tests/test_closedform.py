@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from coactive import (
     fit,
     lhs_design,
     load_prior,
+    save_model,
     save_prior,
 )
 from coactive.closedform import (
@@ -39,6 +41,7 @@ from coactive.closedform import (
     write_matrix_csv,
 )
 
+from coactive.model import model_to_dict
 from closedform_reference import dense_cmat, loop_expected_gradient
 from conftest import both_priors, fitted_pair_corpus, quadrature_cmat
 
@@ -530,6 +533,26 @@ def test_prior_round_trip(tmp_path):
     assert load_prior(tmp_path / "prior.json") == prior
     with pytest.raises(ValueError, match="family|type"):
         prior_from_dict({"dims": [{"type": "beta", "a": 1, "b": 1}]})
+
+
+def test_json_files_share_one_layout(tmp_path):
+    # one writer: indent 2, a final newline, meta last; model and prior
+    # files keep their keys in field order, every other file sorts them
+    meta = {"version": "v", "seed": 1}
+    m = _model([_term(2.0, (0, 1, 0.5))], label="m")
+    prior = InputPrior(dims=(U01, NormalDim(mean=0.5, sd=0.25)))
+    M = CoActiveMatrix(entries=np.eye(2), trace=2.0, labels=("k", "l"))
+    files = {
+        "model": (save_model, m, [*model_to_dict(m), "meta"]),
+        "prior": (save_prior, prior, [*prior_to_dict(prior), "meta"]),
+        "matrix": (save_matrix, M, sorted([*matrix_to_dict(M), "meta"])),
+    }
+    for name, (save, obj, keys) in files.items():
+        path = tmp_path / f"{name}.json"
+        save(obj, path, meta=meta)
+        text = path.read_text()
+        assert text.startswith('{\n  "') and text.endswith("\n}\n"), name
+        assert list(json.loads(text)) == keys, name
 
 
 def test_prior_moments_and_covariance():

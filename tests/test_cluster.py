@@ -184,6 +184,14 @@ def test_discordance_matrix_validation():
         discordance_matrix(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("off", [-2.0, math.inf])
+def test_discordance_matrix_refuses_concordance_outside_minus_one_to_one(off):
+    # the matrix goes through discordance(), so it refuses what the scalar
+    # refuses instead of returning an entry outside [0, 1] or a 0 for +inf
+    with pytest.raises(ValueError, match="concordance out of range"):
+        discordance_matrix(np.array([[1.0, off], [off, 1.0]]))
+
+
 # -- MDS ---------------------------------------------------------------------------
 
 
@@ -303,6 +311,15 @@ def test_mds_validation():
     neg = -np.ones((3, 3)) + np.eye(3)
     with pytest.raises(ValueError, match="symmetric, non-negative"):
         mds_embed(neg)
+
+
+def test_mds_refuses_a_relative_asymmetry():
+    # the symmetry check is absolute: a 5e-6 gap between D[0, 1] and
+    # D[1, 0] is no roundoff, and only the upper triangle would be used
+    D = np.ones((3, 3)) - np.eye(3)
+    D[1, 0] = 1.000005
+    with pytest.raises(ValueError, match="symmetric"):
+        mds_embed(D)
 
 
 @pytest.mark.parametrize("dims", [0, 4, 12])

@@ -68,9 +68,13 @@ def test_lhs_deterministic_per_seed():
     assert not np.array_equal(a, c)
 
 
-def test_lhs_maximin_refinement_improves_separation():
-    base = lhs_design(30, 2, UNIT2, seed=4, refine=0)
-    refined = lhs_design(30, 2, UNIT2, seed=4, refine=300)
+def test_lhs_maximin_refinement_improves_separation(monkeypatch):
+    from coactive import montecarlo
+
+    monkeypatch.setattr(montecarlo, "_LHS_REFINE", 0)
+    base = lhs_design(30, 2, UNIT2, seed=4)
+    monkeypatch.setattr(montecarlo, "_LHS_REFINE", 300)
+    refined = lhs_design(30, 2, UNIT2, seed=4)
 
     def min_dist(X):
         d = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(-1))
