@@ -131,13 +131,15 @@ def cmd_fit(args) -> int:
     domain = None
     if args.prior:
         domain = _domain_from_prior(load_prior(args.prior))
+    # an ensemble takes the name load_ensemble gives its directory
+    name = os.path.basename(os.path.normpath(args.out))
     cfg = FitConfig(
         max_terms=args.max_terms,
         max_degree=args.max_degree,
         max_knots=args.max_knots,
         penalty=args.penalty,
         domain=domain,
-        label=args.label or os.path.splitext(os.path.basename(os.path.normpath(args.out)))[0],
+        label=args.label or (name if args.ensemble else os.path.splitext(name)[0]),
     )
     meta = _meta(args, seed=args.seed)
     # the CV refits on its own folds, so a refused k stops the run before the main fit

@@ -411,6 +411,16 @@ class FitConfig:
     domain: tuple[tuple[float, float], ...] | None = None
     label: str = ""
 
+    def __post_init__(self):
+        if self.max_terms < 0:
+            raise ValueError(f"max_terms must be >= 0, got {self.max_terms}")
+        if self.max_degree < 1:
+            raise ValueError(f"max_degree must be >= 1, got {self.max_degree}")
+        if self.max_knots < 1:
+            raise ValueError(f"max_knots must be >= 1, got {self.max_knots}")
+        if self.penalty is not None and not math.isfinite(self.penalty):
+            raise ValueError(f"penalty must be finite, got {self.penalty}")
+
     def effective_penalty(self) -> float:
         if self.penalty is not None:
             return float(self.penalty)
@@ -503,8 +513,8 @@ def fit_with_report(X, y, cfg: FitConfig = FitConfig()) -> tuple[MarsSurrogate, 
         rep = FitReport(n=n, n_terms=0, sse=0.0, rmse=0.0, r2=1.0, gcv=0.0, constant=True)
         return m, rep
 
-    factor_sets, forward_rss = _forward_pass(X, y, cfg, sst)
-    factor_sets, coefs, intercept, sse, backward_gcv = _backward_pass(X, y, factor_sets, cfg)
+    B, factor_sets, forward_rss = _forward_pass(X, y, cfg, sst)
+    factor_sets, coefs, intercept, sse, backward_gcv = _backward_pass(B, y, factor_sets, cfg)
 
     terms = tuple(
         BasisTerm(coef=float(c), factors=fs) for c, fs in zip(coefs, factor_sets)
@@ -548,7 +558,9 @@ def _parent_candidates(xs: np.ndarray, cfg: FitConfig, p: int) -> np.ndarray:
         return np.empty(0)
     vals = _distinct(np.concatenate([xs[:1], xs[endspan : a - endspan : minspan]]))
     if vals.size > cfg.max_knots:
-        vals = vals[_distinct(np.linspace(0, vals.size - 1, cfg.max_knots).round().astype(int))]
+        # the step (size - 1)/(max_knots - 1) exceeds 1, so the rounded
+        # indices strictly increase
+        vals = vals[np.linspace(0, vals.size - 1, cfg.max_knots).round().astype(int)]
     return vals
 
 
@@ -853,8 +865,9 @@ class _KnotScan:
 def _forward_pass(X, y, cfg: FitConfig, sst):
     """Greedy paired-hinge growth.
 
-    Returns the selected factor sets, the scan's parents after the
-    intercept, and the SSE after each step, the intercept-only fit first.
+    Returns the design matrix of the scan's parents, the intercept column
+    first, their factor sets after the intercept, and the SSE after each
+    step, the intercept-only fit first.
     """
     n = X.shape[0]
     max_cols = min(cfg.max_terms + 1, max(3, int(0.9 * n)))
@@ -901,7 +914,7 @@ def _forward_pass(X, y, cfg: FitConfig, sst):
             break
         sse = float(resid @ resid)
         rss_path.append(sse)
-    return scan.parent_factors[1:], tuple(rss_path)
+    return np.column_stack(scan.parent_cols), scan.parent_factors[1:], tuple(rss_path)
 
 
 def _design_from_factor_sets(X, factor_sets) -> np.ndarray:
@@ -942,8 +955,9 @@ def _drop_costs(Gs: np.ndarray, gs: np.ndarray, yty: float):
     return coef, coef * coef / np.einsum("ij,ij->j", Linv, Linv), solve
 
 
-def _backward_pass(X, y, factor_sets, cfg: FitConfig):
-    """GCV-pruned subset along the greedy deletion path.
+def _backward_pass(B, y, factor_sets, cfg: FitConfig):
+    """GCV-pruned subset along the greedy deletion path, over the columns
+    of B: the intercept, then one column per factor set.
 
     Each step drops the term whose removal raises the SSE least (ties to
     the lowest index); each subset's SSE is ||y - B_s coef||^2, which does
@@ -953,9 +967,8 @@ def _backward_pass(X, y, factor_sets, cfg: FitConfig):
     sets, their coefficients, the intercept, the SSE and the GCV of every
     subset on the path, the full model first.
     """
-    n = X.shape[0]
+    n = B.shape[0]
     penalty = cfg.effective_penalty()
-    B = _design_from_factor_sets(X, factor_sets)
     yty = float(y @ y)
     G = B.T @ B
     g = B.T @ y

@@ -38,8 +38,9 @@ def lhs_design(n: int, p: int, domain, seed: int) -> np.ndarray:
 
     Each column is stratified: exactly one point per stratum of width
     1/n. Refinement proposes _LHS_REFINE random within-column value swaps
-    and keeps those that increase the minimum pairwise distance (computed
-    on the unit cube). Reproducible from seed.
+    between two rows and keeps those that strictly increase the nearest
+    distance of the two rows (computed on the unit cube; the swap leaves
+    every other pair's distance as it was). Reproducible from seed.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -52,23 +53,13 @@ def lhs_design(n: int, p: int, domain, seed: int) -> np.ndarray:
         unit[:, j] = (rng.permutation(n) + rng.uniform(size=n)) / n
 
     if n > 2:
-        d2 = _pdist2(unit)
-        np.fill_diagonal(d2, np.inf)
         for _ in range(_LHS_REFINE):
             j = int(rng.integers(p))
             r1, r2 = rng.choice(n, size=2, replace=False)
-            cur = min(d2[r1].min(), d2[r2].min())
-            trial = unit.copy()
-            trial[[r1, r2], j] = trial[[r2, r1], j]
-            new_r1 = ((trial[r1] - trial) ** 2).sum(axis=1)
-            new_r2 = ((trial[r2] - trial) ** 2).sum(axis=1)
-            new_r1[r1] = np.inf
-            new_r2[r2] = np.inf
-            if min(new_r1.min(), new_r2.min()) > cur:
-                unit = trial
-                d2[r1, :] = d2[:, r1] = new_r1
-                d2[r2, :] = d2[:, r2] = new_r2
-                d2[r1, r1] = d2[r2, r2] = np.inf
+            cur = min(_nearest2(unit, r1), _nearest2(unit, r2))
+            unit[[r1, r2], j] = unit[[r2, r1], j]
+            if _nearest2(unit, r1) <= cur or _nearest2(unit, r2) <= cur:
+                unit[[r1, r2], j] = unit[[r2, r1], j]
 
     out = np.empty_like(unit)
     for j, (lo, hi) in enumerate(domain):
@@ -76,18 +67,11 @@ def lhs_design(n: int, p: int, domain, seed: int) -> np.ndarray:
     return out
 
 
-# Rows per block of _pdist2: its (block, n, p) difference array is 1.5 MiB
-# at n = 600, p = 5, where a one-shot (n, n, p) array would be 13.7 MiB.
-_PDIST_BLOCK = 64
-
-
-def _pdist2(X: np.ndarray) -> np.ndarray:
-    n = X.shape[0]
-    out = np.empty((n, n))
-    for a in range(0, n, _PDIST_BLOCK):
-        diff = X[a:a + _PDIST_BLOCK, None, :] - X[None, :, :]
-        out[a:a + _PDIST_BLOCK] = np.einsum("ijk,ijk->ij", diff, diff)
-    return out
+def _nearest2(U: np.ndarray, r) -> float:
+    """The squared distance from row r of U to its nearest other row."""
+    d2 = ((U[r] - U) ** 2).sum(axis=1)
+    d2[r] = np.inf
+    return float(d2.min())
 
 
 @dataclass(frozen=True)

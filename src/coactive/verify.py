@@ -8,7 +8,6 @@ defining formula cannot reproduce is recorded as an erratum in check_poly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,13 +185,10 @@ def check_metric(n_models: int = 12, seed: int = 7) -> list[CheckResult]:
     sym = float(np.abs(D - D.T).max())
     selfd = float(np.abs(np.diag(D)).max())
     neg = float(D.min())
-    worst_slack = math.inf
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if a != b and b != c and a != c:
-                    slack = float(D[a, b] + D[b, c] - D[a, c])
-                    worst_slack = min(worst_slack, slack)
+    # slack[a, b, c] = D[a, b] + D[b, c] - D[a, c], over distinct a, b, c
+    a, b, c = np.ogrid[:n, :n, :n]
+    slack = D[:, :, None] + D[None, :, :] - D[:, None, :]
+    worst_slack = float(slack[(a != b) & (b != c) & (a != c)].min())
     return [
         CheckResult("metric-nonnegative", neg >= 0.0, neg, 0.0, 0.0, "min entry"),
         CheckResult("metric-symmetry", sym <= 1e-10, sym, 0.0, 1e-10, "max |D - D^T|"),

@@ -6,6 +6,9 @@ column stepped up, then down, then restored, with two evaluator calls per
 column. `whole_sample_mc` is `mc_cmat` before it streamed: every gradient
 array at full size, then the 256-row block sums over the whole sample.
 The tests hold the streamed code bitwise equal to both.
+
+`replay_lhs_design` repeats `lhs_design`'s draws and decides each maximin
+swap from a full table of squared distances, every entry of one form.
 """
 
 from __future__ import annotations
@@ -66,3 +69,34 @@ def whole_sample_mc(f_k, f_l, prior, B, seed, block=256):
         mean = 0.5 * (mean + mean.T)
     h = max((float(np.max(f.steps())) for f in (f_k, f_l) if f.grad is None), default=None)
     return mean, se, o1 + o2, h
+
+
+def replay_lhs_design(n, p, domain, seed, refine):
+    """lhs_design with its swaps decided on whole distance tables.
+
+    Every proposal builds the (n, n) table of the trial design from its
+    (n, n, p) differences, squared and summed over the last axis, and
+    keeps the swap when the nearest distance of its two rows rises
+    strictly over the same rows of the current table.
+    """
+    rng = np.random.default_rng(seed)
+    U = np.empty((n, p))
+    for j in range(p):
+        U[:, j] = (rng.permutation(n) + rng.uniform(size=n)) / n
+
+    def table(U):
+        D = ((U[:, None, :] - U[None, :, :]) ** 2).sum(axis=-1)
+        np.fill_diagonal(D, np.inf)
+        return D
+
+    if n > 2:
+        D = table(U)
+        for _ in range(refine):
+            j = int(rng.integers(p))
+            r1, r2 = rng.choice(n, size=2, replace=False)
+            T = U.copy()
+            T[[r1, r2], j] = T[[r2, r1], j]
+            DT = table(T)
+            if DT[[r1, r2]].min() > D[[r1, r2]].min():
+                U, D = T, DT
+    return np.column_stack([lo + U[:, j] * (hi - lo) for j, (lo, hi) in enumerate(domain)])

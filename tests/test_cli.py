@@ -158,6 +158,39 @@ def test_ensemble_label_is_the_normalized_directory_name(tmp_path, prior2):
         assert load_ensemble(os.path.join(tmp_path, "a", spelling)).label == "e2", spelling
 
 
+def test_ensemble_members_carry_the_name_cluster_gives_the_directory(tmp_path, prior2):
+    # a dot in the directory's name is part of it, while a model file
+    # loses its extension
+    from coactive import load_ensemble
+
+    train = _write_train(tmp_path / "t.csv")
+    out = tmp_path / "runs" / "e.v2"
+    assert main(["fit", str(train), "--out", str(out), "--prior", prior2, "--ensemble", "2"]) == 0
+    assert load_ensemble(str(out)).label == "e.v2"
+    for i in range(2):
+        assert load_model(str(out / f"member_{i:03d}.json")).label == "e.v2"
+    assert main(["fit", str(train), "--out", str(tmp_path / "m.json"), "--prior", prior2]) == 0
+    assert load_model(str(tmp_path / "m.json")).label == "m"
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("--max-knots=0", "max_knots must be >= 1, got 0"),
+    ("--max-knots=-1", "max_knots must be >= 1, got -1"),
+    ("--max-terms=-3", "max_terms must be >= 0, got -3"),
+    ("--max-degree=0", "max_degree must be >= 1, got 0"),
+    ("--penalty=nan", "penalty must be finite, got nan"),
+    ("--penalty=inf", "penalty must be finite, got inf"),
+    ("--penalty=-inf", "penalty must be finite, got -inf"),
+])
+def test_fit_refuses_a_bad_setting_and_writes_nothing(tmp_path, prior2, capsys, setting, message):
+    train = _write_train(tmp_path / "t.csv")
+    for out, ensemble in (("m.json", []), ("ens", ["--ensemble", "2"])):
+        assert main(["fit", str(train), "--out", str(tmp_path / out), "--prior", prior2,
+                     setting, *ensemble]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == ["prior.json", "t.csv"]
+
+
 def test_fit_ensemble_refuses_a_file_before_fitting(tmp_path, prior2, capsys):
     train = _write_train(tmp_path / "t.csv")
     out = tmp_path / "ens"

@@ -192,6 +192,21 @@ def test_discordance_matrix_refuses_concordance_outside_minus_one_to_one(off):
         discordance_matrix(np.array([[1.0, off], [off, 1.0]]))
 
 
+def test_metric_check_slack_is_the_minimum_over_every_triple():
+    # the triangle slack of verify's metric check against the loop over
+    # ordered triples of distinct models, bitwise
+    from coactive.verify import check_metric, random_surrogate_corpus
+
+    models = random_surrogate_corpus(12, seed=7)
+    ens = [Ensemble(members=(m,), label=m.label) for m in models]
+    D = discordance_matrix(pairwise_concordance(ens, InputPrior.uniform_box(models[0].domain)).kappa)
+    n = D.shape[0]
+    want = min(float(D[a, b] + D[b, c] - D[a, c])
+               for a in range(n) for b in range(n) for c in range(n) if len({a, b, c}) == 3)
+    got = {r.name: r.measured for r in check_metric(12, seed=7)}["metric-triangle"]
+    assert got == want
+
+
 # -- MDS ---------------------------------------------------------------------------
 
 

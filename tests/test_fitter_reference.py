@@ -113,7 +113,7 @@ def test_fitter_matches_dense_reference(case):
     X, y, cfg = CASES[case]()
     n = X.shape[0]
     sst = float(np.sum((y - y.mean()) ** 2))
-    factor_sets, rss = _forward_pass(X, y, cfg, sst)
+    B, factor_sets, rss = _forward_pass(X, y, cfg, sst)
 
     # run the dense scan, mirroring its terms, columns and residual into a
     # fresh knot scan, and compare both scores of every candidate on every
@@ -153,7 +153,9 @@ def test_fitter_matches_dense_reference(case):
     np.testing.assert_allclose(rss, ref_rss, rtol=1e-10)
     assert len(worst) >= 5 and max(worst) <= RED_TOL
 
-    kept, coefs, intercept, _, gcv_path = _backward_pass(X, y, factor_sets, cfg)
+    # the forward pass's columns are the design its factor sets rebuild
+    np.testing.assert_array_equal(B, _design_from_factor_sets(X, factor_sets))
+    kept, coefs, intercept, _, gcv_path = _backward_pass(B, y, factor_sets, cfg)
     ref_kept, ref_coef, ref_gcv = dense_backward(X, y, factor_sets, cfg)
     assert kept == [factor_sets[j - 1] for j in ref_kept[1:]]
     np.testing.assert_allclose(np.r_[intercept, coefs], ref_coef, rtol=1e-10)
@@ -212,8 +214,9 @@ def test_compacted_scan_matches_the_full_width_scan(case, monkeypatch):
                 errors.append(float(np.max(np.abs(got - want)[live] / np.sqrt(sse * raw[live]),
                                             initial=0.0)))
 
-    (factor_sets, rss), _ = _fit_with_scan(X, y, cfg, Lockstep, monkeypatch)
-    assert (factor_sets, rss) == _forward_pass(X, y, cfg, float(np.sum((y - y.mean()) ** 2)))
+    (B, factor_sets, rss), _ = _fit_with_scan(X, y, cfg, Lockstep, monkeypatch)
+    ref_B, ref_sets, ref_rss = _forward_pass(X, y, cfg, float(np.sum((y - y.mean()) ** 2)))
+    assert (factor_sets, rss) == (ref_sets, ref_rss) and B.tobytes() == ref_B.tobytes()
     assert len(errors) >= 10 and max(errors) <= RUNNING_TOL
 
 
@@ -423,14 +426,14 @@ def test_backward_pass_through_a_singular_block(penalty):
     # full, singular one and its refinement runs through the lstsq solver.
     X, y, cfg = _piston(1, PISTON_A)
     cfg = replace(cfg, penalty=penalty)
-    factor_sets, _ = _forward_pass(X, y, cfg, float(np.sum((y - y.mean()) ** 2)))
+    _, factor_sets, _ = _forward_pass(X, y, cfg, float(np.sum((y - y.mean()) ** 2)))
     zero = (HingeFactor(var=0, sign=1, knot=float(X[:, 0].max())),)
     factor_sets = factor_sets[:2] + [zero] + factor_sets[2:]
     B = _design_from_factor_sets(X, factor_sets)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(B.T @ B)
 
-    kept, coefs, intercept, sse, gcv_path = _backward_pass(X, y, factor_sets, cfg)
+    kept, coefs, intercept, sse, gcv_path = _backward_pass(B, y, factor_sets, cfg)
     ref_kept, ref_coef, ref_gcv = dense_backward(X, y, factor_sets, cfg)
     assert kept == [factor_sets[j - 1] for j in ref_kept[1:]]
     assert (zero in kept) == (penalty is not None)
@@ -448,13 +451,13 @@ def test_backward_pass_through_a_duplicated_factor_set():
     X = lhs_design(300, PISTON_A.p, PISTON_A.domain, seed=1)
     y = PISTON_A(X)
     cfg = FitConfig(max_terms=20, max_degree=2, domain=PISTON_A.domain)
-    factor_sets, _ = _forward_pass(X, y, cfg, float(np.sum((y - y.mean()) ** 2)))
+    _, factor_sets, _ = _forward_pass(X, y, cfg, float(np.sum((y - y.mean()) ** 2)))
     factor_sets = factor_sets[:1] + factor_sets
     B = _design_from_factor_sets(X, factor_sets)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(B.T @ B)
 
-    kept, coefs, intercept, _, gcv_path = _backward_pass(X, y, factor_sets, cfg)
+    kept, coefs, intercept, _, gcv_path = _backward_pass(B, y, factor_sets, cfg)
     ref_kept, ref_coef, ref_gcv = dense_backward(X, y, factor_sets, cfg)
     assert len(kept) >= 10 and kept == [factor_sets[j - 1] for j in ref_kept[1:]]
     np.testing.assert_allclose(np.r_[intercept, coefs], ref_coef, rtol=1e-10)
@@ -467,8 +470,8 @@ def test_backward_path_sse_comes_from_the_residual():
     X = lhs_design(60, 2, ((0.0, 1.0), (0.0, 1.0)), seed=5)
     y = 2.0 * X[:, 0] - 3.0 * X[:, 1] + 1.0
     cfg = FitConfig(max_degree=1, domain=((0.0, 1.0), (0.0, 1.0)))
-    factor_sets, _ = _forward_pass(X, y, cfg, float(np.sum((y - y.mean()) ** 2)))
-    _, _, _, _, gcv_path = _backward_pass(X, y, factor_sets, cfg)
+    B, factor_sets, _ = _forward_pass(X, y, cfg, float(np.sum((y - y.mean()) ** 2)))
+    _, _, _, _, gcv_path = _backward_pass(B, y, factor_sets, cfg)
     n, m = X.shape[0], len(factor_sets) + 1
     tiny = _gcv(1e-24 * float(y @ y), n, m, m - 1, cfg.effective_penalty())
     assert 0.0 < gcv_path[0] < tiny

@@ -405,6 +405,16 @@ def test_fit_report_forward_rss_and_backward_gcv_paths():
     assert again.forward_rss == rep.forward_rss and again.backward_gcv == rep.backward_gcv
 
 
+def test_fit_runs_at_the_edge_settings():
+    # the least settings FitConfig accepts: no terms gives the intercept,
+    # and a negative penalty rewards terms rather than refusing
+    X, y = _poly_xy()
+    assert fit_with_report(X, y, FitConfig(max_terms=0, domain=UNIT2))[1].n_terms == 0
+    for cfg in (FitConfig(max_degree=1, max_knots=1, domain=UNIT2),
+                FitConfig(penalty=-2.0, domain=UNIT2)):
+        assert fit_with_report(X, y, cfg)[1].n_terms >= 1
+
+
 def test_fit_constant_report_has_empty_paths():
     X = lhs_design(30, 2, UNIT2, seed=1)
     with pytest.warns(UserWarning, match="zero variance"):

@@ -21,14 +21,14 @@ from coactive import (
 from coactive.montecarlo import (
     _MC_STACK_ROWS,
     SampledFunction,
+    _LHS_REFINE,
     _chunk_rows,
-    _pdist2,
     builtin_functions,
     linear_function,
     piston,
     poly_pair,
 )
-from mc_reference import loop_fd_gradients, whole_sample_mc
+from mc_reference import loop_fd_gradients, replay_lhs_design, whole_sample_mc
 
 UNIT2 = ((0.0, 1.0), (0.0, 1.0))
 
@@ -90,11 +90,17 @@ def test_lhs_validation():
         lhs_design(10, 2, ((0.0, 1.0),), seed=1)
 
 
-@pytest.mark.parametrize("n, p", [(1, 3), (2, 1), (63, 2), (64, 5), (65, 5), (130, 3), (600, 5)])
-def test_blocked_pdist2_matches_the_one_shot_einsum(n, p):
-    X = np.random.default_rng(n * p).uniform(size=(n, p))
-    diff = X[:, None, :] - X[None, :, :]
-    np.testing.assert_array_equal(_pdist2(X), np.einsum("ijk,ijk->ij", diff, diff))
+def test_lhs_design_matches_the_whole_table_replay():
+    # seeds 0, 27 and 117 of (150, 3) each meet a swap whose two rows are
+    # each other's nearest: it leaves their distance as it was, so it is
+    # undone, while a table filled in another summation form can hold that
+    # distance one ulp lower and count the swap as a gain
+    cases = [(150, ((0.0, 1.0),) * 3, seed) for seed in (0, 1, 27, 117)] + [(40, BOX6, 3)]
+    for n, domain, seed in cases:
+        np.testing.assert_array_equal(
+            lhs_design(n, len(domain), domain, seed=seed),
+            replay_lhs_design(n, len(domain), domain, seed, _LHS_REFINE),
+        )
 
 
 def _traced_peak_mib(call) -> float:
@@ -108,9 +114,15 @@ def _traced_peak_mib(call) -> float:
 
 def test_lhs_design_working_memory():
     # the one-shot (n, n, p) difference array alone was 13.7 MiB here, and
-    # the traced peak 16.5 MiB; the (n, n) distances are 2.7 MiB
+    # the traced peak 16.5 MiB; an (n, n) distance table would be 2.7 MiB
     peak = _traced_peak_mib(lambda: lhs_design(600, 5, ((0.0, 1.0),) * 5, seed=1))
     assert peak < 8.0, f"lhs_design(600, 5) peaked at {peak:.1f} MiB"
+
+
+def test_lhs_design_keeps_no_distance_table():
+    # an (n, n) table of squared distances would be 69 MiB here
+    peak = _traced_peak_mib(lambda: lhs_design(3000, 5, ((0.0, 1.0),) * 5, seed=1))
+    assert peak < 1.0, f"lhs_design(3000, 5) peaked at {peak:.2f} MiB"
 
 
 # -- finite differences ---------------------------------------------------------
