@@ -184,7 +184,11 @@ class InputPrior:
         return len(self.dims)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.column_stack([d.sample(rng, n) for d in self.dims])
+        """(n, p) draws, each dimension's in turn written into its column."""
+        out = np.empty((n, self.p))
+        for j, d in enumerate(self.dims):
+            out[:, j] = d.sample(rng, n)
+        return out
 
     def mean(self) -> np.ndarray:
         return np.array([float(d.moment(1, -np.inf, np.inf)) for d in self.dims])

@@ -79,6 +79,14 @@ class BasisTerm:
         return len(self.factors)
 
 
+# Array cells (rows x columns) in one block of a batch computation: the
+# design matrix of evaluate_batch and the input of one gradient call in
+# mc_cmat. Working memory then does not grow with the batch, and the block's
+# products stay below OpenBLAS's threading threshold, so no worker thread
+# wakes and spins.
+_CHUNK_CELLS = 5 << 15
+
+
 @dataclass(frozen=True)
 class MarsSurrogate:
     """Immutable hinge-spline model on a box domain.
@@ -125,11 +133,17 @@ class MarsSurrogate:
         return _design_from_factor_sets(X, [t.factors for t in self.terms])[:, 1:]
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
+        """Values at the rows of X, from design matrices of row blocks of at
+        most _CHUNK_CELLS cells; a row's value does not depend on its block."""
         X = _as_batch(X, self.p)
         coefs = np.array([t.coef for t in self.terms])
         if coefs.size == 0:
             return np.full(X.shape[0], self.intercept)
-        return self.intercept + self.design_matrix(X) @ coefs
+        rows = max(1, _CHUNK_CELLS // (coefs.size + 1))
+        out = np.empty(X.shape[0])
+        for a in range(0, X.shape[0], rows):
+            out[a:a + rows] = self.intercept + self.design_matrix(X[a:a + rows]) @ coefs
+        return out
 
     # -- differentiation -------------------------------------------------
 

@@ -15,7 +15,7 @@ from urllib.parse import parse_qsl
 import numpy as np
 
 from .closedform import CoActiveMatrix, InputPrior, _validate_self_matrix
-from .model import MarsSurrogate
+from .model import _CHUNK_CELLS, MarsSurrogate
 
 __all__ = [
     "SampledFunction",
@@ -116,36 +116,52 @@ class SampledFunction:
         X = np.asarray(X, dtype=float)
         if self.grad is not None:
             return np.asarray(self.grad(X), dtype=float), 0
-        return _fd_gradients_batch(self.evaluator, X, self.steps(), self.domain)
+        (G,), onesided = _fd_gradients_batch((self.evaluator,), X, self.steps(), self.domain)
+        return G, onesided
 
 
-def _fd_gradients_batch(evaluator, X, steps, domain):
-    """Central differences from one evaluator call on a (2p*n, p) stack.
+def _fd_gradients_batch(evaluators, X, steps, domain):
+    """Central differences of each evaluator from one (2p*n, p) stack.
 
     Copy 2i of X steps column i up and copy 2i + 1 steps it down, each only
     where the step stays inside the domain; a row with one step refused
-    gets a one-sided difference. The stack is not changed after the call,
-    so an evaluator may return a view of it.
+    gets a one-sided difference. The stack is built column by column and
+    goes to every evaluator, one call each, as a Fortran-ordered view. It
+    is not changed after the calls, so an evaluator may return a view of
+    it. Returns the gradients and the one-sided count of one evaluator.
     """
     n, p = X.shape
-    lo = np.array([d[0] for d in domain])
-    hi = np.array([d[1] for d in domain])
-    up, dn = X + steps, X - steps
-    up_ok, dn_ok = up <= hi, dn >= lo
-    xp = np.where(up_ok, up, X)
-    xm = np.where(dn_ok, dn, X)
-    stack = np.empty((p, 2, n, p))
-    stack[:] = X
-    cols = np.arange(p)
-    stack[cols, 0, :, cols] = xp.T
-    stack[cols, 1, :, cols] = xm.T
-    F = np.asarray(evaluator(stack.reshape(2 * p * n, p)), dtype=float).reshape(p, 2, n)
+    XT = X.T.copy()
+    lo = np.array([d[0] for d in domain])[:, None]
+    hi = np.array([d[1] for d in domain])[:, None]
+    xp, xm = XT + steps[:, None], XT - steps[:, None]
+    up_ok, dn_ok = xp <= hi, xm >= lo
+    np.copyto(xp, XT, where=~up_ok)
+    np.copyto(xm, XT, where=~dn_ok)
+    cols = np.empty((p, p, 2, n))  # [column, stepped input, up or down, row]
+    cols[:] = XT[:, None, None, :]
+    i = np.arange(p)
+    cols[i, i, 0] = xp
+    cols[i, i, 1] = xm
+    stack = cols.reshape(p, 2 * p * n).T
     width = xp - xm
-    safe = width > 0
-    G = np.where(safe, (F[:, 0] - F[:, 1]).T / np.where(safe, width, 1.0), 0.0)
-    # C-ordered: on a transposed G the BLAS products in mc_cmat take other
-    # paths and give other bits
-    return np.ascontiguousarray(G), int(np.sum(~up_ok) + np.sum(~dn_ok))
+    refused = ~(width > 0)
+    width[refused] = 1.0
+
+    def difference(F):
+        F = np.asarray(F, dtype=float).reshape(p, 2, n)
+        # written through the transpose of a C-ordered G: on a transposed G
+        # the BLAS products in mc_cmat take other paths and give other bits
+        G = np.empty((n, p))
+        GT = G.T
+        np.subtract(F[:, 0], F[:, 1], out=GT)
+        GT /= width
+        GT[refused] = 0.0
+        return G
+
+    onesided = 2 * n * p - int(np.count_nonzero(up_ok)) - int(np.count_nonzero(dn_ok))
+    # each evaluator's values are freed before the next one runs
+    return [difference(evaluator(stack)) for evaluator in evaluators], onesided
 
 
 # Rows per block of the cross products in mc_cmat: a (p x 256)(256 x p)
@@ -153,18 +169,18 @@ def _fd_gradients_batch(evaluator, X, steps, domain):
 # so no worker thread wakes and spins after it, whatever the sample size.
 _MC_BLOCK = 256
 
-# Rows per gradient call in mc_cmat, counted after finite differences stack
-# 2p copies of each row: 3,072 sample rows per chunk for a differenced
-# p = 5 function, 32,768 for an analytic gradient, so an analytic sample of
-# 20,000 points is one chunk. On a 2-core Xeon the raw piston pair at
-# B = 1e5 took 0.14-0.16 s with 2^13 to 2^15 stacked rows and 0.21 s with 2^17.
-_MC_STACK_ROWS = 1 << 15
 
-
+# On a 2-core Xeon the raw piston pair at B = 1e5 took 78 ms with chunks of
+# 2^16 to 2^18 cells, _CHUNK_CELLS among them, 12-15 % more with 2^15 or
+# 2^19, and 55 % more with 2^20.
 def _chunk_rows(fs) -> int:
-    """Sample rows per chunk, a whole number of _MC_BLOCK blocks."""
-    per_row = max(1 if f.grad is not None else 2 * f.p for f in fs)
-    return max(1, _MC_STACK_ROWS // per_row // _MC_BLOCK) * _MC_BLOCK
+    """Sample rows per chunk: as many whole _MC_BLOCK blocks as fit the
+    input of one gradient call into _CHUNK_CELLS cells, and at least one.
+    A sample row is p cells for an analytic gradient and 2p stacked rows of
+    p cells when differenced: 6,656 rows for an analytic p = 24 gradient,
+    3,072 for a differenced p = 5 function."""
+    cells = max(f.p if f.grad is not None else 2 * f.p * f.p for f in fs)
+    return max(1, _CHUNK_CELLS // cells // _MC_BLOCK) * _MC_BLOCK
 
 
 @dataclass(frozen=True)
@@ -201,7 +217,9 @@ def mc_cmat(
     The draws come from one stream seeded by (seed, 0) and are drawn at
     once. The gradients are taken over chunks of _chunk_rows rows, so the
     working memory is the sample and one chunk; the sums run over blocks
-    of _MC_BLOCK rows in sample order, whatever the chunk size.
+    of _MC_BLOCK rows in sample order, whatever the chunk size. Two
+    differenced functions on one domain take their differences from one
+    stack.
     """
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
@@ -210,19 +228,25 @@ def mc_cmat(
     p = f_k.p
     X = prior.sample(np.random.default_rng([seed, 0]), B)
     chunk = _chunk_rows((f_k, f_l))
+    shared = (f_l is not f_k and f_k.grad is None and f_l.grad is None
+              and f_k.domain == f_l.domain)
     sum1 = np.zeros((p, p))
     sum2 = np.zeros((p, p))
     onesided = 0
     for c in range(0, B, chunk):
         Xc = X[c:c + chunk]
-        Gk, o1 = f_k.gradients(Xc)
-        Gl, o2 = (Gk, 0) if f_l is f_k else f_l.gradients(Xc)
-        onesided += o1 + o2
-        Gk2, Gl2 = Gk * Gk, Gl * Gl
+        if shared:
+            (Gk, Gl), o = _fd_gradients_batch(
+                (f_k.evaluator, f_l.evaluator), Xc, f_k.steps(), f_k.domain)
+            onesided += 2 * o
+        else:
+            Gk, o1 = f_k.gradients(Xc)
+            Gl, o2 = (Gk, 0) if f_l is f_k else f_l.gradients(Xc)
+            onesided += o1 + o2
         for a in range(0, Xc.shape[0], _MC_BLOCK):
-            rows = slice(a, a + _MC_BLOCK)
-            sum1 += Gk[rows].T @ Gl[rows]
-            sum2 += Gk2[rows].T @ Gl2[rows]
+            gk, gl = Gk[a:a + _MC_BLOCK], Gl[a:a + _MC_BLOCK]
+            sum1 += gk.T @ gl
+            sum2 += (gk * gk).T @ (gl * gl)
     mean = sum1 / B
     var = np.maximum(sum2 / B - mean**2, 0.0)
     se = np.sqrt(var / B)

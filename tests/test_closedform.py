@@ -562,3 +562,15 @@ def test_prior_moments_and_covariance():
     rng = np.random.default_rng(0)
     X = prior.sample(rng, 1000)
     assert X.shape == (1000, 2) and X.min() >= 0.0 and X.max() <= 1.0
+
+
+@pytest.mark.parametrize("n", [0, 1, 1000])
+def test_prior_sample_is_the_column_stack_of_each_dimension_in_turn(n):
+    # uniform, truncated normal, plain normal and the reflected upper-tail draw
+    prior = InputPrior([UniformDim(-1.0, 2.0), NormalDim(0.5, 0.25, 0.0, 1.0),
+                        NormalDim(0.0, 1.0), NormalDim(0.0, 1.0, trunc_lo=6.0), UniformDim(0.0, 1.0)])
+    rng = np.random.default_rng(8)
+    ref = np.column_stack([d.sample(rng, n) for d in prior.dims])
+    X = prior.sample(np.random.default_rng(8), n)
+    assert X.shape == (n, 5) and X.flags.c_contiguous
+    np.testing.assert_array_equal(X, ref)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from coactive import (
     save_model,
 )
 from coactive.model import (
+    _CHUNK_CELLS,
     _design_from_factor_sets,
     cross_validated_rmspe,
     load_training_csv,
@@ -113,6 +115,27 @@ def test_evaluate_batch_of_two_rows():
     out = m.evaluate_batch(np.array([[0.25], [0.5]]))
     assert out.shape == (2,)
     assert out[1] == pytest.approx(0.5)
+
+
+def test_evaluate_batch_in_row_blocks_is_the_one_product():
+    # 94 terms: blocks of 1,724 rows. At n = 100,000 the one product's
+    # design matrix is 76 MB.
+    rng = np.random.default_rng(3)
+    m = _random_surrogate(rng, rng.uniform(size=(200, 5)), n_terms=94, used=5)
+    coefs = np.array([t.coef for t in m.terms])
+    rows = _CHUNK_CELLS // 95
+    for n in (0, 1, rows, rows + 1, 5000, 100_000):
+        X = np.random.default_rng(n).uniform(size=(n, 5))
+        ref = m.intercept + m.design_matrix(X) @ coefs
+        np.testing.assert_array_equal(m.evaluate_batch(X), ref)
+        np.testing.assert_array_equal(m.evaluate_batch(np.asfortranarray(X)), ref)
+    tracemalloc.start()
+    try:
+        m.evaluate_batch(X)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.0, f"evaluate_batch(1e5 rows) peaked at {peak:.1f} MiB"
 
 
 def test_coefficient_scaling_scales_output():

@@ -13,13 +13,15 @@ import pytest
 from coactive import (
     FitConfig,
     InputPrior,
+    NormalDim,
+    UniformDim,
     fit,
     lhs_design,
     mc_cmat,
     cmat,
 )
+from coactive.model import _CHUNK_CELLS
 from coactive.montecarlo import (
-    _MC_STACK_ROWS,
     SampledFunction,
     _LHS_REFINE,
     _chunk_rows,
@@ -373,10 +375,22 @@ def test_mc_block_sums_match_one_shot_products(B, seed):
         np.testing.assert_allclose(res.se**2 * B, var, rtol=0, atol=1e-13 * scale2)
 
 
+def _mixed_prior(p):
+    """Every third input a normal truncated to the unit box, the rest uniform."""
+    return InputPrior([NormalDim(0.5, 0.25, 0.0, 1.0) if i % 3 == 2 else UniformDim(0.0, 1.0)
+                       for i in range(p)])
+
+
 def _stream_case(kind):
     """(f_k, f_l, prior): raw piston functions by finite differences, two
-    analytic waves, or an analytic linear function on a wider domain than
-    the differenced piston."""
+    analytic waves, an analytic linear function on a wider domain than
+    the differenced piston, or two analytic p = 24 waves under a mixed
+    uniform and truncated-normal prior."""
+    if kind == "p24":
+        rng = np.random.default_rng(24)
+        fk = _wave(24, rng.uniform(1.0, 6.0, 24), rng.uniform(0.0, 6.0, 24), "k")
+        fl = _wave(24, rng.uniform(1.0, 6.0, 24), rng.uniform(0.0, 6.0, 24), "l")
+        return fk, fl, _mixed_prior(24)
     if kind == "piston":
         fk, fl = piston(90000.0, 284.0), piston(110000.0, 302.0)
     elif kind == "wave":
@@ -389,16 +403,31 @@ def _stream_case(kind):
     return fk, fl, InputPrior.uniform_box(((0.0, 1.0),) * 5)
 
 
+def _stacked_cells(f, rows):
+    """Cells of the input of one gradient call on rows sample rows."""
+    return rows * f.p * (1 if f.grad is not None else 2 * f.p)
+
+
 def test_chunk_rows():
     fk, fl, _ = _stream_case("mixed")
     assert _chunk_rows((fl,)) == 3072 and _chunk_rows((fk, fl)) == 3072
-    assert _chunk_rows((fk,)) == _MC_STACK_ROWS == 32_768
-    assert _chunk_rows((replace(fl, p=24, domain=((0.0, 1.0),) * 24),)) == 512
+    assert _chunk_rows((fk,)) == _CHUNK_CELLS // 5 == 32_768
+    wide = replace(fl, p=24, domain=((0.0, 1.0),) * 24)
+    assert _chunk_rows((replace(wide, grad=lambda X: X),)) == 6656
+    # a differenced p = 24 row stacks 1,152 cells, so one block is over the
+    # budget and the chunk is that one block
+    assert _chunk_rows((wide,)) == 256
     # a chunk is never less than one block
     assert _chunk_rows((replace(fl, p=200, domain=((0.0, 1.0),) * 200),)) == 256
+    for p in (1, 2, 5, 12, 24, 40, 200):
+        f = replace(fl, p=p, domain=((0.0, 1.0),) * p)
+        for fs in ((f,), (replace(f, grad=lambda X: X),), (f, replace(f, grad=lambda X: X))):
+            chunk = _chunk_rows(fs)
+            assert chunk >= 256 and chunk % 256 == 0
+            assert chunk == 256 or all(_stacked_cells(g, chunk) <= _CHUNK_CELLS for g in fs)
 
 
-@pytest.mark.parametrize("kind", ["piston", "wave", "mixed"])
+@pytest.mark.parametrize("kind", ["piston", "wave", "mixed", "p24"])
 @pytest.mark.parametrize("size", ["1", "255", "256", "chunk-1", "chunk", "chunk+257"])
 def test_mc_streams_bitwise_as_the_whole_sample(kind, size):
     fk, fl, prior = _stream_case(kind)
@@ -415,18 +444,48 @@ def test_mc_streams_bitwise_as_the_whole_sample(kind, size):
 
 
 def test_mc_calls_each_differenced_function_once_per_chunk():
-    fn = piston()
-    sizes = []
+    # piston (p = 5) fits 3,072 rows a chunk; a differenced p = 24 linear
+    # function fits none within the budget, so its chunk is one block
+    for fn in (piston(), replace(linear_function(np.linspace(-1.0, 1.0, 24)), grad=None)):
+        sizes = []
 
-    def counted(X):
-        sizes.append(X.shape[0])
-        return fn.evaluator(X)
+        def counted(X):
+            sizes.append(X.shape[0])
+            return fn.evaluator(X)
 
-    f = replace(fn, evaluator=counted)
-    chunk = _chunk_rows((f,))
-    mc_cmat(f, f, InputPrior.uniform_box(f.domain), B=2 * chunk + 5, seed=1)
-    assert sizes == [10 * chunk, 10 * chunk, 10 * 5]
-    assert max(sizes) <= _MC_STACK_ROWS
+        f = replace(fn, evaluator=counted)
+        chunk = _chunk_rows((f,))
+        mc_cmat(f, f, InputPrior.uniform_box(f.domain), B=2 * chunk + 5, seed=1)
+        stacked = 2 * f.p
+        assert sizes == [stacked * chunk, stacked * chunk, stacked * 5]
+        assert max(sizes) * f.p <= _CHUNK_CELLS or chunk == 256
+    assert chunk == 256
+
+
+def test_a_differenced_pair_shares_one_stack_per_chunk():
+    fa, fb = piston(90000.0, 284.0), piston(110000.0, 302.0)
+    calls = []
+
+    def counted(name, fn):
+        def evaluator(X):
+            # the array itself is kept, so its memory cannot be reused
+            calls.append((name, X, X.tobytes()))
+            return fn.evaluator(X)
+        return replace(fn, evaluator=evaluator)
+
+    ca, cb = counted("a", fa), counted("b", fb)
+    prior = InputPrior.uniform_box(fa.domain)
+    chunk = _chunk_rows((ca, cb))
+    B = 2 * chunk + 5
+    res = mc_cmat(ca, cb, prior, B=B, seed=3)
+    assert [c[0] for c in calls] == ["a", "b"] * 3
+    for (_, Xa, bytes_a), (_, Xb, bytes_b) in zip(calls[0::2], calls[1::2]):
+        assert Xa is Xb and bytes_a == bytes_b and Xa.flags.f_contiguous
+    assert [c[1].shape for c in calls[0::2]] == [(10 * chunk, 5)] * 2 + [(50, 5)]
+    mean, se, ones, h = whole_sample_mc(fa, fb, prior, B, seed=3)
+    np.testing.assert_array_equal(res.matrix.entries, mean)
+    np.testing.assert_array_equal(res.se, se)
+    assert res.n_onesided == ones and res.h == h
 
 
 def test_mc_working_memory_is_the_sample_and_one_chunk():
@@ -436,6 +495,20 @@ def test_mc_working_memory_is_the_sample_and_one_chunk():
     prior = InputPrior.uniform_box(fa.domain)
     peak = _traced_peak_mib(lambda: mc_cmat(fa, fb, prior, B=100_000, seed=1))
     assert peak < 12.0, f"mc_cmat(B=1e5) peaked at {peak:.1f} MiB"
+
+
+def test_mc_working_memory_at_p24_does_not_grow_with_the_sample():
+    # an analytic p = 24 chunk is 6,656 rows, so B = 20,000 and 60,000 both
+    # run whole chunks, and the peak over the sample's own bytes is one
+    # chunk's (6.2 MiB here). Chunks of 32,768 rows with whole-chunk squares
+    # and a column-stacked sample put 14.7 MiB over the sample at
+    # B = 20,000 and 34.1 MiB at 60,000.
+    fk, fl, prior = _stream_case("p24")
+    extra = []
+    for B in (20_000, 60_000):
+        peak = _traced_peak_mib(lambda: mc_cmat(fk, fl, prior, B=B, seed=1))
+        extra.append(peak - B * 24 * 8 / 2**20)
+    assert extra[1] <= extra[0] + 0.25, f"over the sample: {extra[0]:.2f} -> {extra[1]:.2f} MiB"
 
 
 def test_fits_and_mc_sums_leave_the_blas_workers_asleep():
@@ -453,9 +526,12 @@ def test_fits_and_mc_sums_leave_the_blas_workers_asleep():
     fk = _wave(p, np.linspace(1.0, 6.0, p), np.zeros(p), "k")
     fl = _wave(p, np.linspace(6.0, 1.0, p), np.ones(p), "l")
     prior = InputPrior.uniform_box(fk.domain)
+    X20 = np.random.default_rng(2).uniform(size=(20_000, 5))
+    models = []
     calls = {
-        "piston fit a": lambda: fit(X, fa(X), cfg),
+        "piston fit a": lambda: models.append(fit(X, fa(X), cfg)),
         "mc_cmat p=24, B=20000": lambda: mc_cmat(fk, fl, prior, B=20_000, seed=1),
+        "evaluate_batch n=20000": lambda: models[0].evaluate_batch(X20),
         "piston fit b": lambda: fit(X, fb(X), cfg),
     }
     time.sleep(0.3)  # a spin left by an earlier test ends
