@@ -77,15 +77,14 @@ class UniformDim:
         if not self.lo < self.hi:
             raise ValueError(f"uniform needs lo < hi, got [{self.lo}, {self.hi}]")
 
-    def moment(self, r: int, a, b):
-        """xi(r | a, b): vectorized over array-valued a, b."""
-        if r not in (0, 1, 2):
-            raise ValueError(f"moment order must be 0, 1 or 2, got {r}")
+    def moments(self, a, b):
+        """(xi(0 | a, b), xi(1 | a, b), xi(2 | a, b)), vectorized over a, b."""
         A = np.maximum(np.asarray(a, dtype=float), self.lo)
         B = np.minimum(np.asarray(b, dtype=float), self.hi)
-        width = self.hi - self.lo
-        val = (B ** (r + 1) - A ** (r + 1)) / ((r + 1) * width)
-        return np.where(B > A, val, 0.0)
+        width, on = self.hi - self.lo, B > A
+        return tuple(
+            np.where(on, (B ** (r + 1) - A ** (r + 1)) / ((r + 1) * width), 0.0) for r in range(3)
+        )
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=n)
@@ -125,25 +124,18 @@ class NormalDim:
     def _raw_mass(self, a, b) -> float:
         return float(_ndtr_diff(self._std(a), self._std(b)))
 
-    def moment(self, r: int, a, b):
-        """xi(r | a, b) for the (possibly truncated) normal, vectorized."""
-        if r not in (0, 1, 2):
-            raise ValueError(f"moment order must be 0, 1 or 2, got {r}")
+    def moments(self, a, b):
+        """(xi(0 | a, b), xi(1 | a, b), xi(2 | a, b)) for the (possibly
+        truncated) normal, vectorized; one mass and one phi difference."""
         A = np.maximum(np.asarray(a, dtype=float), self.trunc_lo)
         B = np.minimum(np.asarray(b, dtype=float), self.trunc_hi)
-        alpha = self._std(A)
-        beta = self._std(B)
+        alpha, beta = self._std(A), self._std(B)
         z0 = _ndtr_diff(alpha, beta)
-        if r == 0:
-            val = z0
-        else:
-            dphi = _phi(alpha) - _phi(beta)
-            m, s = self.mean, self.sd
-            if r == 1:
-                val = m * z0 + s * dphi
-            else:
-                val = m * m * z0 + 2.0 * m * s * dphi + s * s * (z0 + _zphi(alpha) - _zphi(beta))
-        return np.where(B > A, val / self._mass, 0.0)
+        dphi = _phi(alpha) - _phi(beta)
+        m, s, on = self.mean, self.sd, B > A
+        z1 = m * z0 + s * dphi
+        z2 = m * m * z0 + 2.0 * m * s * dphi + s * s * (z0 + _zphi(alpha) - _zphi(beta))
+        return tuple(np.where(on, z / self._mass, 0.0) for z in (z0, z1, z2))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if np.isinf(self.trunc_lo) and np.isinf(self.trunc_hi):
@@ -191,17 +183,13 @@ class InputPrior:
         return out
 
     def mean(self) -> np.ndarray:
-        return np.array([float(d.moment(1, -np.inf, np.inf)) for d in self.dims])
+        return np.array([float(d.moments(-np.inf, np.inf)[1]) for d in self.dims])
 
     def covariance(self) -> np.ndarray:
         """Diagonal covariance of the product prior (uniform: width^2/12;
         normal: the actual, possibly truncated, variance)."""
-        var = []
-        for d in self.dims:
-            m1 = float(d.moment(1, -np.inf, np.inf))
-            m2 = float(d.moment(2, -np.inf, np.inf))
-            var.append(max(m2 - m1 * m1, 0.0))
-        return np.diag(var)
+        xi = [[float(v) for v in d.moments(-np.inf, np.inf)] for d in self.dims]
+        return np.diag([max(m2 - m1 * m1, 0.0) for _, m1, m2 in xi])
 
     @classmethod
     def uniform_box(cls, domain) -> "InputPrior":
@@ -255,11 +243,12 @@ _PAIR_BUDGET = 1 << 12
 
 def _hinge_support(sk, tk, sl, tl):
     """Support (a, b) of the product of two hinge regions on one variable,
-    elementwise; b = max(b*, a) so empty overlaps integrate to zero. An
-    absent factor is sign +1 at knot -inf, the full support."""
+    elementwise: a plus hinge bounds it below at its knot, a minus hinge
+    above; b = max(b*, a) so empty overlaps integrate to zero. An absent
+    factor is sign +1 at knot -inf, the full support."""
     kp, lp = sk > 0, sl > 0
-    a = np.where(kp & lp, np.maximum(tk, tl), np.where(kp, tk, np.where(lp, tl, -np.inf)))
-    b_star = np.where(kp & lp, np.inf, np.where(kp, tl, np.where(lp, tk, np.minimum(tk, tl))))
+    a = np.maximum(np.where(kp, tk, -np.inf), np.where(lp, tl, -np.inf))
+    b_star = np.minimum(np.where(kp, np.inf, tk), np.where(lp, np.inf, tl))
     return a, np.maximum(b_star, a)
 
 
@@ -268,7 +257,7 @@ def _hinge_integrals(dim, sk, tk, sl, tl):
     dmu of hinge pairs on one variable, elementwise; an absent factor (sign
     +1, knot -inf) is the constant 1."""
     a, b = _hinge_support(sk, tk, sl, tl)
-    xi0, xi1, xi2 = (dim.moment(r, a, b) for r in range(3))
+    xi0, xi1, xi2 = dim.moments(a, b)
     uk, ul = tk > -np.inf, tl > -np.inf
     tk, tl = np.where(uk, tk, 0.0), np.where(ul, tl, 0.0)
     ss = sk * sl
@@ -398,15 +387,6 @@ def _pair_traces(models, prior) -> np.ndarray:
     return t
 
 
-def _check_pair(mk: MarsSurrogate, ml: MarsSurrogate, prior: InputPrior) -> None:
-    if mk.p != ml.p:
-        raise ValueError(f"model dimensions differ: {mk.p} vs {ml.p}")
-    if mk.p != prior.p:
-        raise ValueError(f"models have p={mk.p} but prior has p={prior.p}")
-    if mk.domain != ml.domain:
-        raise ValueError("models must share the same input domain")
-
-
 @dataclass(frozen=True)
 class CoActiveMatrix:
     """p x p expected gradient outer-product matrix with its trace."""
@@ -451,12 +431,23 @@ def _validate_self_matrix(entries: np.ndarray) -> None:
 _ONE_PAIR = (np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))
 
 
+def _pair(mk: MarsSurrogate, ml: MarsSurrogate, prior: InputPrior, **mode) -> np.ndarray:
+    """The kernel's sums for the one pair (mk, ml), after the pair check; one
+    stack serves both sides when ml is mk."""
+    if mk.p != ml.p:
+        raise ValueError(f"model dimensions differ: {mk.p} vs {ml.p}")
+    if mk.p != prior.p:
+        raise ValueError(f"models have p={mk.p} but prior has p={prior.p}")
+    if mk.domain != ml.domain:
+        raise ValueError("models must share the same input domain")
+    K = _Stack([mk], mk.p)
+    return _pair_sums(K, K if ml is mk else _Stack([ml], ml.p), prior, _ONE_PAIR, **mode)[0]
+
+
 def cmat(mk: MarsSurrogate, ml: MarsSurrogate, prior: InputPrior) -> CoActiveMatrix:
     """Closed-form C_kl: entry (i, j) = E[df_k/dx_i * df_l/dx_j]; the trace
     is the sum of the diagonal, taken as cmat_trace takes it."""
-    _check_pair(mk, ml, prior)
-    K = _Stack([mk], mk.p)
-    entries = _pair_sums(K, K if ml is mk else _Stack([ml], ml.p), prior, _ONE_PAIR)[0]
+    entries = _pair(mk, ml, prior)
     if mk is ml:
         _validate_self_matrix(entries)
     return CoActiveMatrix(
@@ -466,10 +457,7 @@ def cmat(mk: MarsSurrogate, ml: MarsSurrogate, prior: InputPrior) -> CoActiveMat
 
 def cmat_trace(mk: MarsSurrogate, ml: MarsSurrogate, prior: InputPrior) -> float:
     """t_kl = trace(C_kl) from same-variable factor pairs; cmat(...).trace bitwise."""
-    _check_pair(mk, ml, prior)
-    K = _Stack([mk], mk.p)
-    L = K if ml is mk else _Stack([ml], ml.p)
-    return float(np.sum(_pair_sums(K, L, prior, _ONE_PAIR, diagonal=True)[0]))
+    return float(np.sum(_pair(mk, ml, prior, diagonal=True)))
 
 
 def expected_gradient(m: MarsSurrogate, prior: InputPrior) -> np.ndarray:
@@ -477,12 +465,10 @@ def expected_gradient(m: MarsSurrogate, prior: InputPrior) -> np.ndarray:
     i1_kl is then I4 = s * xi(0 | support) and its i2 I5 = s * (xi(1 |
     support) - t * xi(0 | support)). (The printed I5, with the knot outside
     the moment, is dimensionally inconsistent; this matches quadrature.)"""
-    if m.p != prior.p:
-        raise ValueError(f"model has p={m.p} but prior has p={prior.p}")
     one = MarsSurrogate(
         intercept=0.0, terms=(BasisTerm(coef=1.0, factors=()),), p=m.p, domain=m.domain
     )
-    return _pair_sums(_Stack([m], m.p), _Stack([one], m.p), prior, _ONE_PAIR, deriv_l=False)[0]
+    return _pair(m, one, prior, deriv_l=False)
 
 
 def cmat_modified(

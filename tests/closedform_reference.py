@@ -4,7 +4,7 @@ Every entry (i, j) of C_kl multiplies full M_k x M_l grids: the
 coefficient products, the derivative-side tables of x_i and x_j (I3 on
 the diagonal) and the I2 tables of every other variable, in variable
 order, and sums the whole grid with math.fsum. expected_gradient is the
-per-factor I4/I5 loop. Both share only the prior's moment() with the
+per-factor I4/I5 loop. Both share only the prior's moments() with the
 package code, so the tests can hold the sparse kernel to them.
 """
 
@@ -46,9 +46,7 @@ def itables(mk, ml, prior, i):
     ul, sl, tlb, tlv = _factor_grids(ml, i)
     a, b = _bounds_grids(sk, tkb, sl, tlb)
     dim = prior.dims[i]
-    xi0 = dim.moment(0, a, b)
-    xi1 = dim.moment(1, a, b)
-    xi2 = dim.moment(2, a, b)
+    xi0, xi1, xi2 = dim.moments(a, b)
     UK, UL = uk[:, None], ul[None, :]
     SS = sk[:, None] * sl[None, :]
     TK, TL = tkv[:, None], tlv[None, :]
@@ -102,8 +100,7 @@ def loop_expected_gradient(m, prior) -> np.ndarray:
         a = np.where(u & (s > 0), tb, -np.inf)
         b = np.where(u & (s < 0), tb, np.inf)
         dim = prior.dims[i]
-        xi0 = dim.moment(0, a, b)
-        xi1 = dim.moment(1, a, b)
+        xi0, xi1, _ = dim.moments(a, b)
         I4[i] = np.where(u, s * xi0, 0.0)
         I5[i] = np.where(u, s * (xi1 - tv * xi0), 1.0)
     for i in range(m.p):

@@ -85,17 +85,17 @@ def _support(fk, fl):
 
 
 def test_uniform_moments_basic():
-    assert U01.moment(0, 0.0, 1.0) == pytest.approx(1.0)
-    assert U01.moment(1, 0.0, 1.0) == pytest.approx(0.5)
-    assert U01.moment(2, 0.2, 0.7) == pytest.approx((0.7**3 - 0.2**3) / 3.0)
+    assert U01.moments(0.0, 1.0)[0] == pytest.approx(1.0)
+    assert U01.moments(0.0, 1.0)[1] == pytest.approx(0.5)
+    assert U01.moments(0.2, 0.7)[2] == pytest.approx((0.7**3 - 0.2**3) / 3.0)
 
 
 def test_uniform_moments_clip_and_empty():
-    assert U01.moment(0, -5.0, 0.5) == pytest.approx(0.5)
-    assert U01.moment(0, 2.0, 3.0) == 0.0
-    assert U01.moment(1, 0.8, 0.3) == 0.0
+    assert U01.moments(-5.0, 0.5)[0] == pytest.approx(0.5)
+    assert U01.moments(2.0, 3.0)[0] == 0.0
+    assert U01.moments(0.8, 0.3)[1] == 0.0
     wide = UniformDim(0.2, 0.8)
-    assert wide.moment(1, -np.inf, np.inf) == pytest.approx(0.5)
+    assert wide.moments(-np.inf, np.inf)[1] == pytest.approx(0.5)
 
 
 def test_uniform_validation_and_order():
@@ -104,16 +104,31 @@ def test_uniform_validation_and_order():
     for lo, hi in ((0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)):
         with pytest.raises(ValueError, match="uniform needs finite bounds"):
             UniformDim(lo, hi)
-    with pytest.raises(ValueError, match="moment order"):
-        U01.moment(3, 0.0, 1.0)
 
 
 def test_normal_moments_closed_form():
     std = NormalDim(mean=0.0, sd=1.0)
-    assert std.moment(0, -np.inf, np.inf) == pytest.approx(1.0)
-    assert std.moment(1, -np.inf, np.inf) == pytest.approx(0.0, abs=1e-15)
-    assert std.moment(2, -np.inf, np.inf) == pytest.approx(1.0)
-    assert std.moment(1, 0.0, np.inf) == pytest.approx(0.3989422804014327)
+    assert std.moments(-np.inf, np.inf)[0] == pytest.approx(1.0)
+    assert std.moments(-np.inf, np.inf)[1] == pytest.approx(0.0, abs=1e-15)
+    assert std.moments(-np.inf, np.inf)[2] == pytest.approx(1.0)
+    assert std.moments(0.0, np.inf)[1] == pytest.approx(0.3989422804014327)
+
+
+@pytest.mark.parametrize(
+    "dim", [U01, UniformDim(-1.0, 2.0), NormalDim(0.3, 0.7), NormalDim(2.0, 0.5, 1.0, 3.0)]
+)
+def test_moments_are_three_broadcast_arrays_zero_off_the_interval(dim):
+    # one call gives every order, shaped like the broadcast (a, b): 0-d for scalars
+    for a, b, shape in ((0.2, 0.7, ()), (np.zeros((3, 1)), np.linspace(0.1, 0.9, 4), (3, 4)),
+                        (-np.inf, np.full(5, np.inf), (5,))):
+        xi = dim.moments(a, b)
+        assert len(xi) == 3
+        assert all(isinstance(x, np.ndarray) and x.shape == shape for x in xi)
+    # empty or reversed intervals, inside and outside the support, give exact zeros
+    a = np.array([0.5, 0.8, 2.5, -np.inf, np.inf, 5.0])
+    b = np.array([0.5, 0.3, 1.5, -np.inf, np.inf, -5.0])
+    for x in dim.moments(a, b):
+        assert x.shape == (6,) and np.all(x == 0.0)
 
 
 @pytest.mark.parametrize("r", [0, 1, 2])
@@ -137,7 +152,7 @@ def test_moments_match_quadrature(dim, a, b, r):
             dim.sd * math.sqrt(2 * math.pi) * mass
         )
     val, _ = integrate.quad(lambda x: x**r * pdf(x), max(a, lo), min(b, hi))
-    assert dim.moment(r, a, b) == pytest.approx(val, abs=1e-12)
+    assert dim.moments(a, b)[r] == pytest.approx(val, abs=1e-12)
 
 
 @pytest.mark.parametrize("a", [6.0, 8.0, 9.0])
@@ -146,7 +161,7 @@ def test_normal_upper_tail_matches_truncnorm(a):
     dim = NormalDim(mean=0.0, sd=1.0, trunc_lo=a)
     ref = truncnorm(a, np.inf)
     for r in (0, 1, 2):
-        assert float(dim.moment(r, -np.inf, np.inf)) == pytest.approx(ref.moment(r), rel=1e-12)
+        assert float(dim.moments(-np.inf, np.inf)[r]) == pytest.approx(ref.moment(r), rel=1e-12)
     x = dim.sample(np.random.default_rng(3), 20_000)
     assert x.min() >= a
     assert x.mean() == pytest.approx(ref.mean(), rel=1e-3)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +206,26 @@ def test_metric_check_slack_is_the_minimum_over_every_triple():
                for a in range(n) for b in range(n) for c in range(n) if len({a, b, c}) == 3)
     got = {r.name: r.measured for r in check_metric(12, seed=7)}["metric-triangle"]
     assert got == want
+
+
+def test_metric_check_scans_the_triples_in_square_memory():
+    # the slack scan holds O(n^2) floats: at n = 200 a whole n^3 table is 64 MB
+    from coactive.verify import _worst_triangle_slack
+
+    rng = np.random.default_rng(5)
+    X = rng.uniform(size=(200, 3))
+    D = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=-1)) ** rng.uniform(0.5, 2.0)
+    small = D[:20, :20]
+    a, b, c = np.ogrid[:20, :20, :20]
+    slack = small[:, :, None] + small[None, :, :] - small[:, None, :]
+    assert _worst_triangle_slack(small) == slack[(a != b) & (b != c) & (a != c)].min()
+    tracemalloc.start()
+    try:
+        _worst_triangle_slack(D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * D.nbytes
 
 
 # -- MDS ---------------------------------------------------------------------------
