@@ -58,10 +58,11 @@ def _ndtr_diff(alpha, beta):
     """ndtr(beta) - ndtr(alpha), reflected to ndtr(-alpha) - ndtr(-beta)
     where alpha > 0: in the upper tail ndtr rounds to 1 and the direct
     difference loses every digit."""
-    from scipy.special import ndtr  # loaded by the first NormalDim only
+    from ._normal import ndtr  # loaded by the first NormalDim only
 
     sgn = np.where(alpha > 0, -1.0, 1.0)
-    return sgn * (ndtr(sgn * beta) - ndtr(sgn * alpha))
+    lo, hi = ndtr(np.stack(np.broadcast_arrays(sgn * alpha, sgn * beta)))
+    return sgn * (hi - lo)
 
 
 @dataclass(frozen=True)
@@ -140,13 +141,15 @@ class NormalDim:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if np.isinf(self.trunc_lo) and np.isinf(self.trunc_hi):
             return rng.normal(self.mean, self.sd, size=n)
-        from scipy.special import ndtr, ndtri
+        from ._normal import ndtr, ndtri
 
         alpha, beta = self._std(self.trunc_lo), self._std(self.trunc_hi)
         if alpha > 0:
             # the reflected draw, for the same reason as _ndtr_diff
-            return self.mean - self.sd * ndtri(rng.uniform(ndtr(-beta), ndtr(-alpha), size=n))
-        return self.mean + self.sd * ndtri(rng.uniform(ndtr(alpha), ndtr(beta), size=n))
+            lo, hi = ndtr([-beta, -alpha])
+            return self.mean - self.sd * ndtri(rng.uniform(lo, hi, size=n))
+        lo, hi = ndtr([alpha, beta])
+        return self.mean + self.sd * ndtri(rng.uniform(lo, hi, size=n))
 
     def support(self) -> tuple[float, float]:
         return (float(self.trunc_lo), float(self.trunc_hi))

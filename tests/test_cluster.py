@@ -18,6 +18,8 @@ from coactive import (
     FitConfig,
     InputPrior,
     MarsSurrogate,
+    NormalDim,
+    UniformDim,
     cmat,
     concordance,
     discordance_matrix,
@@ -391,20 +393,30 @@ assert main(["cmat", os.path.join(tmp, "ens0", "member_000.json"),
 assert scipy_loaded() == [], scipy_loaded()
 
 coactive.NormalDim(0.0, 1.0, trunc_lo=-1.0)
-assert "scipy.special" in sys.modules
-assert "scipy.optimize" not in sys.modules
+assert scipy_loaded() == [], scipy_loaded()
+models = [os.path.join(tmp, "ens0", "member_000.json"), os.path.join(tmp, "ens1", "member_000.json")]
+tn = os.path.join(tmp, "tn.json")
+assert main(["cmat", *models, "--prior", tn, "--out-dir", os.path.join(tmp, "pair_tn"),
+             "--modified", "--mc", "500"]) == 0
+assert scipy_loaded() == [], scipy_loaded()
+assert main(["mc", "--model", models[0], "--model", models[1], "--prior", tn, "--B", "500",
+             "--out", os.path.join(tmp, "mc_tn.json")]) == 0
+assert scipy_loaded() == [], scipy_loaded()
 print("ok")
 """
 
 
 def test_startup_and_uniform_runs_leave_scipy_unloaded(tmp_path):
-    # scipy.special is loaded by the first NormalDim; scipy.optimize never
+    # no SciPy module is loaded by the package, under a uniform prior or a
+    # truncated-normal one
     for i, beta in enumerate((0.5, 4.0)):
         X = lhs_design(60, 2, UNIT2, seed=20 + i)
         y = X[:, 0] ** 2 + X[:, 0] * X[:, 1] + beta * X[:, 1] ** 3
         rows = [f"{a:.17g},{b:.17g},{v:.17g}" for (a, b), v in zip(X, y)]
         (tmp_path / f"t{i}.csv").write_text("\n".join(["x1,x2,y", *rows]) + "\n")
     save_prior(PRIOR2, tmp_path / "prior.json")
+    tn = InputPrior((NormalDim(0.5, 0.25, trunc_lo=0.0, trunc_hi=1.0), UniformDim(0.0, 1.0)))
+    save_prior(tn, tmp_path / "tn.json")
     src = os.path.dirname(os.path.dirname(coactive.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     res = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, str(tmp_path)], env=env,
