@@ -11,8 +11,9 @@ in closed form for uniform and (truncated) normal marginals.
 One kernel, _pair_sums, multiplies out each pair of an f_k factor (on
 x_i) and an f_l factor (on x_j), skipping the i2 of variables neither term
 uses, which are exactly 1, and sums them by key with math.fsum: (i, j) for
-cmat, i = j for cmat_trace and the stacked cluster grid, and i for
-expected_gradient (the kernel against the constant 1).
+cmat (i <= j, mirrored, for a model against itself), i = j for cmat_trace
+and the stacked cluster grid, and i for expected_gradient (the kernel
+against the constant 1).
 """
 
 from __future__ import annotations
@@ -54,14 +55,20 @@ def _zphi(z):
     return out
 
 
-def _ndtr_diff(alpha, beta):
-    """ndtr(beta) - ndtr(alpha), reflected to ndtr(-alpha) - ndtr(-beta)
+def _ndtr_ends(alpha, beta):
+    """(sgn, ndtr(sgn * alpha), ndtr(sgn * beta)), reflected (sgn = -1)
     where alpha > 0: in the upper tail ndtr rounds to 1 and the direct
     difference loses every digit."""
     from ._normal import ndtr  # loaded by the first NormalDim only
 
     sgn = np.where(alpha > 0, -1.0, 1.0)
     lo, hi = ndtr(np.stack(np.broadcast_arrays(sgn * alpha, sgn * beta)))
+    return sgn, lo, hi
+
+
+def _ndtr_diff(alpha, beta):
+    """ndtr(beta) - ndtr(alpha), from the reflected ends where alpha > 0."""
+    sgn, lo, hi = _ndtr_ends(alpha, beta)
     return sgn * (hi - lo)
 
 
@@ -114,10 +121,13 @@ class NormalDim:
             raise ValueError(f"normal needs a finite sd > 0, got {self.sd}")
         if not self.trunc_lo < self.trunc_hi:
             raise ValueError("truncation needs trunc_lo < trunc_hi")
-        mass = self._raw_mass(self.trunc_lo, self.trunc_hi)
+        sgn, lo, hi = map(float, _ndtr_ends(self._std(self.trunc_lo), self._std(self.trunc_hi)))
+        mass = sgn * (hi - lo)
         if mass <= 1e-300:
             raise ValueError("truncation interval has vanishing probability mass")
         object.__setattr__(self, "_mass", mass)
+        # the CDF interval that sample draws from, reflected where sgn < 0
+        object.__setattr__(self, "_draw", (sgn, *((lo, hi) if sgn > 0 else (hi, lo))))
 
     def _std(self, x):
         return (np.asarray(x, dtype=float) - self.mean) / self.sd
@@ -141,15 +151,10 @@ class NormalDim:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if np.isinf(self.trunc_lo) and np.isinf(self.trunc_hi):
             return rng.normal(self.mean, self.sd, size=n)
-        from ._normal import ndtr, ndtri
+        from ._normal import ndtri
 
-        alpha, beta = self._std(self.trunc_lo), self._std(self.trunc_hi)
-        if alpha > 0:
-            # the reflected draw, for the same reason as _ndtr_diff
-            lo, hi = ndtr([-beta, -alpha])
-            return self.mean - self.sd * ndtri(rng.uniform(lo, hi, size=n))
-        lo, hi = ndtr([alpha, beta])
-        return self.mean + self.sd * ndtri(rng.uniform(lo, hi, size=n))
+        sgn, lo, hi = self._draw
+        return self.mean + sgn * self.sd * ndtri(rng.uniform(lo, hi, size=n))
 
     def support(self) -> tuple[float, float]:
         return (float(self.trunc_lo), float(self.trunc_hi))
@@ -279,7 +284,7 @@ class _Stack:
     """Terms of models stacked with their owner (model position); factors
     listed in (owner, var) blocks, each led by a virtual factor, the
     constant 1 (term -1), at first[o, q], of count[o, q]. fidx[q, m] is
-    term m's factor on x_q, the virtual one where has[q, m] is False."""
+    term m's factor on x_q, the virtual one where has[m, q] is False."""
 
     def __init__(self, models, p: int):
         terms = [(o, t) for o, m in enumerate(models) for t in m.terms]
@@ -296,8 +301,8 @@ class _Stack:
         self.fidx = np.repeat(self.first.T, [len(m.terms) for m in models], axis=1)
         real = np.flatnonzero(self.term >= 0)
         self.fidx[self.var[real], self.term[real]] = real
-        self.has = np.zeros(self.fidx.shape, dtype=bool)
-        self.has[self.var[real], self.term[real]] = True
+        self.has = np.zeros(self.fidx.shape[::-1], dtype=bool)
+        self.has[self.term[real], self.var[real]] = True
 
 
 def _blocks(r0, nr, c0, nc):
@@ -324,7 +329,9 @@ def _pair_sums(K, L, prior, pairs, diagonal=False, deriv_l=True) -> np.ndarray:
     A factor of f_k term r on x_i with one of f_l term c on x_j gives
     coef_r coef_c * i1_kl[x_i] * i1_lk[x_j] (i3[x_i] if i = j) times i2[x_q]
     for each q in vars(r) | vars(c) - {i, j}, ascending; each i2 skipped is
-    exactly 1. Whole keys go in runs under _PAIR_BUDGET; each is summed once."""
+    exactly 1. Whole keys go in runs under _PAIR_BUDGET; each is summed once.
+    A model against itself (L is K, orow = ocol) is keyed on i <= j only,
+    and (o, j, i) mirrors (o, i, j): its self matrix is exactly symmetric."""
     p = K.p
     orow, ocol = pairs
     r0, nr, c0, nc = K.first[orow], K.count[orow], L.first[ocol], L.count[ocol]
@@ -348,6 +355,9 @@ def _pair_sums(K, L, prior, pairs, diagonal=False, deriv_l=True) -> np.ndarray:
     kr0, knr = r0.ravel() + 1, nr.ravel() - 1
     if deriv_l and not diagonal:
         o, i, j = o.repeat(p), i.repeat(p), np.tile(np.arange(p), nr.size)
+        if L is K and np.array_equal(orow, ocol):  # self matrices: i <= j only
+            upper = i <= j
+            o, i, j = o[upper], i[upper], j[upper]
         keys = (o, i, j, kr0[o * p + i], knr[o * p + i], c0[o, j] + 1, nc[o, j] - 1)
     else:
         cols = (c0.ravel() + 1, nc.ravel() - 1) if deriv_l else (0 * kr0, 0 * kr0 + L.coef.size)
@@ -366,13 +376,24 @@ def _pair_sums(K, L, prior, pairs, diagonal=False, deriv_l=True) -> np.ndarray:
         if deriv_l:
             at_j = two(ok * p + j, K.fidx.take(j * K.coef.size + r), b)
             prod *= np.where(i == j, 1.0, i1_lk.take(at_j))
-        for q in range(p):  # i2 where either term has x_q, other than x_i, x_j
-            s = np.flatnonzero((K.has[q].take(r) | L.has[q].take(c)) & (i != q) & (j != q))
-            hr, hc = K.fidx[q].take(r.take(s)), L.fidx[q].take(c.take(s))
-            prod[s] *= i2.take(two(ok.take(s) * p + q, hr, hc))
+        # i2 where either term has x_q, other than x_i, x_j: the flat mask
+        # lists each product's q ascending, and multiply.at folds in that order
+        need, rows = K.has.take(r, axis=0) | L.has.take(c, axis=0), np.arange(r.size)
+        need[rows, i] = False
+        if deriv_l:
+            need[rows, j] = False
+        s, q = np.divmod(np.flatnonzero(need), p)
+        hr, hc = K.fidx.take(q * K.coef.size + r.take(s)), L.fidx.take(q * L.coef.size + c.take(s))
+        np.multiply.at(prod, s, i2.take(two(ok.take(s) * p + q, hr, hc)))
         values[ends[lo] - size[lo] : ends[hi - 1]] = prod
     sums = [math.fsum(values[e - k : e].tolist()) for e, k in zip(ends.tolist(), size.tolist())]
-    return np.array(sums).reshape(nr.shape if diagonal or not deriv_l else nr.shape + (p,))
+    if diagonal or not deriv_l:
+        return np.array(sums).reshape(nr.shape)
+    o, i, j = keys[:3]
+    out = np.empty(nr.shape + (p,))
+    out[o, j, i] = sums  # a self matrix's lower triangle; all p^2 keys overwrite it
+    out[o, i, j] = sums
+    return out
 
 
 def _pair_traces(models, prior) -> np.ndarray:
@@ -436,7 +457,7 @@ _ONE_PAIR = (np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))
 
 def _pair(mk: MarsSurrogate, ml: MarsSurrogate, prior: InputPrior, **mode) -> np.ndarray:
     """The kernel's sums for the one pair (mk, ml), after the pair check; one
-    stack serves both sides when ml is mk."""
+    stack serves both sides when ml is mk, and cmat then keys one triangle."""
     if mk.p != ml.p:
         raise ValueError(f"model dimensions differ: {mk.p} vs {ml.p}")
     if mk.p != prior.p:

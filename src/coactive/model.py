@@ -168,7 +168,7 @@ class MarsSurrogate:
         for term in self.terms:
             factors = term.factors
             # a degree-1 term needs no hinge value, only its derivative
-            vals = [np.maximum(f.sign * (XT[f.var] - f.knot), 0.0)
+            vals = [np.maximum(XT[f.var] - f.knot if f.sign > 0 else f.knot - XT[f.var], 0.0)
                     for f in factors] if len(factors) > 1 else []
             for a, f in enumerate(factors):
                 x = XT[f.var]
@@ -178,7 +178,9 @@ class MarsSurrogate:
                 for b, val in enumerate(vals):
                     if b != a:
                         others = val if others is None else others * val
-                GT[f.var] += deriv if others is None else deriv * others
+                if others is not None:
+                    deriv *= others
+                GT[f.var] += deriv
         G = XT.reshape(n, self.p)
         np.copyto(G, GT.T)
         return G

@@ -420,12 +420,22 @@ def _reference_cases(corpus):
     yield _wide_pair()
 
 
+def _check_dense_bitwise(a, b, prior):
+    """cmat(a, b) is the dense reference bitwise, and so is its trace; a self
+    matrix is keyed on its upper triangle, and its lower one mirrors it."""
+    C, ref = cmat(a, b, prior), dense_cmat(a, b, prior)
+    if a is b:
+        np.testing.assert_array_equal(np.triu(C.entries), np.triu(ref))
+        assert C.entries.tobytes() == C.entries.T.tobytes()
+    else:
+        np.testing.assert_array_equal(C.entries, ref)
+    assert cmat_trace(a, b, prior) == C.trace
+
+
 def test_cmat_matches_dense_reference_bitwise(small_pair_corpus):
     for mk, ml, prior in _reference_cases(small_pair_corpus):
         for a, b in ((mk, ml), (mk, mk)):
-            C = cmat(a, b, prior)
-            np.testing.assert_array_equal(C.entries, dense_cmat(a, b, prior))
-            assert cmat_trace(a, b, prior) == C.trace
+            _check_dense_bitwise(a, b, prior)
 
 
 def test_kernel_in_small_passes_is_bitwise_unchanged(monkeypatch):
@@ -437,10 +447,60 @@ def test_kernel_in_small_passes_is_bitwise_unchanged(monkeypatch):
     Z = expected_gradient(mk, prior)
     monkeypatch.setattr(closedform, "_PAIR_BUDGET", 40)
     for a, b in ((mk, ml), (mk, mk)):
-        C = cmat(a, b, prior)
-        np.testing.assert_array_equal(C.entries, dense_cmat(a, b, prior))
-        assert cmat_trace(a, b, prior) == C.trace
+        _check_dense_bitwise(a, b, prior)
     np.testing.assert_array_equal(expected_gradient(mk, prior), Z)
+
+
+def test_kernel_folds_four_other_variable_factors_bitwise(monkeypatch):
+    # degree-3 terms of f_k on x_0..x_4 against degree-3 terms of f_l on
+    # x_4..x_8: a product of two terms with no variable in common takes
+    # the i2 of four other variables, folded in ascending order
+    import coactive.closedform as closedform
+
+    rng = np.random.default_rng(23)
+
+    def terms(vars_, n):
+        return [
+            BasisTerm(
+                coef=float(rng.normal()),
+                factors=tuple(
+                    HingeFactor(int(v), int(rng.choice([-1, 1])), float(rng.uniform(0.05, 0.95)))
+                    for v in rng.choice(vars_, size=3, replace=False)
+                ),
+            )
+            for _ in range(n)
+        ]
+
+    tk, tl = terms(range(0, 5), 12), terms(range(4, 9), 12)
+    assert any(not {f.var for f in r.factors} & {f.var for f in c.factors} for r in tk for c in tl)
+    mk, ml = _model(tk, p=9, label="a"), _model(tl, p=9, label="b")
+    monkeypatch.setattr(closedform, "_PAIR_BUDGET", 40)
+    for prior in (InputPrior.uniform_box(((0.0, 1.0),) * 9), _wide_pair(p=9)[2]):
+        for a, b in ((mk, ml), (ml, mk), (mk, mk), (ml, ml)):
+            _check_dense_bitwise(a, b, prior)
+
+
+def test_kernel_is_bitwise_the_dense_reference_beyond_64_inputs():
+    # p = 70, with terms on inputs both sides of 64: no per-term bitmask of
+    # used inputs fits one 64-bit word
+    mk, ml, prior = _wide_pair(p=70, n_terms=14, seed=24)
+    assert any(f.var >= 64 for m in (mk, ml) for t in m.terms for f in t.factors)
+    for a, b in ((mk, ml), (mk, mk)):
+        _check_dense_bitwise(a, b, prior)
+
+
+@pytest.mark.parametrize("family", ["uniform", "truncated-normal", "mixed"])
+def test_self_matrices_are_exactly_symmetric(family):
+    mk, ml, prior = _wide_pair()
+    dims = {
+        "uniform": (U01,) * mk.p,
+        "truncated-normal": (NormalDim(mean=0.4, sd=0.3, trunc_lo=0.0, trunc_hi=1.0),) * mk.p,
+        "mixed": prior.dims,
+    }[family]
+    for m in (mk, ml):
+        C = cmat(m, m, InputPrior(dims=dims)).entries
+        assert C.tobytes() == C.T.tobytes()
+        assert np.count_nonzero(C - np.diag(np.diag(C))) > 0
 
 
 def test_expected_gradient_matches_reference_loop(small_pair_corpus):

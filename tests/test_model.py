@@ -276,6 +276,19 @@ def test_gradient_batch_is_bitwise_the_loop_on_any_layout_and_size():
     assert np.array_equal(models[1].gradient_batch(X), np.zeros((300, 6)))
 
 
+def test_gradient_batch_on_knots_is_bitwise_the_loop():
+    # every coordinate sits on a knot of its input: a minus hinge is +0.0
+    # there, where the loop's sign * (x - t) is -0.0; G starts at +0.0 and
+    # adding a zero of either sign leaves it as it was
+    rng = np.random.default_rng(22)
+    m = _random_surrogate(rng, rng.uniform(size=(50, 4)), n_terms=40, used=4)
+    knots = [[f.knot for t in m.terms for f in t.factors if f.var == v] for v in range(4)]
+    X = np.column_stack([rng.choice(k, size=300) for k in knots])
+    on = [(t, f) for t in m.terms for f in t.factors if f.sign < 0 and t.degree > 1]
+    assert any(np.any(X[:, f.var] == f.knot) for _, f in on)
+    assert m.gradient_batch(X).tobytes() == loop_gradient(m, X).tobytes()
+
+
 # -- serialization ----------------------------------------------------------
 
 

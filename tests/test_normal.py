@@ -132,3 +132,27 @@ def test_sample_matches_the_scipy_draw(dim):
         ref = dim.mean + dim.sd * special.ndtri(lo + (hi - lo) * u)
     assert np.all((x >= dim.trunc_lo) & (x <= dim.trunc_hi))
     np.testing.assert_allclose(x, ref, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "dim",
+    [NormalDim(0.5, 0.25, trunc_lo=0.0, trunc_hi=1.0), NormalDim(0.0, 1.0, trunc_lo=2.5, trunc_hi=6.0)],
+)
+def test_sample_calls_no_ndtr_and_draws_the_same_bytes(dim, monkeypatch):
+    # the bounds' (reflected) CDF pair is kept at construction, so a draw
+    # calls ndtri only, and it draws what ndtr of the bounds gives now
+    import coactive._normal as normal
+
+    calls = []
+    monkeypatch.setattr(normal, "ndtr", lambda x: calls.append(x) or ndtr(x))
+    x = dim.sample(np.random.default_rng(4), 500)
+    assert calls == []
+    rng = np.random.default_rng(4)
+    alpha, beta = (dim.trunc_lo - dim.mean) / dim.sd, (dim.trunc_hi - dim.mean) / dim.sd
+    if alpha > 0:
+        lo, hi = ndtr([-beta, -alpha])
+        ref = dim.mean - dim.sd * ndtri(rng.uniform(lo, hi, size=500))
+    else:
+        lo, hi = ndtr([alpha, beta])
+        ref = dim.mean + dim.sd * ndtri(rng.uniform(lo, hi, size=500))
+    assert x.tobytes() == ref.tobytes()
