@@ -156,10 +156,14 @@ class MarsSurrogate:
         only on this measure-zero knot set.
 
         Each input is a contiguous row of a transposed copy of X, and the
-        gradient is summed into contiguous rows in term order. The product
-        of the other factors' hinge values is a left fold in factor order,
-        so the result is bitwise that of the per-column loop in
-        tests/mars_reference.py.
+        gradient is summed into contiguous rows in term order. A term of
+        degree >= 2 is computed only on its joint support, the rows where
+        every factor is active; elsewhere the loop's product is a zero of
+        either sign, and adding it to an entry that starts at +0.0 changes
+        nothing. On the support each hinge value is its plain difference,
+        x - t >= +0.0 or t - x > 0, and the product of the other factors'
+        values is a left fold in factor order, so the result is bitwise
+        that of the per-column loop in tests/mars_reference.py.
         """
         X = _as_batch(X, self.p)
         n = X.shape[0]
@@ -167,20 +171,25 @@ class MarsSurrogate:
         GT = np.zeros_like(XT)
         for term in self.terms:
             factors = term.factors
-            # a degree-1 term needs no hinge value, only its derivative
-            vals = [np.maximum(XT[f.var] - f.knot if f.sign > 0 else f.knot - XT[f.var], 0.0)
-                    for f in factors] if len(factors) > 1 else []
+            actives = [(XT[f.var] >= f.knot) if f.sign > 0 else (XT[f.var] < f.knot)
+                       for f in factors]
+            if len(factors) == 1:
+                f = factors[0]
+                GT[f.var] += actives[0] * (term.coef * f.sign)
+                continue
+            support = actives[0]
+            for act in actives[1:]:
+                support &= act
+            idx = np.flatnonzero(support)
+            vals = [XT[f.var].take(idx) - f.knot if f.sign > 0 else f.knot - XT[f.var].take(idx)
+                    for f in factors]
             for a, f in enumerate(factors):
-                x = XT[f.var]
-                active = (x >= f.knot) if f.sign > 0 else (x < f.knot)
-                deriv = np.where(active, term.coef * f.sign, 0.0)
                 others = None
                 for b, val in enumerate(vals):
                     if b != a:
                         others = val if others is None else others * val
-                if others is not None:
-                    deriv *= others
-                GT[f.var] += deriv
+                g = GT[f.var]  # a row view: GT[f.var, idx] indexes ~20 % slower
+                g[idx] += others * (term.coef * f.sign)
         G = XT.reshape(n, self.p)
         np.copyto(G, GT.T)
         return G
@@ -195,6 +204,8 @@ def _as_batch(X: np.ndarray, p: int) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != p:
         raise ValueError(f"expected input of shape (n, {p}), got {X.shape}")
+    if not np.isfinite(X).all():  # off a term's support a NaN would give 0, on it NaN
+        raise ValueError("input batch has a non-finite entry")
     return X
 
 
@@ -274,9 +285,9 @@ def _write_json(path, d: dict, meta: dict | None = None, sort_keys: bool = True)
     Floats round-trip bitwise (shortest repr)."""
     if meta:
         d = {**d, "meta": meta}
+    text = json.dumps(d, indent=2, sort_keys=sort_keys) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(d, fh, indent=2, sort_keys=sort_keys)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _read_json(path) -> dict:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,10 @@ from coactive import (
     Ensemble,
     FitConfig,
     HingeFactor,
+    InputPrior,
     MarsSurrogate,
+    NormalDim,
+    UniformDim,
     fit,
     fit_ensemble,
     fit_ensemble_with_report,
@@ -33,8 +37,10 @@ from coactive.model import (
     model_from_dict,
     model_to_dict,
 )
+from coactive.montecarlo import SampledFunction, _chunk_rows, mc_cmat
 
 from mars_reference import loop_gradient
+from mc_reference import whole_sample_mc
 
 UNIT2 = ((0.0, 1.0), (0.0, 1.0))
 
@@ -287,6 +293,76 @@ def test_gradient_batch_on_knots_is_bitwise_the_loop():
     on = [(t, f) for t in m.terms for f in t.factors if f.sign < 0 and t.degree > 1]
     assert any(np.any(X[:, f.var] == f.knot) for _, f in on)
     assert m.gradient_batch(X).tobytes() == loop_gradient(m, X).tobytes()
+
+
+def _term(coef, *factors):
+    return BasisTerm(coef=coef, factors=tuple(HingeFactor(v, s, t) for v, s, t in factors))
+
+
+def test_gradient_batch_on_empty_and_full_supports_is_bitwise_the_loop():
+    # inputs in [0.2, 0.8]: no row reaches x0 >= 0.9 or x2 < 0.1, and every
+    # row has x0 >= 0.1, x1 < 0.9, x2 >= 0.15 and x3 < 0.85
+    rng = np.random.default_rng(23)
+    X = rng.uniform(0.2, 0.8, size=(500, 4))
+    empty = (_term(-1.5, (0, 1, 0.9), (1, -1, 0.5)),
+             _term(2.5, (3, 1, 0.3), (1, -1, 0.5), (2, -1, 0.1)))
+    full = (_term(-0.75, (0, 1, 0.1), (1, -1, 0.9), (2, 1, 0.15)),
+            _term(3.0, (3, -1, 0.85), (0, 1, 0.05)))
+    for terms in (empty, full, empty + full + (_term(-2.0, (1, 1, 0.4)),)):
+        m = MarsSurrogate(intercept=0.0, terms=terms, p=4, domain=((0.0, 1.0),) * 4)
+        _check_against_loop(m, X)
+    m = MarsSurrogate(intercept=0.0, terms=empty, p=4, domain=((0.0, 1.0),) * 4)
+    assert m.gradient_batch(X).tobytes() == np.zeros((500, 4)).tobytes()  # no -0.0
+    m = MarsSurrogate(intercept=0.0, terms=full, p=4, domain=((0.0, 1.0),) * 4)
+    assert np.all(m.gradient_batch(X) != 0.0)
+
+
+def test_gradient_batch_rows_do_not_depend_on_their_block():
+    rng = np.random.default_rng(24)
+    X = rng.uniform(size=(1000, 6))
+    m = _random_surrogate(rng, X, n_terms=40, used=6)
+    whole = m.gradient_batch(X).tobytes()
+    for rows in (1, 7, 256):
+        blocks = [m.gradient_batch(X[a:a + rows]) for a in range(0, X.shape[0], rows)]
+        assert np.concatenate(blocks).tobytes() == whole
+
+
+def test_mc_cmat_on_surrogates_is_bitwise_the_loop_gradient_estimate():
+    # mc_cmat streams gradient_batch over chunks of 6,656 rows; B is not a
+    # multiple of that, and whole_sample_mc takes every gradient from the loop
+    rng = np.random.default_rng(25)
+    p = 24
+    models = []
+    for label in ("a", "b"):
+        terms = []
+        for _ in range(60):
+            deg = int(rng.choice([1, 2, 3], p=[0.4, 0.4, 0.2]))
+            terms.append(_term(float(rng.normal()), *(
+                (int(v), int(rng.choice([-1, 1])), float(rng.uniform(0.05, 0.95)))
+                for v in rng.choice(p, size=deg, replace=False))))
+        models.append(MarsSurrogate(intercept=0.0, terms=tuple(terms), p=p,
+                                    domain=((0.0, 1.0),) * p, label=label))
+    prior = InputPrior([NormalDim(0.5, 0.25, 0.0, 1.0) if i % 3 == 2 else UniformDim(0.0, 1.0)
+                        for i in range(p)])
+    fk, fl = (SampledFunction.from_surrogate(m) for m in models)
+    rk, rl = (replace(f, grad=lambda X, m=m: loop_gradient(m, X)) for f, m in zip((fk, fl), models))
+    B = 2 * 6656 + 1001
+    assert _chunk_rows((fk, fl)) == 6656
+    for (a, b), (ra, rb) in (((fk, fl), (rk, rl)), ((fk, fk), (rk, rk))):
+        res = mc_cmat(a, b, prior, B=B, seed=4)
+        mean, se, _, _ = whole_sample_mc(ra, rb, prior, B, seed=4)
+        assert res.matrix.entries.tobytes() == mean.tobytes()
+        assert res.se.tobytes() == se.tobytes()
+
+
+@pytest.mark.parametrize("method", ["gradient_batch", "evaluate_batch", "design_matrix"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_batch_methods_refuse_a_non_finite_entry(method, bad):
+    m = _awkward_model()
+    X = np.full((5, 2), 0.5)
+    X[3, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        getattr(m, method)(X)
 
 
 # -- serialization ----------------------------------------------------------
