@@ -139,10 +139,12 @@ class MarsSurrogate:
         coefs = np.array([t.coef for t in self.terms])
         if coefs.size == 0:
             return np.full(X.shape[0], self.intercept)
+        factor_sets = [t.factors for t in self.terms]
         rows = max(1, _CHUNK_CELLS // (coefs.size + 1))
         out = np.empty(X.shape[0])
         for a in range(0, X.shape[0], rows):
-            out[a:a + rows] = self.intercept + self.design_matrix(X[a:a + rows]) @ coefs
+            B = _design_from_factor_sets(X[a:a + rows], factor_sets)
+            out[a:a + rows] = self.intercept + B[:, 1:] @ coefs
         return out
 
     # -- differentiation -------------------------------------------------
@@ -171,6 +173,8 @@ class MarsSurrogate:
         GT = np.zeros_like(XT)
         for term in self.terms:
             factors = term.factors
+            if not factors:  # a constant term has a zero gradient
+                continue
             actives = [(XT[f.var] >= f.knot) if f.sign > 0 else (XT[f.var] < f.knot)
                        for f in factors]
             if len(factors) == 1:

@@ -308,11 +308,13 @@ def test_gradient_batch_on_empty_and_full_supports_is_bitwise_the_loop():
              _term(2.5, (3, 1, 0.3), (1, -1, 0.5), (2, -1, 0.1)))
     full = (_term(-0.75, (0, 1, 0.1), (1, -1, 0.9), (2, 1, 0.15)),
             _term(3.0, (3, -1, 0.85), (0, 1, 0.05)))
-    for terms in (empty, full, empty + full + (_term(-2.0, (1, 1, 0.4)),)):
+    constant = (_term(0.5),)  # degree 0: the loop adds nothing
+    for terms in (empty, full, constant, empty + full + constant + (_term(-2.0, (1, 1, 0.4)),)):
         m = MarsSurrogate(intercept=0.0, terms=terms, p=4, domain=((0.0, 1.0),) * 4)
         _check_against_loop(m, X)
-    m = MarsSurrogate(intercept=0.0, terms=empty, p=4, domain=((0.0, 1.0),) * 4)
-    assert m.gradient_batch(X).tobytes() == np.zeros((500, 4)).tobytes()  # no -0.0
+    for terms in (empty, constant):
+        m = MarsSurrogate(intercept=0.0, terms=terms, p=4, domain=((0.0, 1.0),) * 4)
+        assert m.gradient_batch(X).tobytes() == np.zeros((500, 4)).tobytes()  # no -0.0
     m = MarsSurrogate(intercept=0.0, terms=full, p=4, domain=((0.0, 1.0),) * 4)
     assert np.all(m.gradient_batch(X) != 0.0)
 
