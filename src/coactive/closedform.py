@@ -132,9 +132,6 @@ class NormalDim:
     def _std(self, x):
         return (np.asarray(x, dtype=float) - self.mean) / self.sd
 
-    def _raw_mass(self, a, b) -> float:
-        return float(_ndtr_diff(self._std(a), self._std(b)))
-
     def moments(self, a, b):
         """(xi(0 | a, b), xi(1 | a, b), xi(2 | a, b)) for the (possibly
         truncated) normal, vectorized; one mass and one phi difference."""

@@ -518,6 +518,8 @@ def fit_with_report(X, y, cfg: FitConfig = FitConfig()) -> tuple[MarsSurrogate, 
     n, p = X.shape
     if y.shape[0] != n:
         raise ValueError(f"X has {n} rows but y has {y.shape[0]}")
+    if cfg.domain is not None and len(cfg.domain) != p:
+        raise ValueError(f"the fit domain has {len(cfg.domain)} entries but X has {p} columns")
     if n < _MIN_SAMPLES:
         raise ValueError(f"need at least {_MIN_SAMPLES} samples, got {n}")
     for name, arr in (("X", X), ("y", y)):
@@ -638,16 +640,23 @@ _MIN_WIDTH = 128
 
 
 class _WidthClass:
-    """The slots of a _KnotScan whose parent support fits in width rows.
+    """The slots of a _KnotScan whose parent support fits in width rows,
+    and their candidate knots.
 
-    Row s of rows, g and xc is one slot's support in its variable's sorted
-    order, left-aligned and zero-padded: the sample rows, the parent column
-    there and the centred input. A parent's slots are consecutive rows, in
-    variable order. A zero g leaves every running sum bitwise unchanged, so
-    the sums over these rows are those over all n.
-    cand lists the scan's candidates of these slots, loc each one's slot
-    here, tc its centred knot t, and ip and im the counts of its slot's
-    sorted x <= t and x < t. The row buffers grow on demand.
+    Slot s extends parent par[s] on variable var[s]; slots run in (parent,
+    variable) order, a parent's slots being consecutive. Row s of rows, g
+    and xc is the slot's support in its variable's sorted order,
+    left-aligned and zero-padded: the sample rows, the parent column there
+    and the centred input. A zero g leaves every running sum bitwise
+    unchanged, so the sums over these rows are those over all n. The row
+    buffers grow on demand.
+    Flat over the candidates in (slot, knot) order, loc holds each one's
+    slot, knot its knot, tc the centred knot t and ip and im the counts of
+    the slot's sorted x <= t and x < t, next to the raw hinge norms |C+|^2,
+    |C-|^2, the sums over the columns q of Q of (q.C+)^2, (q.C-)^2 and
+    (q.C+)(q.C-), and the residual sums u = resid.C+ and w = resid.C-,
+    updated as each column takes its share off the residual. C+ . C- is
+    exactly 0 (disjoint supports).
     """
 
     def __init__(self, width: int):
@@ -656,16 +665,19 @@ class _WidthClass:
         self.rows = np.zeros((0, width), dtype=np.intp)
         self.g = np.zeros((0, width))
         self.xc = np.zeros((0, width))
-        self.cand = self.loc = self.ip = self.im = np.empty(0, dtype=np.intp)
-        self.tc = np.empty(0)
+        self.par = self.var = self.loc = self.ip = self.im = np.empty(0, dtype=np.intp)
+        self.knot = self.tc = self.raw_p = self.raw_m = np.empty(0)
+        self.spp = self.smm = self.spm = self.u = self.w = np.empty(0)
 
-    def add(self, rows, g, xc, loc, tc, ip, im, cand, W):
-        """Write one parent's slots, its (slots x a) sample rows, parent
-        values and centred inputs in each free variable's sorted order, into
-        the next rows of the buffers. Its candidates, at places cand in the
-        scan, sit in slot loc of the block with centred knots tc and counts
-        ip and im. Returns their raw hinge norms |C+|^2 and |C-|^2 and their
-        sums for the columns of W, over width a."""
+    def add(self, pi, free, rows, g, xs, knots, center, W):
+        """Register parent pi on the variables free, in the next rows of
+        the buffers: its (slots x a) sample rows, parent values and inputs
+        in each free variable's sorted order, the knots on each and the
+        variables' centres. Its candidates are projected on the columns of
+        W, the m columns of Q and then the residual. Term pi came with
+        column pi of Q: its sums over columns 0..pi are one einsum and the
+        later columns are added one at a time, as when each term was
+        registered right after its own column."""
         (k, a), s0 = rows.shape, self.size
         if s0 + k > self.rows.shape[0]:
             cap = max(2 * self.rows.shape[0], s0 + k)
@@ -675,30 +687,53 @@ class _WidthClass:
                 new[:s0] = old[:s0]
                 setattr(self, name, new)
         self.size = s0 + k
+        xc = xs - center[:, None]
         block = (slice(s0, self.size), slice(0, a))
         self.rows[block], self.g[block], self.xc[block] = rows, g, xc
-        cat = np.concatenate
-        self.cand, self.loc, self.tc = cat([self.cand, cand]), cat([self.loc, s0 + loc]), cat([self.tc, tc])
-        self.ip, self.im = cat([self.ip, ip]), cat([self.im, im])
+        loc = np.repeat(np.arange(k), [kn.size for kn in knots])
+        knot = np.concatenate(knots)
+        tc = knot - center[loc]
+        ip = np.concatenate([np.searchsorted(x, kn, side="right") for x, kn in zip(xs, knots)])
+        im = np.concatenate([np.searchsorted(x, kn, side="left") for x, kn in zip(xs, knots)])
         at = _slot_rows(loc, ip, im, a)
         # raw norms: sum of g^2 (x - t)^2 over the suffix / prefix
         g2 = g * g
         suf, pre = _split_sums(np.stack([g2, g2 * xc, g2 * xc**2], axis=-1), at)
         raw_p = suf[:, 2] - 2.0 * tc * suf[:, 1] + tc * tc * suf[:, 0]
         raw_m = pre[:, 2] - 2.0 * tc * pre[:, 1] + tc * tc * pre[:, 0]
-        return (raw_p, raw_m, *self._hinge_sums(W, s0, a, at, tc))
+        plus, minus = self._hinge_sums(W, s0, a, at, tc)
+        m = W.shape[1] - 1
+        P, M = plus[:, : pi + 1], minus[:, : pi + 1]
+        spp, smm, spm = (np.einsum("ij,ij->i", A, B) for A, B in ((P, P), (M, M), (P, M)))
+        for j in range(pi + 1, m):
+            spp += plus[:, j] ** 2
+            smm += minus[:, j] ** 2
+            spm += plus[:, j] * minus[:, j]
+        new = {"par": np.full(k, pi), "var": free, "loc": s0 + loc, "knot": knot, "tc": tc, "ip": ip,
+               "im": im, "raw_p": np.maximum(raw_p, 0.0), "raw_m": np.maximum(raw_m, 0.0),
+               "spp": spp, "smm": smm, "spm": spm, "u": plus[:, m], "w": minus[:, m]}
+        for name, part in new.items():
+            setattr(self, name, np.concatenate([getattr(self, name), part]))
 
-    def sums(self, W):
-        """W.C+ and W.C- (L x k) of all candidates here, for the columns of
-        W (n x k) in sample-row order."""
+    def fold(self, W, betas):
+        """Fold the columns of W (n x k), new columns of Q that took
+        betas off the residual, into the sums of every candidate here."""
         at = _slot_rows(self.loc, self.ip, self.im, self.width)
-        return self._hinge_sums(W, 0, self.width, at, self.tc)
+        plus, minus = self._hinge_sums(W, 0, self.width, at, self.tc)
+        for j, beta in enumerate(betas):
+            pj, mj = plus[:, j], minus[:, j]
+            self.spp = self.spp + pj**2
+            self.smm = self.smm + mj**2
+            self.spm = self.spm + pj * mj
+            self.u = self.u - beta * pj
+            self.w = self.w - beta * mj
 
     def _hinge_sums(self, W, s0, width, at, tc):
-        """W.C+ and W.C- of the candidates of slots s0 on, whose supports fit
-        in width rows, read at at = _slot_rows, with centred knots tc:
-        w . g(x - t)_+ is a suffix sum and w . g(t - x)_+ a prefix sum of w*g
-        and w*g*x."""
+        """W.C+ and W.C- (L x k), for the columns of W (n x k) in
+        sample-row order, of the candidates of slots s0 on, whose supports
+        fit in width rows, read at at = _slot_rows, with centred knots tc:
+        w . g(x - t)_+ is a suffix sum and w . g(t - x)_+ a prefix sum of
+        w*g and w*g*x."""
         s = (slice(s0, self.size), slice(0, width))
         A = W.take(self.rows[s], axis=0)
         A *= self.g[s][:, :, None]
@@ -708,141 +743,9 @@ class _WidthClass:
         t = tc[:, None]
         return suf1 - t * suf0, t * pre0 - pre1
 
-
-class _KnotScan:
-    """Friedman's fast knot update (Friedman 1991, Ann. Stat., sec. 3.9).
-
-    Keeps the orthonormal basis Q of the forward pass and running sums from
-    which every candidate knot is scored in O(n) per step. Each term added
-    comes with one column of Q and becomes a parent. Each eligible (parent,
-    variable) pair is a slot, in (parent, variable) order, with parent
-    par[s] and variable var[s]. A parent's slots are stored together in the
-    narrowest width class (n, n/2, n/4, ... down to _MIN_WIDTH) that holds
-    its support.
-    Flat over the candidates in (slot, knot) order, loc holds each one's
-    slot, next to the raw hinge norms |C+|^2, |C-|^2, the sums over the
-    columns q of Q of (q.C+)^2, (q.C-)^2 and (q.C+)(q.C-), and the residual
-    sums u = resid.C+ and w = resid.C-, updated as each column takes its
-    share off the residual. C+ . C- is exactly 0 (disjoint supports).
-    """
-
-    def __init__(self, X: np.ndarray, cfg: FitConfig, capacity: int):
-        n, p = X.shape
-        self.p = p
-        self.cfg = cfg
-        self.Q = np.empty((n, capacity))
-        self.m = 0
-        self.betas: list[float] = []  # of the columns not yet folded in
-        self.parent_cols: list[np.ndarray] = []
-        self.parent_factors: list[tuple[HingeFactor, ...]] = []
-        self.order = np.argsort(X, axis=0, kind="stable").T  # (p, n)
-        self.xs = np.take_along_axis(X, self.order.T, axis=0).T
-        self.center = np.median(X, axis=0)
-        widths = [n]
-        while widths[-1] // 2 >= _MIN_WIDTH:
-            widths.append(widths[-1] // 2)
-        self.classes = [_WidthClass(w) for w in widths]
-        self.par = self.var = self.loc = np.empty(0, dtype=np.intp)
-        self.knot = self.raw_p = self.raw_m = np.empty(0)
-        self.spp = self.smm = self.spm = self.u = self.w = np.empty(0)
-
-    @property
-    def basis(self) -> np.ndarray:
-        return self.Q[:, : self.m]
-
-    def add_term(self, q: np.ndarray, beta: float, col: np.ndarray,
-                 factors: tuple[HingeFactor, ...]) -> None:
-        """Append the basis column q of the term col with factors; beta is
-        q.resid, the share q takes off the residual. update folds it in."""
-        self.Q[:, self.m] = q
-        self.m += 1
-        self.betas.append(beta)
-        self.parent_cols.append(col)
-        self.parent_factors.append(factors)
-
-    def update(self, resid: np.ndarray) -> None:
-        """Fold the terms added since the last update into the scan, for
-        the residual resid after them: one pass over the existing slots for
-        all their columns, then one registration of them as parents."""
-        betas, self.betas = self.betas, []
-        k = len(betas)
-        if not k:
-            return
-        if self.loc.size:
-            plus, minus = self._sums(self.Q[:, self.m - k : self.m])
-            for j in range(k):
-                pj, mj = plus[:, j], minus[:, j]
-                self.spp = self.spp + pj**2
-                self.smm = self.smm + mj**2
-                self.spm = self.spm + pj * mj
-                self.u = self.u - betas[j] * pj
-                self.w = self.w - betas[j] * mj
-        self._register(range(self.m - k, self.m), resid)
-
-    def _sums(self, W: np.ndarray):
-        """W.C+ and W.C- (L x k) of every candidate, for the columns of W
-        (n x k) in sample-row order: one cumsum per width class."""
-        shape = (self.loc.size, W.shape[1])
-        plus, minus = np.empty(shape), np.empty(shape)
-        for c in self.classes:
-            if c.size:
-                plus[c.cand], minus[c.cand] = c.sums(W)
-        return plus, minus
-
-    def _register(self, terms, resid: np.ndarray) -> None:
-        """The terms (indices into parent_cols) become parents on each
-        variable they leave free. A parent column is non-negative and each
-        variable's sorted order permutes its rows, so a parent has one
-        support size a on every free variable: one span rule, one width
-        class, and candidates on all of those variables or on none. Its
-        slots go as one block into the narrowest class that holds a and are
-        projected there on every column of Q and on resid at once. Term j
-        came with column j of Q: its sums over columns 0..j are one einsum
-        and the later columns are added one at a time, as when each term was
-        registered right after its own column."""
-        p, cfg, m = self.p, self.cfg, self.m
-        W = np.empty((self.Q.shape[0], m + 1))
-        W[:, :m], W[:, m] = self.basis, resid
-        widths = [c.width for c in reversed(self.classes)]
-        s0, c0, new = self.par.size, self.loc.size, []
-        for pi in terms:
-            factors = self.parent_factors[pi]
-            used = {f.var for f in factors}
-            free = [v for v in range(p) if v not in used]
-            if len(factors) >= cfg.max_degree or not free:
-                continue
-            order = self.order[free]
-            gs = self.parent_cols[pi][order]  # the parent in each free variable's sorted order
-            sup = np.flatnonzero(gs > 0)
-            shape = (len(free), sup.size // len(free))
-            rows, g, xs = (B.take(sup).reshape(shape) for B in (order, gs, self.xs[free]))
-            knots = [_parent_candidates(x, cfg, p) for x in xs]
-            if not knots[0].size:  # too few support points, so on every variable
-                continue
-            loc = np.repeat(np.arange(len(free)), [kn.size for kn in knots])
-            knot = np.concatenate(knots)
-            ip = np.concatenate([np.searchsorted(x, kn, side="right") for x, kn in zip(xs, knots)])
-            im = np.concatenate([np.searchsorted(x, kn, side="left") for x, kn in zip(xs, knots)])
-            c = self.classes[len(widths) - 1 - np.searchsorted(widths, shape[1])]
-            center = self.center[free]
-            raw_p, raw_m, plus, minus = c.add(rows, g, xs - center[:, None], loc, knot - center[loc], ip, im,
-                                              c0 + np.arange(knot.size), W)
-            P, M = plus[:, : pi + 1], minus[:, : pi + 1]
-            spp, smm, spm = (np.einsum("ij,ij->i", A, B) for A, B in ((P, P), (M, M), (P, M)))
-            for j in range(pi + 1, m):
-                spp += plus[:, j] ** 2
-                smm += minus[:, j] ** 2
-                spm += plus[:, j] * minus[:, j]
-            new.append((np.full(len(free), pi), np.array(free, dtype=np.intp), s0 + loc, knot,
-                        np.maximum(raw_p, 0.0), np.maximum(raw_m, 0.0), spp, smm, spm, plus[:, m], minus[:, m]))
-            s0, c0 = s0 + len(free), c0 + knot.size
-        for name, parts in zip(("par", "var", "loc", "knot", "raw_p", "raw_m", "spp", "smm", "spm", "u", "w"),
-                               zip(*new)):
-            setattr(self, name, np.concatenate([getattr(self, name), *parts]))
-
     def reductions(self):
-        """SSE reductions (paired, plus only, minus only) of every candidate,
-        for the residual of the last update."""
+        """SSE reductions (paired, plus only, minus only) of every candidate
+        here, for the residual of the last update."""
         u, w = self.u, self.w
         a = self.raw_p - self.spp
         c = self.raw_m - self.smm
@@ -866,6 +769,89 @@ class _KnotScan:
         red_m = np.where(ok_p & ok_m & ~ok2, 0.0, red_m)
         return red2, red_p, red_m
 
+
+class _KnotScan:
+    """Friedman's fast knot update (Friedman 1991, Ann. Stat., sec. 3.9).
+
+    Keeps the orthonormal basis Q of the forward pass and the parents. Each
+    term added comes with one column of Q and becomes a parent. Each
+    eligible (parent, variable) pair is a slot. A parent's slots and their
+    candidates are stored together in the narrowest width class (n, n/2,
+    n/4, ... down to _MIN_WIDTH) that holds its support, which keeps the
+    running sums that score every candidate knot in O(n) per step.
+    """
+
+    def __init__(self, X: np.ndarray, cfg: FitConfig, capacity: int):
+        n, p = X.shape
+        self.p = p
+        self.cfg = cfg
+        self.Q = np.empty((n, capacity))
+        self.m = 0
+        self.betas: list[float] = []  # of the columns not yet folded in
+        self.parent_cols: list[np.ndarray] = []
+        self.parent_factors: list[tuple[HingeFactor, ...]] = []
+        self.order = np.argsort(X, axis=0, kind="stable").T  # (p, n)
+        self.xs = np.take_along_axis(X, self.order.T, axis=0).T
+        self.center = np.median(X, axis=0)
+        widths = [n]
+        while widths[-1] // 2 >= _MIN_WIDTH:
+            widths.append(widths[-1] // 2)
+        self.classes = [_WidthClass(w) for w in widths]
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self.Q[:, : self.m]
+
+    def add_term(self, q: np.ndarray, beta: float, col: np.ndarray,
+                 factors: tuple[HingeFactor, ...]) -> None:
+        """Append the basis column q of the term col with factors; beta is
+        q.resid, the share q takes off the residual. update folds it in."""
+        self.Q[:, self.m] = q
+        self.m += 1
+        self.betas.append(beta)
+        self.parent_cols.append(col)
+        self.parent_factors.append(factors)
+
+    def update(self, resid: np.ndarray) -> None:
+        """Fold the terms added since the last update into the scan, for
+        the residual resid after them: one pass over each class's slots for
+        all their columns, then one registration of them as parents."""
+        betas, self.betas = self.betas, []
+        k = len(betas)
+        for c in self.classes:
+            if c.size:
+                c.fold(self.Q[:, self.m - k : self.m], betas)
+        self._register(range(self.m - k, self.m), resid)
+
+    def _register(self, terms, resid: np.ndarray) -> None:
+        """The terms (indices into parent_cols) become parents on each
+        variable they leave free. A parent column is non-negative and each
+        variable's sorted order permutes its rows, so a parent has one
+        support size a on every free variable: one span rule, one width
+        class, and candidates on all of those variables or on none. Its
+        slots go as one block into the narrowest class that holds a and are
+        projected there on every column of Q and on resid at once."""
+        p, cfg, m = self.p, self.cfg, self.m
+        W = np.empty((self.Q.shape[0], m + 1))
+        W[:, :m], W[:, m] = self.basis, resid
+        widths = [c.width for c in reversed(self.classes)]
+        for pi in terms:
+            factors = self.parent_factors[pi]
+            used = {f.var for f in factors}
+            free = [v for v in range(p) if v not in used]
+            if len(factors) >= cfg.max_degree or not free:
+                continue
+            order = self.order[free]
+            gs = self.parent_cols[pi][order]  # the parent in each free variable's sorted order
+            sup = np.flatnonzero(gs > 0)
+            shape = (len(free), sup.size // len(free))
+            rows, g, xs = (B.take(sup).reshape(shape) for B in (order, gs, self.xs[free]))
+            knots = [_parent_candidates(x, cfg, p) for x in xs]
+            if not knots[0].size:  # too few support points, so on every variable
+                continue
+            c = self.classes[len(widths) - 1 - np.searchsorted(widths, shape[1])]
+            c.add(pi, np.array(free, dtype=np.intp), rows, g, xs, knots, self.center[free], W)
+
     def best(self):
         """(reduction, parent, var, knot, mode) of the best candidate for the
         residual of the last update, or None.
@@ -876,21 +862,28 @@ class _KnotScan:
         candidates up to roundoff (every paired knot on a linear
         response), so the order, not the roundoff, picks among them.
         """
-        if not self.loc.size:
+        scored = [(c, np.stack(c.reductions())) for c in self.classes if c.size]
+        if not scored:
             return None
-        reds = np.stack(self.reductions())
-        top = max(float(r.max()) for r in reds)
+        top = max(float(reds.max()) for _, reds in scored)
         if not top > 0:
             return None
-        hit = reds >= top * (1.0 - _TIE_RTOL)
-        # the first slot with a hit, then its first mode with a hit, then
+        # each class's first slot with a hit, in (parent, var) order; a
+        # parent's slots share one class, so the lowest parent among them
+        # is the first slot overall. Then its first mode with a hit, then
         # that mode's first knot: candidates run in (slot, knot) order
-        s = self.loc[hit.any(axis=0).argmax()]
-        at = np.flatnonzero(self.loc == s)
+        firsts = []
+        for c, reds in scored:
+            hit = reds >= top * (1.0 - _TIE_RTOL)
+            if hit.any():
+                s = c.loc[hit.any(axis=0).argmax()]
+                firsts.append((c.par[s], c, reds, hit, s))
+        _, c, reds, hit, s = min(firsts, key=lambda f: f[0])
+        at = np.flatnonzero(c.loc == s)
         rank = int(hit[:, at].any(axis=1).argmax())
         i = at[hit[rank, at].argmax()]
         r = float(reds[rank, i])
-        return r, int(self.par[s]), int(self.var[s]), float(self.knot[i]), ("both", "plus", "minus")[rank]
+        return r, int(c.par[s]), int(c.var[s]), float(c.knot[i]), ("both", "plus", "minus")[rank]
 
 
 def _forward_pass(X, y, cfg: FitConfig, sst):

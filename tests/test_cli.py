@@ -270,6 +270,24 @@ def test_fit_refuses_a_non_finite_field_and_writes_nothing(tmp_path, capsys, row
         assert sorted(os.listdir(tmp_path)) == ["bad.csv"]
 
 
+@pytest.mark.parametrize("inputs, dims", [(3, 2), (2, 3)])
+def test_fit_refuses_a_prior_of_another_length_and_writes_nothing(tmp_path, capsys, inputs, dims):
+    # a prior with fewer dims than the CSV has inputs once failed with
+    # "tuple index out of range", and one with more only after a whole fit
+    X = lhs_design(60, inputs, ((0.0, 1.0),) * inputs, seed=3)
+    train = tmp_path / "t.csv"
+    np.savetxt(train, np.column_stack([X, X.sum(axis=1) ** 2]), fmt="%.17g", delimiter=",",
+               header=",".join([f"x{j}" for j in range(inputs)] + ["y"]), comments="")
+    prior = tmp_path / "p.json"
+    save_prior(InputPrior.uniform_box(((0.0, 1.0),) * dims), prior)
+    for args in ([], ["--ensemble", "2"]):
+        out = tmp_path / "out"
+        assert main(["fit", str(train), "--out", str(out), "--prior", str(prior), *args]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: the fit domain has {dims} entries but X has {inputs} columns\n"
+        assert sorted(os.listdir(tmp_path)) == ["p.json", "t.csv"]
+
+
 def test_cmat_refuses_a_nan_prior_mean_by_name(tmp_path, fitted_pair, capsys):
     prior = tmp_path / "nan_prior.json"
     prior.write_text(json.dumps({"p": 2, "dims": [
@@ -855,6 +873,13 @@ def test_verify_metric_passes(tmp_path, capsys):
     assert main(["verify", "metric", "--n", "6", "--seed", "2"]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l]
     assert len(lines) == 4 and all(l.startswith("PASS") for l in lines)
+
+
+def test_run_suite_refuses_an_unknown_fixture():
+    from coactive.verify import run_suite
+
+    with pytest.raises(ValueError, match=r"^unknown fixture 'nope'; expected one of \['metric', 'piston', 'poly'\]$"):
+        run_suite("nope")
 
 
 @pytest.mark.parametrize("n", ["0", "2"])

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.stats import truncnorm
+from scipy.stats import norm, truncnorm
 
 from coactive import (
     BasisTerm,
@@ -32,6 +32,7 @@ from coactive import (
 from coactive.closedform import (
     _hinge_integrals,
     _hinge_support,
+    _validate_self_matrix,
     load_matrix,
     matrix_from_dict,
     matrix_to_dict,
@@ -147,7 +148,7 @@ def test_moments_match_quadrature(dim, a, b, r):
         pdf = lambda x: 1.0 / (hi - lo)
     else:
         lo, hi = max(dim.trunc_lo, dim.mean - 12 * dim.sd), min(dim.trunc_hi, dim.mean + 12 * dim.sd)
-        mass = dim._raw_mass(dim.trunc_lo, dim.trunc_hi)
+        mass = norm.cdf(dim.trunc_hi, dim.mean, dim.sd) - norm.cdf(dim.trunc_lo, dim.mean, dim.sd)
         pdf = lambda x: math.exp(-0.5 * ((x - dim.mean) / dim.sd) ** 2) / (
             dim.sd * math.sqrt(2 * math.pi) * mass
         )
@@ -255,7 +256,7 @@ def test_scalar_integrals_match_quadrature_randomized():
         if isinstance(dim, UniformDim):
             pdf = lambda x: 1.0
         else:
-            mass = dim._raw_mass(0.0, 1.0)
+            mass = norm.cdf(1.0, 0.4, 0.5) - norm.cdf(0.0, 0.4, 0.5)
             pdf = lambda x: math.exp(-0.5 * ((x - 0.4) / 0.5) ** 2) / (
                 0.5 * math.sqrt(2 * math.pi) * mass
             )
@@ -571,6 +572,18 @@ def test_coactive_matrix_validation():
     assert M.p == 2
     with pytest.raises(ValueError):
         CoActiveMatrix(entries=np.ones((2, 3)), trace=2.0, labels=("a", "b"))
+    with pytest.raises(ValueError, match="^kind must be plain or modified, got 'x'$"):
+        CoActiveMatrix(entries=np.eye(2), trace=2.0, labels=("a", "b"), kind="x")
+
+
+def test_self_matrix_must_be_symmetric_and_positive_semi_definite():
+    _validate_self_matrix(np.zeros((2, 2)))
+    _validate_self_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    with pytest.raises(ValueError, match="^self matrix is not symmetric$"):
+        _validate_self_matrix(np.array([[2.0, 1.0], [1.0 + 1e-6, 2.0]]))
+    # eigenvalues 3 and -1
+    with pytest.raises(ValueError, match="^self matrix is not positive semi-definite$"):
+        _validate_self_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def test_matrix_json_round_trip(tmp_path):
@@ -608,6 +621,13 @@ def test_prior_round_trip(tmp_path):
     assert load_prior(tmp_path / "prior.json") == prior
     with pytest.raises(ValueError, match="family|type"):
         prior_from_dict({"dims": [{"type": "beta", "a": 1, "b": 1}]})
+
+
+def test_prior_refuses_no_dims_and_a_wrong_p():
+    with pytest.raises(ValueError, match="^prior needs at least one dimension$"):
+        InputPrior(dims=())
+    with pytest.raises(ValueError, match="^prior file says p=3 but has 2 dims$"):
+        prior_from_dict({"p": 3, "dims": [{"type": "uniform", "lo": 0, "hi": 1}] * 2})
 
 
 def test_json_files_share_one_layout(tmp_path):

@@ -343,6 +343,8 @@ def test_mds_embeds_a_grids_discordance():
 def test_mds_validation():
     with pytest.raises(ValueError, match="at least 3"):
         mds_embed(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(3, 4\)$"):
+        mds_embed(np.zeros((3, 4)))
     bad = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
     with pytest.raises(ValueError, match="symmetric"):
         mds_embed(bad)

@@ -10,6 +10,7 @@ one solve per deletion candidate, with the same coefficients.
 from __future__ import annotations
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from mars_reference import FullWidthScan, dense_backward, dense_forward, select
 from coactive import FitConfig, fit_with_report, lhs_design, model, piston
 from coactive.model import (
     _MIN_WIDTH,
+    _TIE_RTOL,
     HingeFactor,
     _backward_pass,
     _design_from_factor_sets,
@@ -108,6 +110,30 @@ CASES = {
 }
 
 
+def _candidates(scan):
+    """The scan's candidates over all its width classes as one flat list
+    in (parent, variable, knot) order: par and var of each slot in
+    (parent, variable) order, each candidate's slot loc there, and its
+    knot, raw norms, running sums and reductions red2, red_p, red_m."""
+    cls = scan.classes
+    par, var = (np.concatenate([getattr(c, name) for c in cls]) for name in ("par", "var"))
+    slot = np.lexsort((var, par))
+    rank = np.empty_like(slot)
+    rank[slot] = np.arange(slot.size)
+    first = np.cumsum([0] + [c.size for c in cls[:-1]])
+    loc = rank[np.concatenate([f + c.loc for f, c in zip(first, cls)])]
+    # a slot's candidates sit in one class in knot order, so a stable sort
+    # by slot keeps them in that order
+    order = np.argsort(loc, kind="stable")
+    flat = {"par": par[slot], "var": var[slot], "loc": loc[order]}
+    for name in ("knot", "raw_p", "raw_m", "spp", "smm", "spm", "u", "w"):
+        flat[name] = np.concatenate([getattr(c, name) for c in cls])[order]
+    reds = [c.reductions() for c in cls]
+    for k, name in enumerate(("red2", "red_p", "red_m")):
+        flat[name] = np.concatenate([r[k] for r in reds])[order]
+    return SimpleNamespace(**flat)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_fitter_matches_dense_reference(case):
     X, y, cfg = CASES[case]()
@@ -123,10 +149,10 @@ def test_fitter_matches_dense_reference(case):
 
     def on_step(resid, sse, dense):
         fast = {}
-        reds = scan.reductions()
-        for s, key in enumerate(zip(scan.par.tolist(), scan.var.tolist())):
-            at = scan.loc == s
-            fast[key] = (scan.knot[at], *(r[at] for r in reds))
+        flat = _candidates(scan)
+        for s, key in enumerate(zip(flat.par.tolist(), flat.var.tolist())):
+            at = flat.loc == s
+            fast[key] = (flat.knot[at], flat.red2[at], flat.red_p[at], flat.red_m[at])
         assert fast.keys() == dense.keys()
         err = 0.0
         for key, (kn, *reds) in dense.items():
@@ -139,13 +165,13 @@ def test_fitter_matches_dense_reference(case):
         # residual of g*x: each side of the 1e-12 threshold keeps a margin.
         # A knot on a constant column makes two zero hinges, scored by neither
         Q = scan.basis
-        R = np.array(scan.parent_cols)[scan.par] * X[:, scan.var].T
+        R = np.array(scan.parent_cols)[flat.par] * X[:, flat.var].T
         for _ in range(2):
             R = R - (R @ Q) @ Q.T
-        scale = scan.raw_p + scan.raw_m
+        scale = flat.raw_p + flat.raw_m
         live = scale > 0
-        gap = (scan.raw_p - scan.spp + scan.raw_m - scan.smm + 2.0 * scan.spm)[live] / scale[live]
-        collinear = (np.einsum("ij,ij->i", R, R)[scan.loc] < 1e-12 * scale)[live]
+        gap = (flat.raw_p - flat.spp + flat.raw_m - flat.smm + 2.0 * flat.spm)[live] / scale[live]
+        collinear = (np.einsum("ij,ij->i", R, R)[flat.loc] < 1e-12 * scale)[live]
         assert np.all(gap[collinear] < 1e-13) and np.all(gap[~collinear] > 1e-10)
 
     ref_sets, ref_rss = dense_forward(X, y, cfg, sst, mirror=scan, on_step=on_step)
@@ -204,11 +230,12 @@ def test_compacted_scan_matches_the_full_width_scan(case, monkeypatch):
         def update(self, resid):
             super().update(resid)
             self.ref.update(resid)
+            flat = _candidates(self)
             for name in ("par", "var", "loc", "knot", "raw_p", "raw_m", "spp", "smm", "spm"):
-                assert getattr(self, name).tobytes() == getattr(self.ref, name).tobytes(), name
+                assert getattr(flat, name).tobytes() == getattr(self.ref, name).tobytes(), name
             sse = float(resid @ resid)
-            for got, want, raw in zip((self.u, self.w), self.ref.residual_sums(),
-                                      (self.raw_p, self.raw_m)):
+            for got, want, raw in zip((flat.u, flat.w), self.ref.residual_sums(),
+                                      (flat.raw_p, flat.raw_m)):
                 live = raw > 0
                 assert np.all(got[~live] == 0.0)
                 errors.append(float(np.max(np.abs(got - want)[live] / np.sqrt(sse * raw[live]),
@@ -221,33 +248,38 @@ def test_compacted_scan_matches_the_full_width_scan(case, monkeypatch):
 
 
 def test_a_step_makes_one_pass_and_one_registration(monkeypatch):
-    # each update folds its new columns into the existing slots with one
-    # pass and registers its new terms with one call; scoring makes none
+    # each update folds its new columns into every width class that holds
+    # slots with one pass each and registers its new terms with one call;
+    # scoring makes none
     X, y, cfg = _piston(1, PISTON_A)
     log = []
+    fold = model._WidthClass.fold
+
+    def counted_fold(c, W, betas):
+        log.append(("fold", c.width, W.shape[1]))
+        fold(c, W, betas)
 
     class Counted(_KnotScan):
         def update(self, resid):
-            log.append(("update", len(self.betas), self.m, self.loc.size > 0))
+            log.append(("update", len(self.betas), self.m, [c.width for c in self.classes if c.size]))
             super().update(resid)
-
-        def _sums(self, W):
-            log.append(("pass", W.shape[1]))
-            return super()._sums(W)
 
         def _register(self, terms, resid):
             log.append(("register", list(terms)))
             super()._register(terms, resid)
 
+    monkeypatch.setattr(model._WidthClass, "fold", counted_fold)
     _, scan = _fit_with_scan(X, y, cfg, Counted, monkeypatch)
     steps = [i for i, entry in enumerate(log) if entry[0] == "update"]
-    assert log[:2] == [("update", 1, 1, False), ("register", [0])]
-    widths = []
+    assert log[:2] == [("update", 1, 1, []), ("register", [0])]
+    widths, held = [], []
     for i, j in zip(steps[1:], steps[2:] + [len(log)]):
         _, k, m, live = log[i]
-        assert live and log[i + 1 : j] == [("pass", k), ("register", list(range(m - k, m)))]
+        passes = [("fold", w, k) for w in live]
+        assert live and log[i + 1 : j] == passes + [("register", list(range(m - k, m)))]
         widths.append(k)
-    assert len(widths) >= 20 and set(widths) == {1, 2}
+        held.append(len(live))
+    assert len(widths) >= 20 and set(widths) == {1, 2} and max(held) == 3
     assert scan.m == len(scan.parent_cols) == sum(widths) + 1 + len(scan.betas)
 
 
@@ -256,15 +288,21 @@ def test_slots_sit_in_the_narrowest_width_class(monkeypatch):
     _, scan = _fit_with_scan(X, y, cfg, _KnotScan, monkeypatch)
     widths = [c.width for c in scan.classes]
     assert widths == [600, 300, 150] and widths[-1] >= _MIN_WIDTH > widths[-1] // 2
-    cands = np.concatenate([c.cand for c in scan.classes])
-    np.testing.assert_array_equal(np.sort(cands), np.arange(scan.loc.size))
-    assert sum(c.size for c in scan.classes) == scan.par.size
+    flat = _candidates(scan)
+    assert flat.knot.size == sum(c.knot.size for c in scan.classes)
+    # every slot is one (parent, variable) pair of the scan
+    assert len(set(zip(flat.par.tolist(), flat.var.tolist()))) == flat.par.size
+    assert sum(c.size for c in scan.classes) == flat.par.size
     for i, c in enumerate(scan.classes):
         assert c.size and c.rows.shape[0] <= 2 * c.size  # grown on demand
-        slots = c.loc
+        assert c.par.size == c.var.size == c.size
+        # every slot has candidates, and they run in (slot, knot) order
+        np.testing.assert_array_equal(np.unique(c.loc), np.arange(c.size))
+        assert np.all(np.diff(c.loc) >= 0)
+        for name in ("knot", "tc", "ip", "im", "raw_p", "raw_m", "spp", "smm", "spm", "u", "w"):
+            assert getattr(c, name).shape == c.loc.shape, name
         for s in range(c.size):
-            gs = scan.loc[c.cand[slots == s][0]]
-            pcol, v = scan.parent_cols[scan.par[gs]], scan.var[gs]
+            pcol, v = scan.parent_cols[c.par[s]], c.var[s]
             a = np.count_nonzero(pcol)
             assert a <= c.width and (i + 1 == len(widths) or a > widths[i + 1])
             # the support rows in the variable's sorted order, then padding
@@ -273,18 +311,17 @@ def test_slots_sit_in_the_narrowest_width_class(monkeypatch):
             np.testing.assert_array_equal(c.g[s, :a], pcol[c.rows[s, :a]])
             assert not np.any(c.g[s, a:]) and not np.any(c.rows[s, a:])
     # all slots of one parent sit in one class, as consecutive rows in
-    # variable order
-    home = {}  # the scan's slot -> (class, row there)
+    # variable order, and each class's slots run in (parent, variable) order
+    home = {}  # parent -> class
     for i, c in enumerate(scan.classes):
-        for cand, s in zip(c.cand, c.loc):
-            home[int(scan.loc[cand])] = (i, int(s))
-    assert sorted(home) == list(range(scan.par.size))
-    for pi in np.unique(scan.par):
-        slots = np.flatnonzero(scan.par == pi)
-        np.testing.assert_array_equal(slots, np.arange(slots[0], slots[-1] + 1))
-        assert np.all(np.diff(scan.var[slots]) > 0)
-        cls, first = home[int(slots[0])]
-        assert [home[int(s)] for s in slots] == [(cls, first + k) for k in range(slots.size)]
+        assert np.all(np.diff(c.par) >= 0)
+        for pi in np.unique(c.par):
+            assert int(pi) not in home
+            home[int(pi)] = i
+            slots = np.flatnonzero(c.par == pi)
+            np.testing.assert_array_equal(slots, np.arange(slots[0], slots[-1] + 1))
+            assert np.all(np.diff(c.var[slots]) > 0)
+    assert sorted(home) == np.unique(flat.par).tolist()
     # below twice the floor every slot shares one class of width n
     for n, count in ((2 * _MIN_WIDTH - 1, 1), (2 * _MIN_WIDTH, 2)):
         Xn = np.random.default_rng(n).uniform(size=(n, 2))
@@ -310,8 +347,7 @@ def test_a_support_of_a_class_width_sits_in_that_class():
     width = {}
     for c in scan.classes:
         for s in np.unique(c.loc):
-            gs = scan.loc[c.cand[c.loc == s][0]]
-            width[int(scan.par[gs]), int(scan.var[gs])] = c.width
+            width[int(c.par[s]), int(c.var[s])] = c.width
     assert width == {(0, 0): 600, (0, 1): 600, (1, 1): 150, (2, 1): 300}
 
 
@@ -354,35 +390,57 @@ def test_collinear_pair_scores_plus_only():
     scan.add_term(q0, q0 @ y, np.ones(n), ())
     scan.add_term(q1, q1 @ y, x - x.min(), (HingeFactor(var=0, sign=1, knot=float(x.min())),))
     scan.update(y - scan.basis @ (scan.basis.T @ y))
-    red2, red_p, red_m = scan.reductions()
+    flat = _candidates(scan)
+    red2, red_p, red_m = flat.red2, flat.red_p, flat.red_m
     assert np.all(red2 == 0.0) and np.all(red_m == 0.0)
     assert np.count_nonzero(red_p) >= red_p.size - 1
 
 
 def test_best_breaks_ties_as_the_plain_scan():
-    # planted ties across slots, modes and knots: the whole-array rule of
-    # best must pick what select's plain (parent, var, mode, knot) scan picks
-    X = lhs_design(50, 3, ((0.0, 1.0),) * 3, seed=2)
+    # planted ties across width classes, slots, modes and knots: the rule
+    # of best must pick what select's plain (parent, var, mode, knot) scan
+    # picks. Each parent's slots go to one of two classes at random, in
+    # (parent, var) order there, as registration places them
+    X = lhs_design(2 * _MIN_WIDTH, 3, ((0.0, 1.0),) * 3, seed=2)
     scan = _KnotScan(X, FitConfig(), 4)
+    assert len(scan.classes) == 2
     rng = np.random.default_rng(6)
     levels = np.array([0.0, 0.5, 1.0, 1.0 - 1e-9, 1.0 - 1e-7])
-    picks = set()
+    picks, contested = set(), set()
     for _ in range(300):
         pairs = sorted({(int(a), int(b)) for a, b in rng.integers(0, 3, size=(5, 2))})
         sizes = rng.integers(1, 4, size=len(pairs))
-        scan.par, scan.var = (np.array(c, dtype=np.intp) for c in zip(*pairs))
-        scan.loc = np.repeat(np.arange(len(pairs)), sizes)
-        scan.knot = rng.uniform(size=scan.loc.size)
-        reds = tuple(rng.choice(levels, size=(3, scan.loc.size), p=[0.3, 0.3, 0.2, 0.1, 0.1]))
-        scan.reductions = lambda reds=reds: reds
+        knot = rng.uniform(size=sizes.sum())
+        reds = tuple(rng.choice(levels, size=(3, knot.size), p=[0.3, 0.3, 0.2, 0.1, 0.1]))
         at = np.cumsum(sizes)[:-1]
         scores = {key: (kn, *rs) for key, kn, *rs in
-                  zip(pairs, np.split(scan.knot, at), *(np.split(r, at) for r in reds))}
+                  zip(pairs, np.split(knot, at), *(np.split(r, at) for r in reds))}
+        home = rng.integers(0, 2, size=3)[[pi for pi, _ in pairs]]
+        slot = np.repeat(np.arange(len(pairs)), sizes)
+        cut = max(r.max() for r in reds) * (1.0 - _TIE_RTOL)
+        hits = []
+        for i, c in enumerate(scan.classes):
+            slots = np.flatnonzero(home == i)
+            mine = np.isin(slot, slots)
+            c.size = slots.size
+            c.par, c.var = (np.array([pairs[s][k] for s in slots], dtype=np.intp) for k in (0, 1))
+            c.loc = np.searchsorted(slots, slot[mine])
+            c.knot = knot[mine]
+            c.reductions = lambda r=tuple(r[mine] for r in reds): r
+            hits.append(bool(np.any(np.stack(reds)[:, mine] >= cut)))
         got = scan.best()
         assert got == select(scores)
         picks.add(None if got is None else got[-1])
+        if got is not None and all(hits):
+            contested.add(int(home[pairs.index(got[1:3])]))
     assert {"both", "plus", "minus"} <= picks
-    scan.reductions = lambda: tuple(np.zeros((3, scan.loc.size)))
+    # both classes held a hit and each of them won such a step
+    assert contested == {0, 1}
+    for c in scan.classes:
+        c.reductions = lambda c=c: tuple(np.zeros((3, c.loc.size)))
+    assert scan.best() is None
+    for c in scan.classes:
+        c.size = 0
     assert scan.best() is None
 
 

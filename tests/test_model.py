@@ -84,6 +84,12 @@ def test_surrogate_validation():
         MarsSurrogate(intercept=0.0, terms=(), p=1, domain=((1.0, 1.0),))
 
 
+@pytest.mark.parametrize("entries", [1, 3])
+def test_surrogate_refuses_a_domain_of_another_length(entries):
+    with pytest.raises(ValueError, match=f"^domain has {entries} entries for p=2$"):
+        MarsSurrogate(intercept=0.0, terms=(), p=2, domain=((0.0, 1.0),) * entries)
+
+
 # -- evaluation ------------------------------------------------------------
 
 
@@ -367,6 +373,12 @@ def test_batch_methods_refuse_a_non_finite_entry(method, bad):
         getattr(m, method)(X)
 
 
+@pytest.mark.parametrize("method", ["gradient_batch", "evaluate_batch"])
+def test_batch_methods_refuse_a_batch_of_another_width(method):
+    with pytest.raises(ValueError, match=r"^expected input of shape \(n, 2\), got \(5, 3\)$"):
+        getattr(_awkward_model(), method)(np.full((5, 3), 0.5))
+
+
 # -- serialization ----------------------------------------------------------
 
 
@@ -572,6 +584,25 @@ def test_fit_input_validation():
         fit(X, y[:-1])
     with pytest.raises(ValueError, match="outside declared domain"):
         fit(X, y, FitConfig(domain=((0.0, 0.5), (0.0, 1.0))))
+
+
+@pytest.mark.parametrize("entries", [1, 3])
+def test_fit_refuses_a_domain_of_another_length_before_fitting(entries, monkeypatch):
+    # a shorter domain raised a bare IndexError, and a longer one was
+    # refused only by the model built after a whole fit
+    import coactive.model
+
+    def no_pass(*args):
+        raise AssertionError("forward pass ran")
+
+    monkeypatch.setattr(coactive.model, "_forward_pass", no_pass)
+    X, y = _poly_xy(n=30)
+    cfg = FitConfig(domain=((0.0, 1.0),) * entries)
+    msg = f"the fit domain has {entries} entries but X has 2 columns"
+    with pytest.raises(ValueError, match=msg):
+        fit_with_report(X, y, cfg)
+    with pytest.raises(ValueError, match=msg):
+        fit_ensemble(X, y, cfg, B=2, seed=0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
