@@ -506,10 +506,10 @@ def fit_with_report(X, y, cfg: FitConfig = FitConfig()) -> tuple[MarsSurrogate, 
     reduce the SSE equally: the pair is not scored and only plus is.
 
     Backward pass: deletes, one at a time, the term whose removal raises
-    the SSE least (ties to the earliest term), from one Cholesky
-    factorization per step, and keeps the subset with the lowest GCV
-    (ties to the smaller subset). Zero-variance responses yield a constant
-    model with a warning flag rather than an error.
+    the SSE least (ties to the earliest term), read off one sweep of the
+    Gram matrix, and keeps the subset with the lowest GCV (ties to the
+    smaller subset). Zero-variance responses yield a constant model with a
+    warning flag rather than an error.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -952,74 +952,72 @@ def _design_from_factor_sets(X, factor_sets) -> np.ndarray:
     return B
 
 
-def _drop_costs(Gs: np.ndarray, gs: np.ndarray, yty: float):
-    """Coefficients of the least-squares fit with Gram block Gs, the SSE
-    increase from dropping each column, coef_j^2 / (Gs^-1)_jj, and a solver
-    v -> Gs^-1 v, all from one Cholesky factorization. A singular Gs falls
-    back to lstsq: on Gs for the solver, and one fit per column for the costs."""
-    try:
-        Linv = np.linalg.inv(np.linalg.cholesky(Gs))
-    except np.linalg.LinAlgError:
-        def solve(v):
-            return np.linalg.lstsq(Gs, v, rcond=None)[0]
-        coef = solve(gs)
-        sse = max(yty - float(gs @ coef), 0.0)
-        cost = np.empty(gs.size)
-        for j in range(gs.size):
-            keep = np.arange(gs.size) != j
-            Gj, gj = Gs[np.ix_(keep, keep)], gs[keep]
-            cj = np.linalg.lstsq(Gj, gj, rcond=None)[0]
-            cost[j] = max(yty - float(gj @ cj), 0.0) - sse
-        return coef, cost, solve
-
-    def solve(v):
-        return Linv.T @ (Linv @ v)
-
-    coef = solve(gs)
-    return coef, coef * coef / np.einsum("ij,ij->j", Linv, Linv), solve
+def _sweep(A, k, sign):
+    """Sweep (sign 1) or un-sweep (sign -1) the symmetric A on pivot k in
+    place (Goodnight 1979). With the columns S of [[G, g], [g', y'y]] swept
+    in, A[S, S] = -G_S^-1 and A[S, -1] = G_S^-1 g_S, the fit's coefficients."""
+    d = A[k, k]
+    b = A[k] / d
+    A -= np.multiply.outer(b, b) * d
+    A[k] = A[:, k] = sign * b
+    A[k, k] = -1.0 / d
 
 
 def _backward_pass(B, y, factor_sets, cfg: FitConfig):
     """GCV-pruned subset along the greedy deletion path, over the columns
     of B: the intercept, then one column per factor set.
 
-    Each step drops the term whose removal raises the SSE least (ties to
-    the lowest index); each subset's SSE is ||y - B_s coef||^2, which does
-    not cancel to 0 on a near-exact fit as y'y - g'coef does. The kept
-    subset takes one refinement step with the factor of its own step, the
-    corrected semi-normal equations (Bjorck 1987). Returns the kept factor
-    sets, their coefficients, the intercept, the SSE and the GCV of every
-    subset on the path, the full model first.
+    Every column is swept into [[B'B, B'y], [y'B, y'y]] once; each step
+    drops the term whose removal raises the SSE least (ties to the lowest
+    index) and un-sweeps it. Each subset's SSE is ||y - B_s coef||^2, which
+    does not cancel to 0 on a near-exact fit as y'y - g'coef does. The kept
+    subset takes one refinement step with its swept block, the corrected
+    semi-normal equations (Bjorck 1987). Every product is an einsum, so no
+    BLAS thread count changes the bytes. Returns the kept factor sets, their
+    coefficients, the intercept, the SSE and the GCV of every subset on the
+    path, the full model first.
     """
-    n = B.shape[0]
+    n, m = B.shape
     penalty = cfg.effective_penalty()
-    yty = float(y @ y)
-    G = B.T @ B
-    g = B.T @ y
-
-    active = list(range(B.shape[1]))  # column 0 = intercept, kept always
+    By = np.column_stack((B, y))
+    A = np.einsum("ij,ik->jk", By, By)
+    # a column whose pivot has fallen to 1e-12 of its own square is aliased
+    # with earlier ones: it stays out, with coefficient 0
+    own = A.diagonal()[:m].copy()
+    swept = np.zeros(m, dtype=bool)
+    for k in range(m):
+        swept[k] = A[k, k] > 1e-12 * own[k]
+        if swept[k]:
+            _sweep(A, k, 1)
+    active = np.arange(m)  # column 0 = intercept, kept always
     best, best_gcv = None, np.inf
     gcv_path = []
     while True:
-        idx = np.asarray(active)
-        coef, cost, solve = _drop_costs(G[np.ix_(idx, idx)], g[idx], yty)
-        resid = y - B[:, idx] @ coef
-        sse = float(resid @ resid)
-        gcv_here = _gcv(sse, n, len(active), len(active) - 1, penalty)
+        s = swept[active]
+        coef = np.where(s, A[active, -1], 0.0)
+        resid = y - np.einsum("ij,j->i", B[:, active], coef)
+        sse = float(np.einsum("i,i->", resid, resid))
+        gcv_here = _gcv(sse, n, active.size, active.size - 1, penalty)
         gcv_path.append(float(gcv_here))
         if best is None or gcv_here <= best_gcv:  # a NaN path keeps the full model
-            best_gcv = gcv_here
-            best = idx, coef, resid, solve
-        if len(active) == 1:
+            best_gcv, best = gcv_here, (active, coef, resid, A.copy())
+        if active.size == 1:
             break
-        del active[1 + int(np.argmin(cost[1:]))]
+        # dropping column j costs coef_j^2 / (G_s^-1)_jj of SSE, an aliased one 0
+        cost = coef * coef / np.where(s, -A[active, active], 1.0)
+        j = active[1 + int(np.argmin(cost[1:]))]
+        if swept[j]:
+            _sweep(A, j, -1)
+        active = active[active != j]
 
-    idx, coef, resid, solve = best
+    idx, coef, resid, A = best
+    s = swept[idx]
+    Ginv = np.where(np.multiply.outer(s, s), -A[np.ix_(idx, idx)], 0.0)
     Bs = B[:, idx]
-    coef = coef + solve(Bs.T @ resid)
-    resid = y - Bs @ coef
+    coef = coef + np.einsum("jk,k->j", Ginv, np.einsum("ij,i->j", Bs, resid))
+    resid = y - np.einsum("ij,j->i", Bs, coef)
     kept = [factor_sets[j - 1] for j in idx[1:]]
-    return kept, coef[1:], float(coef[0]), float(resid @ resid), tuple(gcv_path)
+    return kept, coef[1:], float(coef[0]), float(np.einsum("i,i->", resid, resid)), tuple(gcv_path)
 
 
 def fit_ensemble(X, y, cfg: FitConfig, B: int, seed: int) -> Ensemble:

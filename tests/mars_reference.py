@@ -302,8 +302,9 @@ def dense_backward(X, y, factor_sets, cfg: FitConfig):
 
     def subset_coef(idx):
         # a block that Cholesky rejects, exactly or numerically singular,
-        # goes to lstsq as in the fitter; LU would solve a numerically
-        # singular one into huge coefficients
+        # goes to lstsq, where the fitter's sweep leaves an aliased column
+        # out at 0; LU would solve a numerically singular one into huge
+        # coefficients
         Gs, gs = G[np.ix_(idx, idx)], g[idx]
         try:
             np.linalg.cholesky(Gs)

@@ -23,7 +23,6 @@ from coactive.model import (
     HingeFactor,
     _backward_pass,
     _design_from_factor_sets,
-    _drop_costs,
     _forward_pass,
     _gcv,
     _KnotScan,
@@ -444,35 +443,60 @@ def test_best_breaks_ties_as_the_plain_scan():
     assert scan.best() is None
 
 
-def test_singular_gram_block_falls_back_to_lstsq():
-    # columns a = 2v and b = v with y = v: Cholesky rejects the block, and
-    # either column alone still fits y exactly, so dropping costs nothing
-    Gs = np.array([[4.0, 2.0], [2.0, 1.0]])
+def test_aliased_column_stays_out_of_the_sweep(monkeypatch):
+    # columns a = 2v and b = v with y = v, next to the intercept: their Gram
+    # block is singular, and once a is swept in b's pivot is 0, so b is
+    # aliased with a and never swept in. The fit is still exact; b costs
+    # nothing to drop and goes first, without an un-sweep; a alone then
+    # carries all of y'y
+    v = np.tile([0.25, -0.25], 8)
+    B = np.column_stack([np.ones(16), 2.0 * v, v])
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.cholesky(Gs)
-    coef, cost, solve = _drop_costs(Gs, np.array([2.0, 1.0]), 1.0)
-    assert 1.0 - float(np.array([2.0, 1.0]) @ coef) == pytest.approx(0.0, abs=1e-12)
-    np.testing.assert_allclose(cost, [0.0, 0.0], atol=1e-12)
-    # the solver is the same lstsq on the block
-    np.testing.assert_array_equal(solve(np.array([2.0, 1.0])), coef)
+        np.linalg.cholesky(B[:, 1:].T @ B[:, 1:])
+    factor_sets = [(HingeFactor(var=0, sign=sign, knot=0.0),) for sign in (1, -1)]
+    cfg = FitConfig()
+    calls = []
+    sweep = model._sweep
+
+    def counted(A, k, sign):
+        calls.append((int(k), sign))
+        sweep(A, k, sign)
+
+    monkeypatch.setattr(model, "_sweep", counted)
+    kept, coefs, intercept, sse, gcv_path = _backward_pass(B, v, factor_sets, cfg)
+    assert calls == [(0, 1), (1, 1), (1, -1)]
+    assert gcv_path[0] == pytest.approx(0.0, abs=1e-12)
+    assert gcv_path[1] == gcv_path[0]
+    assert gcv_path[2] == pytest.approx(_gcv(1.0, 16, 1, 0, cfg.effective_penalty()), rel=1e-12)
+    # the kept subset is the smaller exact one; the refinement solver, the
+    # negated swept block, reproduces its coefficients
+    assert kept == factor_sets[:1] and sse == pytest.approx(0.0, abs=1e-12)
+    np.testing.assert_array_equal(np.r_[intercept, coefs], [0.0, 0.5])
 
 
-def test_backward_pass_factors_each_subset_once(monkeypatch):
-    # one Cholesky factorization per subset on the deletion path, largest
-    # first: the kept subset's refinement reuses the factor of its own step
+def test_backward_pass_sweeps_each_column_once(monkeypatch):
+    # every column is swept in once, in order, and each deletion step
+    # un-sweeps the column it drops; no LAPACK routine runs
     X, y, cfg = _piston(1, PISTON_A)
-    sizes = []
-    cholesky = np.linalg.cholesky
+    calls = []
+    sweep = model._sweep
 
-    def counted(a):
-        sizes.append(a.shape[0])
-        return cholesky(a)
+    def counted(A, k, sign):
+        calls.append((int(k), sign))
+        sweep(A, k, sign)
 
-    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    def refused(*args, **kwargs):
+        raise AssertionError("the backward pass called np.linalg")
+
+    monkeypatch.setattr(model, "_sweep", counted)
+    for name in ("cholesky", "inv", "solve", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, refused)
     _, rep = fit_with_report(X, y, cfg)
     m = len(rep.backward_gcv)
     assert m >= 10
-    assert sizes == list(range(m, 0, -1))
+    assert calls[:m] == [(k, 1) for k in range(m)]
+    assert all(sign == -1 for _, sign in calls[m:])
+    assert sorted(k for k, _ in calls[m:]) == list(range(1, m))
 
 
 @pytest.mark.parametrize("penalty", [None, -2.0])

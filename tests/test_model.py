@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import coactive
 from coactive import (
     BasisTerm,
     Ensemble,
@@ -565,6 +568,37 @@ def test_fit_is_deterministic():
     X, y = _poly_xy()
     cfg = FitConfig(domain=UNIT2)
     assert fit(X, y, cfg).to_dict() == fit(X, y, cfg).to_dict()
+
+
+THREADS_SCRIPT = """
+import json
+from coactive import FitConfig, fit_with_report, lhs_design, piston
+from coactive.model import model_to_dict
+fa = piston(90000.0, 284.0)
+X = lhs_design(1000, fa.p, fa.domain, seed=20260814)
+cfg = FitConfig(max_terms=120, max_degree=4, max_knots=128, domain=fa.domain)
+m, rep = fit_with_report(X, fa(X), cfg)
+print(json.dumps(model_to_dict(m), sort_keys=True))
+print(repr(rep))
+"""
+
+
+def test_fit_bytes_do_not_depend_on_the_blas_thread_count():
+    # verify piston's fit (1000 rows, 121 columns) in fresh processes under
+    # one and two OpenBLAS threads gives the same model and report bytes
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cpus or 1) < 2:
+        pytest.skip("needs two CPUs")
+    src = os.path.dirname(os.path.dirname(coactive.__file__))
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        res = subprocess.run([sys.executable, "-c", THREADS_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        outs.append(res.stdout)
+    assert outs[0].count("\n") == 2 and outs[0] == outs[1]
 
 
 def test_fit_constant_response_warns():

@@ -522,6 +522,10 @@ def test_fits_and_mc_sums_leave_the_blas_workers_asleep():
     fa, fb = piston(90000.0, 284.0), piston(110000.0, 302.0)
     cfg = FitConfig(max_terms=60, max_degree=4, max_knots=64, domain=fa.domain)
     X = lhs_design(600, 5, fa.domain, seed=1)
+    # verify piston's fit: 1000 rows and 121 columns, where the Gram matrix
+    # and the backward pass's inverses once woke the pool
+    big = FitConfig(max_terms=120, max_degree=4, max_knots=128, domain=fa.domain)
+    Xc = lhs_design(1000, 5, fa.domain, seed=20260814)
     p = 24
     fk = _wave(p, np.linspace(1.0, 6.0, p), np.zeros(p), "k")
     fl = _wave(p, np.linspace(6.0, 1.0, p), np.ones(p), "l")
@@ -533,6 +537,7 @@ def test_fits_and_mc_sums_leave_the_blas_workers_asleep():
         "mc_cmat p=24, B=20000": lambda: mc_cmat(fk, fl, prior, B=20_000, seed=1),
         "evaluate_batch n=20000": lambda: models[0].evaluate_batch(X20),
         "piston fit b": lambda: fit(X, fb(X), cfg),
+        "criterion-size piston fit": lambda: fit(Xc, fa(Xc), big),
     }
     time.sleep(0.3)  # a spin left by an earlier test ends
     for name, call in calls.items():
