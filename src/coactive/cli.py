@@ -61,32 +61,31 @@ def _meta(args: argparse.Namespace, seed=None) -> dict:
     return {"version": __version__, "seed": seed, "config": _config_hash(args)}
 
 
-def _guard(args: argparse.Namespace, paths, directory=None) -> None:
-    """Before any work: refuse a file for the output directory, a directory
-    for an output file, and an existing file without --force. Paths are
-    names in directory when one is given."""
-    if directory is not None:
-        if os.path.exists(directory) and not os.path.isdir(directory):
-            writer = "--ensemble" if args.cmd == "fit" else args.cmd
-            raise NotADirectoryError(f"{directory} is a file; {writer} writes a directory")
-        paths = [os.path.join(directory, p) for p in paths]
+def _guard(args: argparse.Namespace, paths) -> None:
+    """Before any work: refuse an output path under a file, at any depth,
+    a directory for an output file, and an existing file without --force."""
     for p in paths:
         if p is None:
             continue
+        up = os.path.dirname(p)
+        while up and not os.path.exists(up):
+            up = os.path.dirname(up)
+        if up and not os.path.isdir(up):
+            writer = "--ensemble" if getattr(args, "ensemble", 0) else args.cmd
+            raise NotADirectoryError(f"{up} is a file; {writer} writes a directory")
         if os.path.isdir(p):
             raise IsADirectoryError(f"{p} is a directory; {args.cmd} writes a file")
         if os.path.exists(p) and not args.force:
             raise FileExistsError(f"{p} exists; pass --force to overwrite")
 
 
-def _write_all(bundle: dict, directory=None) -> None:
+def _write_all(bundle: dict) -> None:
     """Write a computed bundle, {path: call that writes a file there}, in
-    order. Paths are names in directory when one is given; it is made here,
-    after all the work, so a run that fails leaves no directory behind."""
-    if directory is not None:
-        os.makedirs(directory, exist_ok=True)
+    order, each after its missing directories are made. It runs after all
+    the work, so a run that fails leaves no directory behind."""
     for path, write in bundle.items():
-        write(path if directory is None else os.path.join(directory, path))
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        write(path)
 
 
 def _domain_from_prior(prior: InputPrior):
@@ -122,11 +121,10 @@ def cmd_fit(args) -> int:
     if args.ensemble:
         if os.path.isdir(args.out) and os.listdir(args.out) and not args.force:
             raise FileExistsError(f"{args.out} is non-empty; pass --force to overwrite")
-        _guard(args, ["report.json"], args.out)
         report_path = os.path.join(args.out, "report.json")
     else:
         report_path = os.path.splitext(args.out)[0] + ".report.json"
-        _guard(args, [args.out, report_path])
+    _guard(args, [report_path] if args.ensemble else [args.out, report_path])
     X, y, names, response = load_training_csv(args.data, response=args.response)
     domain = None
     if args.prior:
@@ -245,7 +243,7 @@ def cmd_cmat(args) -> int:
         names.append("c_modified.csv")
     if args.mc:
         names.append("mc.json")
-    _guard(args, names, args.out_dir)
+    _guard(args, [os.path.join(args.out_dir, n) for n in names])
     ma = load_model(args.model_a)
     mb = load_model(args.model_b)
     prior = load_prior(args.prior)
@@ -281,17 +279,17 @@ def cmd_cmat(args) -> int:
         report["mc_frobenius_rel"] = frob / float(np.linalg.norm(C.entries))
 
     bundle["analysis.json"] = lambda path: _write_json(path, report, meta)
-    _write_all(bundle, args.out_dir)
+    _write_all({os.path.join(args.out_dir, n): write for n, write in bundle.items()})
     print(f"concordance kappa={dec.concordance:.6g} (q={q}) -> {args.out_dir}")
     return 0
 
 
 def cmd_analyze(args) -> int:
+    _guard(args, [args.out, args.ratios])
     C = load_matrix(args.matrix)
     Ck = load_matrix(args.self_k)
     Cl = load_matrix(args.self_l)
     meta = _meta(args)
-    _guard(args, [args.out, args.ratios])
     dec, q, report = _analyze(C, Ck, Cl, args)
     bundle = {args.out: lambda path: _write_json(path, report, meta)}
     if args.ratios:
@@ -320,18 +318,18 @@ def _resolve_functions(args):
 
 
 def cmd_mc(args) -> int:
+    _guard(args, [args.out])
     f_k, f_l = _resolve_functions(args)
     if args.prior:
         prior = load_prior(args.prior)
     else:
         prior = InputPrior.uniform_box(f_k.domain)
     meta = _meta(args, seed=args.seed)
-    _guard(args, [args.out])
     res = mc_cmat(f_k, f_l, prior, B=args.B, seed=args.seed)
     d = res.to_dict()
     d["labels"] = [f_k.label, f_l.label]
     d["n_onesided"] = res.n_onesided
-    _write_json(args.out, d, meta)
+    _write_all({args.out: lambda path: _write_json(path, d, meta)})
     print(f"mc: B={args.B} trace={res.matrix.trace:.6g} -> {args.out}")
     return 0
 
@@ -352,7 +350,7 @@ def _load_model_set(path) -> Ensemble:
 def cmd_cluster(args) -> int:
     names = ["grid_summary.csv", "grid_samples.csv", "discordance.csv",
              "embedding.csv", "centers.csv", "embedding.json"]
-    _guard(args, names, args.out_dir)
+    _guard(args, [os.path.join(args.out_dir, n) for n in names])
     ensembles = [_load_model_set(p) for p in args.models]
     if len(ensembles) < 2:
         raise ValueError("need at least 2 model files or ensemble directories")
@@ -396,21 +394,19 @@ def cmd_cluster(args) -> int:
         "n_pairs": n_pairs,
         "n_excluded": grid.n_excluded,
     }
-    _write_all(
-        {
-            "grid_summary.csv": lambda path: _write_meta_csv(
-                path, summary, meta, ["model_k", "model_l", "mean", "sd"]),
-            "grid_samples.csv": lambda path: _write_meta_csv(
-                path, samples, meta, ["member_k", "member_l", "kappa"]),
-            "discordance.csv": lambda path: write_matrix_csv(path, D, meta=meta),
-            "embedding.csv": lambda path: _write_meta_csv(
-                path, points, meta, ["label", "member_index"] + coords),
-            "centers.csv": lambda path: _write_meta_csv(
-                path, center_rows, meta, ["label"] + [f"c{c}" for c in coords]),
-            "embedding.json": lambda path: _write_json(path, embedding, meta),
-        },
-        args.out_dir,
-    )
+    bundle = {
+        "grid_summary.csv": lambda path: _write_meta_csv(
+            path, summary, meta, ["model_k", "model_l", "mean", "sd"]),
+        "grid_samples.csv": lambda path: _write_meta_csv(
+            path, samples, meta, ["member_k", "member_l", "kappa"]),
+        "discordance.csv": lambda path: write_matrix_csv(path, D, meta=meta),
+        "embedding.csv": lambda path: _write_meta_csv(
+            path, points, meta, ["label", "member_index"] + coords),
+        "centers.csv": lambda path: _write_meta_csv(
+            path, center_rows, meta, ["label"] + [f"c{c}" for c in coords]),
+        "embedding.json": lambda path: _write_json(path, embedding, meta),
+    }
+    _write_all({os.path.join(args.out_dir, n): write for n, write in bundle.items()})
     print(f"cluster: stress={emb.stress:.6g} -> {args.out_dir}")
     return 0
 
@@ -421,10 +417,10 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    _guard(args, [args.out])
     m = load_model(args.model)
     prior = load_prior(args.prior)
     meta = _meta(args)
-    _guard(args, [args.out])
     C = cmat(m, m, prior)
     if args.basis:
         B = np.loadtxt(args.basis, delimiter=",", comments="#", ndmin=2)
@@ -437,7 +433,7 @@ def cmd_bound(args) -> int:
         source = f"leading-{args.r}-eigvecs"
     val = poincare_bound(C, prior.covariance(), B)
     report = {"bound": val, "r": int(B.shape[1]), "basis_source": source}
-    _write_json(args.out, report, meta)
+    _write_all({args.out: lambda path: _write_json(path, report, meta)})
     print(f"bound: {val:.6g} (r={B.shape[1]}) -> {args.out}")
     return 0
 
@@ -448,6 +444,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _guard(args, [args.out])
     kwargs = {}
     if args.fixture == "piston":
         kwargs = {"B": args.B, "n_fit": args.n, "seed": args.seed}
@@ -455,14 +452,14 @@ def cmd_verify(args) -> int:
         kwargs = {"n_models": args.n, "seed": args.seed}
     # an --n left out keeps the suite's default; one given is used as given
     kwargs = {k: v for k, v in kwargs.items() if v is not None}
-    _guard(args, [args.out])
     results = run_suite(args.fixture, **kwargs)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.name}: measured={r.measured:.6g} target={r.target:.6g} tol={r.tol:g}")
     if args.out:
         report = {"fixture": args.fixture, "checks": [r.to_dict() for r in results]}
-        _write_json(args.out, report, _meta(args, seed=args.seed))
+        meta = _meta(args, seed=args.seed)
+        _write_all({args.out: lambda path: _write_json(path, report, meta)})
     return 0 if all(r.passed for r in results) else 1
 
 

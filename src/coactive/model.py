@@ -891,17 +891,19 @@ def _forward_pass(X, y, cfg: FitConfig, sst):
 
     Returns the design matrix of the scan's parents, the intercept column
     first, their factor sets after the intercept, and the SSE after each
-    step, the intercept-only fit first.
+    step, the intercept-only fit first. Every product is an einsum, so no
+    BLAS thread count changes the bytes.
     """
+    dot = lambda a, b: float(np.einsum("i,i->", a, b))
     n = X.shape[0]
     max_cols = min(cfg.max_terms + 1, max(3, int(0.9 * n)))
     scan = _KnotScan(X, cfg, max_cols)
     q0 = np.full(n, 1.0 / np.sqrt(n))
-    beta = q0 @ y
+    beta = dot(q0, y)
     resid = y - q0 * beta
     scan.add_term(q0, beta, np.ones(n), ())
 
-    sse = float(resid @ resid)
+    sse = dot(resid, resid)
     rss_path = [sse]
     floor = 1e-24 * sst
 
@@ -923,20 +925,19 @@ def _forward_pass(X, y, cfg: FitConfig, sst):
         added = False
         for sign, col in additions:
             Q = scan.basis
-            r = col - Q @ (Q.T @ col)
-            r = r - Q @ (Q.T @ r)  # re-orthogonalize for stability
-            nrm2 = float(r @ r)
-            raw2 = float(col @ col)
-            if nrm2 <= 1e-20 * max(raw2, 1e-300):
+            r = col - np.einsum("ij,j->i", Q, np.einsum("ij,i->j", Q, col))
+            r = r - np.einsum("ij,j->i", Q, np.einsum("ij,i->j", Q, r))  # re-orthogonalize
+            nrm2 = dot(r, r)
+            if nrm2 <= 1e-20 * max(dot(col, col), 1e-300):
                 continue
             qnew = r / np.sqrt(nrm2)
-            beta = qnew @ resid
+            beta = dot(qnew, resid)
             resid = resid - qnew * beta
             scan.add_term(qnew, beta, col, pf + (HingeFactor(var=v, sign=sign, knot=knot),))
             added = True
         if not added:
             break
-        sse = float(resid @ resid)
+        sse = dot(resid, resid)
         rss_path.append(sse)
     return np.column_stack(scan.parent_cols), scan.parent_factors[1:], tuple(rss_path)
 

@@ -907,6 +907,101 @@ def test_verify_piston_refuses_a_small_n_before_the_mc(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+# -- output paths ------------------------------------------------------------------------
+
+
+def _every_mode(tmp_path, prior2, fitted_pair, ensembles):
+    """The eight command modes that write files, as (writer, argv for its
+    outputs under root) given root; writer names a mode in the refusal."""
+    ma, mb = fitted_pair
+    train = str(_write_train(tmp_path / "t.csv"))
+    _pair_matrices(tmp_path, prior2, fitted_pair)
+    mats = ["--matrix", str(tmp_path / "ckl.json"), "--self-k", str(tmp_path / "ckk.json"),
+            "--self-l", str(tmp_path / "cll.json")]
+    return lambda root: [
+        ("fit", ["fit", train, "--out", f"{root}/m.json", "--prior", prior2]),
+        ("--ensemble", ["fit", train, "--out", f"{root}/ens", "--prior", prior2,
+                        "--ensemble", "2"]),
+        ("cmat", ["cmat", ma, mb, "--prior", prior2, "--out-dir", f"{root}/pair"]),
+        ("mc", ["mc", "--fn", "builtin:linear?a=1,2", "--B", "16", "--out", f"{root}/mc.json"]),
+        ("analyze", ["analyze", *mats, "--out", f"{root}/an.json", "--ratios", f"{root}/r.csv"]),
+        ("cluster", ["cluster", *ensembles, "--prior", prior2, "--out-dir", f"{root}/cl"]),
+        ("bound", ["bound", ma, "--prior", prior2, "--r", "1", "--out", f"{root}/b.json"]),
+        ("verify", ["verify", "poly", "--out", f"{root}/v.json"]),
+    ]
+
+
+def _tree(root):
+    """{path under root: bytes} of every file, and the set of directories."""
+    files, dirs = {}, set()
+    for here, subdirs, names in os.walk(root):
+        dirs.update(os.path.relpath(os.path.join(here, d), root) for d in subdirs)
+        for n in names:
+            path = os.path.join(here, n)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, root)] = fh.read()
+    return files, dirs
+
+
+def test_every_command_makes_the_missing_directories_of_its_outputs(
+        tmp_path, prior2, fitted_pair, two_ensembles, capsys):
+    # fit, mc, analyze, bound and verify once ran all their work and then
+    # failed on the missing parent directory of an output file
+    modes = _every_mode(tmp_path, prior2, fitted_pair, two_ensembles)
+    flat = tmp_path / "flat"
+    flat.mkdir()
+    for writer, argv in modes(flat):
+        assert main(argv) == 0, writer
+    want, _ = _tree(flat)
+    assert len(want) == 23
+    got = {}
+    for i in range(8):
+        deep = tmp_path / "new" / str(i) / "a" / "b"
+        writer, argv = modes(deep)[i]
+        assert main(argv) == 0, (writer, capsys.readouterr().err)
+        files, _ = _tree(deep)
+        # the same bytes as a write into an existing directory
+        assert files and all(want.get(k) == v for k, v in files.items()), writer
+        got.update(files)
+    assert got == want
+
+
+def test_every_command_refuses_an_output_under_a_file_before_any_work(
+        tmp_path, prior2, fitted_pair, two_ensembles, capsys, monkeypatch):
+    # an output under a file, at any depth, once failed with "Not a
+    # directory" only after all the work, in fit, mc and under --out-dir
+    import coactive.cli
+
+    modes = _every_mode(tmp_path, prior2, fitted_pair, two_ensembles)
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    capsys.readouterr()
+
+    def work(name):
+        def reached(*args, **kwargs):
+            raise AssertionError(f"{name} ran before the output check")
+        return reached
+
+    for name in ("load_training_csv", "fit_with_report", "fit_ensemble_with_report",
+                 "load_model", "load_ensemble", "load_matrix", "load_prior", "cmat",
+                 "mc_cmat", "builtin_functions", "decompose", "pairwise_concordance",
+                 "poincare_bound", "run_suite"):
+        monkeypatch.setattr(coactive.cli, name, work(name))
+    before = _tree(tmp_path)
+    runs = [run for root in (afile, afile / "sub", afile / "sub" / "deeper")
+            for run in modes(root)]
+    # the ratios file alone under the file
+    _, analyze = modes(tmp_path)[4]
+    runs.append(("analyze", analyze[:-1] + [str(afile / "r.csv")]))
+    for writer, argv in runs:
+        for force in ([], ["--force"]):
+            assert main(argv + force) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {afile} is a file; {writer} writes a directory\n"
+    assert _tree(tmp_path) == before
+
+
 # -- misc ---------------------------------------------------------------------------------
 
 

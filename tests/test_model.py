@@ -572,20 +572,26 @@ def test_fit_is_deterministic():
 
 THREADS_SCRIPT = """
 import json
+import numpy as np
 from coactive import FitConfig, fit_with_report, lhs_design, piston
 from coactive.model import model_to_dict
 fa = piston(90000.0, 284.0)
 X = lhs_design(1000, fa.p, fa.domain, seed=20260814)
 cfg = FitConfig(max_terms=120, max_degree=4, max_knots=128, domain=fa.domain)
-m, rep = fit_with_report(X, fa(X), cfg)
-print(json.dumps(model_to_dict(m), sort_keys=True))
-print(repr(rep))
+Xb = np.random.default_rng(3).uniform(size=(12_000, 3))
+yb = np.sin(3 * Xb[:, 0]) * Xb[:, 1] + Xb[:, 2] ** 2
+fits = [fit_with_report(X, fa(X), cfg),
+        fit_with_report(Xb, yb, FitConfig(max_terms=21, max_degree=2))]
+print(json.dumps([model_to_dict(m) for m, _ in fits], sort_keys=True))
+print(repr([rep for _, rep in fits]))
 """
 
 
 def test_fit_bytes_do_not_depend_on_the_blas_thread_count():
-    # verify piston's fit (1000 rows, 121 columns) in fresh processes under
-    # one and two OpenBLAS threads gives the same model and report bytes
+    # verify piston's fit (1000 rows, 121 columns) and a 12,000-row fit, in
+    # fresh processes under one and two OpenBLAS threads, give the same model
+    # and report bytes; OpenBLAS splits a dot product over its threads from
+    # 10,001 elements on, which once moved the forward RSS path
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     if (cpus or 1) < 2:
         pytest.skip("needs two CPUs")

@@ -526,6 +526,9 @@ def test_fits_and_mc_sums_leave_the_blas_workers_asleep():
     # and the backward pass's inverses once woke the pool
     big = FitConfig(max_terms=120, max_degree=4, max_knots=128, domain=fa.domain)
     Xc = lhs_design(1000, 5, fa.domain, seed=20260814)
+    # 12,000 rows, where the forward pass's dot products once woke the pool
+    Xb = np.random.default_rng(3).uniform(size=(12_000, 3))
+    yb = np.sin(3 * Xb[:, 0]) * Xb[:, 1] + Xb[:, 2] ** 2
     p = 24
     fk = _wave(p, np.linspace(1.0, 6.0, p), np.zeros(p), "k")
     fl = _wave(p, np.linspace(6.0, 1.0, p), np.ones(p), "l")
@@ -538,6 +541,7 @@ def test_fits_and_mc_sums_leave_the_blas_workers_asleep():
         "evaluate_batch n=20000": lambda: models[0].evaluate_batch(X20),
         "piston fit b": lambda: fit(X, fb(X), cfg),
         "criterion-size piston fit": lambda: fit(Xc, fa(Xc), big),
+        "12,000-row fit": lambda: fit(Xb, yb, FitConfig(max_terms=21, max_degree=2)),
     }
     time.sleep(0.3)  # a spin left by an earlier test ends
     for name, call in calls.items():
