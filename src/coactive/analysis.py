@@ -87,11 +87,8 @@ def concordance(t_kl, t_k, t_l):
 def discordance(conc):
     """sqrt((1 - kappa)/2), in [0, 1], elementwise: a scalar gives a float,
     an array an array. A pseudo-metric across models."""
-    conc = np.asarray(conc, dtype=float)
-    bad = ~((-1.0 - 1e-12 <= conc) & (conc <= 1.0 + 1e-12))
-    if np.any(bad):
-        raise ValueError(f"concordance out of range: {float(np.extract(bad, conc)[0])!r}")
-    d = np.sqrt((1.0 - np.minimum(1.0, conc)) / 2.0)
+    conc = _clamp(np.asarray(conc, dtype=float), "concordance out of range")
+    d = np.sqrt((1.0 - conc) / 2.0)
     return float(d) if d.ndim == 0 else d
 
 

@@ -33,6 +33,7 @@ from .cluster import discordance_matrix, mds_embed, model_centers, pairwise_conc
 from .model import (
     Ensemble,
     FitConfig,
+    _member_paths,
     _write_json,
     _write_meta_csv,
     cross_validated_rmspe,
@@ -122,9 +123,12 @@ def cmd_fit(args) -> int:
         if os.path.isdir(args.out) and os.listdir(args.out) and not args.force:
             raise FileExistsError(f"{args.out} is non-empty; pass --force to overwrite")
         report_path = os.path.join(args.out, "report.json")
+        # save_ensemble overwrites or removes every member file there
+        members = _member_paths(args.out) if os.path.isdir(args.out) else []
+        _guard(args, [report_path, *members])
     else:
         report_path = os.path.splitext(args.out)[0] + ".report.json"
-    _guard(args, [report_path] if args.ensemble else [args.out, report_path])
+        _guard(args, [args.out, report_path])
     X, y, names, response = load_training_csv(args.data, response=args.response)
     domain = None
     if args.prior:
@@ -355,7 +359,7 @@ def cmd_cluster(args) -> int:
     if len(ensembles) < 2:
         raise ValueError("need at least 2 model files or ensemble directories")
     prior = load_prior(args.prior)
-    meta = _meta(args, seed=args.seed)
+    meta = _meta(args)
 
     t0 = time.perf_counter()
     grid = pairwise_concordance(ensembles, prior)
@@ -365,7 +369,7 @@ def cmd_cluster(args) -> int:
           file=sys.stderr)
     D = discordance_matrix(grid.kappa)
     t0 = time.perf_counter()
-    emb = mds_embed(D, dims=args.dims, seed=args.seed)
+    emb = mds_embed(D, dims=args.dims)
     print(f"mds: {len(emb.stress_history) - 1} iterations, {time.perf_counter() - t0:.2f}s",
           file=sys.stderr)
     centers = model_centers(emb.points, grid.membership)
@@ -536,7 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--dims", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_cluster)
 

@@ -410,10 +410,9 @@ def _pair_traces(models, prior) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoActiveMatrix:
-    """p x p expected gradient outer-product matrix with its trace."""
+    """p x p expected gradient outer-product matrix; trace is its diagonal sum."""
 
     entries: np.ndarray
-    trace: float
     labels: tuple[str, str]
     kind: str = "plain"
 
@@ -426,12 +425,13 @@ class CoActiveMatrix:
             raise ValueError(f"entries must be square, got {entries.shape}")
         if self.kind not in ("plain", "modified"):
             raise ValueError(f"kind must be plain or modified, got {self.kind!r}")
+        # a sum of finite entries can still overflow
         if not (np.isfinite(entries).all() and np.isfinite(self.trace)):
             raise ValueError("co-active matrix entries and trace must be finite")
-        diag = float(np.trace(entries))
-        scale = max(abs(diag), abs(self.trace), 1e-300)
-        if abs(diag - self.trace) > 1e-12 * scale:
-            raise ValueError(f"trace {self.trace} inconsistent with diagonal sum {diag}")
+
+    @property
+    def trace(self) -> float:
+        return float(np.sum(self.entries.diagonal()))
 
     @property
     def p(self) -> int:
@@ -471,9 +471,7 @@ def cmat(mk: MarsSurrogate, ml: MarsSurrogate, prior: InputPrior) -> CoActiveMat
     entries = _pair(mk, ml, prior)
     if mk is ml:
         _validate_self_matrix(entries)
-    return CoActiveMatrix(
-        entries=entries, trace=float(np.sum(entries.diagonal())), labels=(mk.label, ml.label)
-    )
+    return CoActiveMatrix(entries=entries, labels=(mk.label, ml.label))
 
 
 def cmat_trace(mk: MarsSurrogate, ml: MarsSurrogate, prior: InputPrior) -> float:
@@ -505,12 +503,7 @@ def cmat_modified(
     zk = expected_gradient(mk, prior)
     zl = expected_gradient(ml, prior)
     entries = base.entries + np.outer(zk, zl)
-    return CoActiveMatrix(
-        entries=entries,
-        trace=float(entries.diagonal().sum()),
-        labels=base.labels,
-        kind="modified",
-    )
+    return CoActiveMatrix(entries=entries, labels=base.labels, kind="modified")
 
 
 # ---------------------------------------------------------------------------
@@ -528,12 +521,18 @@ def matrix_to_dict(C: CoActiveMatrix) -> dict:
 
 
 def matrix_from_dict(d: dict) -> CoActiveMatrix:
-    return CoActiveMatrix(
+    """The stored matrix, refused unless its stored trace is its diagonal sum."""
+    C = CoActiveMatrix(
         entries=np.asarray(d["entries"], dtype=float),
-        trace=float(d["trace"]),
         labels=tuple(d["labels"]),
         kind=d.get("kind", "plain"),
     )
+    stored, diag = float(d["trace"]), C.trace
+    if not math.isfinite(stored):
+        raise ValueError("co-active matrix entries and trace must be finite")
+    if abs(diag - stored) > 1e-12 * max(abs(diag), abs(stored), 1e-300):
+        raise ValueError(f"trace {stored} inconsistent with diagonal sum {diag}")
+    return C
 
 
 def save_matrix(C: CoActiveMatrix, path, meta: dict | None = None) -> None:

@@ -236,9 +236,11 @@ def _torgerson(D: np.ndarray, dims: int) -> np.ndarray:
 _MDS_MAX_ITER = 500
 
 
-def mds_embed(D, dims: int = 2, seed: int = 0) -> Embedding:
+def mds_embed(D, dims: int = 2) -> Embedding:
     """Kruskal non-metric MDS of a dissimilarity matrix D: classical-scaling
-    start, then alternating monotone regression and Guttman updates.
+    start, then alternating monotone regression and Guttman updates. The
+    start is all zero only when every dissimilarity is, and putting every
+    point at the origin is then exact, at stress 0.
 
     Stops at the first Guttman step that would raise stress-1 (the step is
     rejected, so the recorded stress history is non-increasing), when the
@@ -261,8 +263,6 @@ def mds_embed(D, dims: int = 2, seed: int = 0) -> Embedding:
     blocks = _tie_blocks(diss[order])
 
     X = _torgerson(D, dims)
-    if not np.any(X):
-        X = np.random.default_rng(seed).normal(scale=1e-3, size=(n, dims))
     X = X - X.mean(axis=0)
 
     dist = _pair_distances(X, iu)

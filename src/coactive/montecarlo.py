@@ -253,11 +253,7 @@ def mc_cmat(
     if f_k is f_l:
         mean = 0.5 * (mean + mean.T)
         _validate_self_matrix(mean)
-    C = CoActiveMatrix(
-        entries=mean,
-        trace=float(mean.diagonal().sum()),
-        labels=(f_k.label, f_l.label),
-    )
+    C = CoActiveMatrix(entries=mean, labels=(f_k.label, f_l.label))
     h = max((float(np.max(f.steps())) for f in (f_k, f_l) if f.grad is None), default=None)
     return MCResult(matrix=C, se=se, B=B, seed=seed, h=h, n_onesided=onesided)
 

@@ -140,6 +140,13 @@ def test_discordance_endpoints_and_midpoint():
         discordance(1.5)
 
 
+def test_discordance_clamps_a_concordance_just_below_minus_one():
+    # kappa goes through the same clamp as concordance(), so delta stays in [0, 1]
+    kappa = -1.0 - 5e-13
+    assert discordance(kappa) == 1.0
+    np.testing.assert_array_equal(discordance(np.array([kappa, -1.0, 1.0 + 5e-13])), [1.0, 1.0, 0.0])
+
+
 def test_concordance_and_discordance_work_elementwise():
     # one implementation for a pair and for a grid: an array gives an array
     # whose entries equal the scalar calls bitwise, a scalar gives a float

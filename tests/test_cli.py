@@ -219,6 +219,31 @@ def test_fit_ensemble_force_drops_stale_members(tmp_path, prior2):
     assert len(load_ensemble(out)) == 2
 
 
+@pytest.mark.parametrize("earlier, bad, B", [(0, "member_001.json", "3"),
+                                              (4, "member_003.json", "2")])
+def test_fit_ensemble_refuses_a_directory_for_a_member_before_fitting(
+        tmp_path, prior2, capsys, monkeypatch, earlier, bad, B):
+    # save_ensemble writes the new members and removes the stale ones of a
+    # larger earlier ensemble; a directory at either path once failed only
+    # after the fit, with part of the ensemble written
+    import coactive.cli
+
+    train = _write_train(tmp_path / "t.csv")
+    out = tmp_path / "ens"
+    args = ["fit", str(train), "--out", str(out), "--prior", prior2, "--ensemble"]
+    if earlier:
+        assert main([*args, str(earlier)]) == 0
+        os.remove(out / bad)
+    (out / bad).mkdir(parents=True)
+    capsys.readouterr()
+    monkeypatch.setattr(coactive.cli, "fit_ensemble_with_report",
+                        lambda *a, **k: pytest.fail("fit ran before the output check"))
+    before = _tree(tmp_path)
+    assert main([*args, B, "--force"]) == 1
+    assert capsys.readouterr().err == f"error: {out / bad} is a directory; fit writes a file\n"
+    assert _tree(tmp_path) == before
+
+
 def test_fit_cv_below_two_fails_before_writing(tmp_path, prior2, capsys):
     # the CV runs before any save, so a refused k leaves no model, report or directory
     train = _write_train(tmp_path / "t.csv")
@@ -286,6 +311,22 @@ def test_fit_refuses_a_prior_of_another_length_and_writes_nothing(tmp_path, caps
         err = capsys.readouterr().err
         assert err == f"error: the fit domain has {dims} entries but X has {inputs} columns\n"
         assert sorted(os.listdir(tmp_path)) == ["p.json", "t.csv"]
+
+
+def test_fit_under_a_prior_unbounded_in_one_input_fits_the_data_range(tmp_path):
+    # only a prior with a finite support in every input sets the fit domain
+    from coactive import NormalDim, UniformDim
+
+    train = _write_train(tmp_path / "t.csv")
+    prior = tmp_path / "half.json"
+    save_prior(InputPrior(dims=(NormalDim(mean=0.5, sd=0.25), UniformDim(0.0, 1.0))), prior)
+    files = []
+    for name, extra in (("with", ["--prior", str(prior)]), ("without", [])):
+        assert main(["fit", str(train), "--out", str(tmp_path / name / "m.json"), *extra]) == 0
+        # all but the meta, whose config hash names the prior
+        pair = [json.loads((tmp_path / name / f).read_text()) for f in ("m.json", "m.report.json")]
+        files.append([{k: v for k, v in d.items() if k != "meta"} for d in pair])
+    assert files[0] == files[1]
 
 
 def test_cmat_refuses_a_nan_prior_mean_by_name(tmp_path, fitted_pair, capsys):
@@ -501,7 +542,7 @@ def test_analyze_without_ratios_reads_only_the_self_traces(tmp_path, prior2, fit
         save_matrix(C, tmp_path / f"{name}.json")
         # same trace, but no self matrix: decomposing it would be refused
         skew = C.entries + np.array([[0.0, 1.0], [-1.0, 0.0]])
-        save_matrix(CoActiveMatrix(skew, C.trace, C.labels), tmp_path / f"{name}_skew.json")
+        save_matrix(CoActiveMatrix(skew, C.labels), tmp_path / f"{name}_skew.json")
     argv = lambda k, l, out: ["analyze", "--matrix", str(tmp_path / "ckl.json"),
                               "--self-k", str(tmp_path / k), "--self-l", str(tmp_path / l),
                               "--out", str(tmp_path / out)]
@@ -556,7 +597,7 @@ def test_analyze_rejects_a_self_matrix_of_another_size(tmp_path, prior2, fitted_
     from coactive.closedform import CoActiveMatrix
 
     argv = _pair_matrices(tmp_path, prior2, fitted_pair)
-    save_matrix(CoActiveMatrix(np.eye(3), 3.0, ("mb", "mb")), tmp_path / "c3.json")
+    save_matrix(CoActiveMatrix(np.eye(3), ("mb", "mb")), tmp_path / "c3.json")
     assert main(argv("ckk.json", "c3.json")) == 1
     assert capsys.readouterr().err == "error: --self-l matrix has p=3, the cross matrix p=2\n"
     assert not (tmp_path / "an.json").exists() and not (tmp_path / "r.csv").exists()
@@ -573,7 +614,7 @@ def test_analyze_rejects_the_other_models_self_matrix(tmp_path, prior2, fitted_p
     assert not (tmp_path / "an.json").exists() and not (tmp_path / "r.csv").exists()
     # an unlabelled self matrix is not compared
     C = load_matrix(tmp_path / "cll.json")
-    save_matrix(CoActiveMatrix(C.entries, C.trace, ("", "")), tmp_path / "cll_bare.json")
+    save_matrix(CoActiveMatrix(C.entries, ("", "")), tmp_path / "cll_bare.json")
     assert main(argv("ckk.json", "cll_bare.json")) == 0
 
 
@@ -667,7 +708,7 @@ def two_ensembles(tmp_path, prior2):
 def test_cluster_bundle(tmp_path, prior2, two_ensembles, capsys):
     out = tmp_path / "clust"
     assert main(["cluster", *two_ensembles, "--prior", prior2,
-                 "--out-dir", str(out), "--seed", "1"]) == 0
+                 "--out-dir", str(out)]) == 0
     captured = capsys.readouterr()
     assert "cluster: stress=" in captured.out
     assert "grid:" in captured.err  # wall-clock notes go to stderr only
@@ -748,6 +789,21 @@ def test_cluster_single_model_and_mixed_inputs(tmp_path, prior2, two_ensembles, 
                  "--out-dir", str(out)]) == 0
     emb = json.loads((out / "embedding.json").read_text())
     assert emb["n_members"] == 3
+
+
+def test_cluster_embeds_identical_members_at_the_origin(tmp_path, prior2, fitted_pair, capsys):
+    # every discordance is 0, so the classical start puts every member at
+    # the origin, which is exact: stress 0 after 0 iterations
+    out = tmp_path / "same"
+    assert main(["cluster", *[fitted_pair[0]] * 3, "--prior", prior2,
+                 "--out-dir", str(out)]) == 0
+    assert re.search(r"^mds: 0 iterations, ", capsys.readouterr().err, re.M)
+    rows = (out / "embedding.csv").read_text().splitlines()
+    assert rows[1] == "label,member_index,x,y" and len(rows) == 2 + 3
+    assert all(float(v) == 0.0 for row in rows[2:] for v in row.split(",")[2:])
+    emb = json.loads((out / "embedding.json").read_text())
+    assert emb["stress"] == 0.0 and emb["stress_history"] == [0.0]
+    assert emb["meta"]["seed"] is None
 
 
 CLUSTER_FILES = ("grid_summary.csv", "grid_samples.csv", "discordance.csv",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -566,14 +567,38 @@ def test_cmat_modified_rank_one_identity(small_pair_corpus):
 
 def test_coactive_matrix_validation():
     with pytest.raises(ValueError):
-        CoActiveMatrix(entries=np.eye(2), trace=5.0, labels=("a", "b"))
-    M = CoActiveMatrix(entries=np.eye(2), trace=2.0, labels=("a", "b"))
+        matrix_from_dict({"entries": np.eye(2).tolist(), "trace": 5.0, "labels": ["a", "b"]})
+    M = CoActiveMatrix(entries=np.eye(2), labels=("a", "b"))
     assert not M.entries.flags.writeable
     assert M.p == 2
     with pytest.raises(ValueError):
-        CoActiveMatrix(entries=np.ones((2, 3)), trace=2.0, labels=("a", "b"))
+        CoActiveMatrix(entries=np.ones((2, 3)), labels=("a", "b"))
     with pytest.raises(ValueError, match="^kind must be plain or modified, got 'x'$"):
-        CoActiveMatrix(entries=np.eye(2), trace=2.0, labels=("a", "b"), kind="x")
+        CoActiveMatrix(entries=np.eye(2), labels=("a", "b"), kind="x")
+
+
+def test_coactive_matrix_trace_is_its_diagonal_sum():
+    # the trace is worked out from the entries, never passed in or stored
+    entries = np.array([[1 / 3, 0.1], [np.pi, 2.0]])
+    M = CoActiveMatrix(entries=entries, labels=("k", "l"))
+    assert M.trace == float(np.sum(entries.diagonal()))
+    assert [f.name for f in dataclasses.fields(CoActiveMatrix)] == ["entries", "labels", "kind"]
+    with pytest.raises(TypeError):
+        CoActiveMatrix(entries=entries, trace=1 / 3 + 2.0, labels=("k", "l"))
+    # finite entries whose sum overflows
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="^co-active matrix entries and trace must be finite$"):
+        CoActiveMatrix(entries=np.diag([1e308, 1e308]), labels=("k", "l"))
+
+
+def test_matrix_from_dict_refuses_a_stored_trace_that_is_not_the_diagonal_sum():
+    d = {"entries": [[1.0, 0.5], [0.5, 2.0]], "labels": ["k", "l"]}
+    assert matrix_from_dict({**d, "trace": 3.0 + 2e-12}).trace == 3.0
+    with pytest.raises(ValueError, match=r"^trace 3\.1 inconsistent with diagonal sum 3\.0$"):
+        matrix_from_dict({**d, "trace": 3.1})
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^co-active matrix entries and trace must be finite$"):
+            matrix_from_dict({**d, "trace": bad})
 
 
 def test_self_matrix_must_be_symmetric_and_positive_semi_definite():
@@ -587,7 +612,7 @@ def test_self_matrix_must_be_symmetric_and_positive_semi_definite():
 
 
 def test_matrix_json_round_trip(tmp_path):
-    M = CoActiveMatrix(entries=np.array([[1 / 3, 0.1], [np.pi, 2.0]]), trace=1 / 3 + 2.0, labels=("k", "l"))
+    M = CoActiveMatrix(entries=np.array([[1 / 3, 0.1], [np.pi, 2.0]]), labels=("k", "l"))
     d = matrix_to_dict(M)
     back = matrix_from_dict(d)
     np.testing.assert_array_equal(back.entries, M.entries)
@@ -636,7 +661,7 @@ def test_json_files_share_one_layout(tmp_path):
     meta = {"version": "v", "seed": 1}
     m = _model([_term(2.0, (0, 1, 0.5))], label="m")
     prior = InputPrior(dims=(U01, NormalDim(mean=0.5, sd=0.25)))
-    M = CoActiveMatrix(entries=np.eye(2), trace=2.0, labels=("k", "l"))
+    M = CoActiveMatrix(entries=np.eye(2), labels=("k", "l"))
     files = {
         "model": (save_model, m, [*model_to_dict(m), "meta"]),
         "prior": (save_prior, prior, [*prior_to_dict(prior), "meta"]),

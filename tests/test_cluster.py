@@ -235,7 +235,7 @@ def test_metric_check_scans_the_triples_in_square_memory():
 
 def test_mds_collinear_three_points():
     D = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
-    emb = mds_embed(D, dims=2, seed=0)
+    emb = mds_embed(D, dims=2)
     assert emb.stress < 1e-6
     pts = emb.points
     d12 = np.linalg.norm(pts[0] - pts[1])
@@ -248,7 +248,7 @@ def test_mds_collinear_three_points():
 
 def test_mds_equilateral_triangle():
     D = (np.ones((3, 3)) - np.eye(3)) * 0.7
-    emb = mds_embed(D, dims=2, seed=0)
+    emb = mds_embed(D, dims=2)
     assert emb.stress < 1e-8
     pts = emb.points
     dists = [np.linalg.norm(pts[a] - pts[b]) for a, b in ((0, 1), (0, 2), (1, 2))]
@@ -259,7 +259,7 @@ def test_mds_recovers_euclidean_configuration():
     rng = np.random.default_rng(12)
     X = rng.normal(size=(12, 2))
     D = np.sqrt(((X[:, None] - X[None, :]) ** 2).sum(-1))
-    emb = mds_embed(D, dims=2, seed=0)
+    emb = mds_embed(D, dims=2)
     assert emb.stress < 1e-8
     assert procrustes_error(X, emb.points) < 1e-4
 
@@ -271,7 +271,7 @@ def test_mds_stress_history_non_increasing_on_noisy_input():
     noise = rng.uniform(0, 0.3, size=D.shape)
     D = D + 0.5 * (noise + noise.T)
     np.fill_diagonal(D, 0.0)
-    emb = mds_embed(D, dims=2, seed=0)
+    emb = mds_embed(D, dims=2)
     hist = np.asarray(emb.stress_history)
     assert hist.size >= 2
     assert np.all(np.diff(hist) <= 1e-12)
@@ -326,8 +326,8 @@ def test_mds_stress_invariant_under_relabeling():
     D = D + 0.5 * (noise + noise.T)
     np.fill_diagonal(D, 0.0)
     perm = rng.permutation(9)
-    a = mds_embed(D, dims=2, seed=0)
-    b = mds_embed(D[np.ix_(perm, perm)], dims=2, seed=0)
+    a = mds_embed(D, dims=2)
+    b = mds_embed(D[np.ix_(perm, perm)], dims=2)
     assert a.stress == pytest.approx(b.stress, abs=1e-6)
 
 
@@ -335,7 +335,7 @@ def test_mds_embeds_a_grids_discordance():
     e1 = _beta_ensemble(0.5, B=2, seed=13)
     e2 = _beta_ensemble(4.0, B=2, seed=14)
     grid = pairwise_concordance([e1, e2], PRIOR2)
-    emb = mds_embed(discordance_matrix(grid.kappa), dims=2, seed=0)
+    emb = mds_embed(discordance_matrix(grid.kappa), dims=2)
     assert emb.points.shape == (4, 2)
     assert 0.0 <= emb.stress <= 1.0
 
@@ -351,6 +351,14 @@ def test_mds_validation():
     neg = -np.ones((3, 3)) + np.eye(3)
     with pytest.raises(ValueError, match="symmetric, non-negative"):
         mds_embed(neg)
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+def test_mds_embeds_all_zero_dissimilarities_at_the_origin(dims):
+    # the classical start is all zero only here, and it is then exact
+    emb = mds_embed(np.zeros((5, 5)), dims=dims)
+    np.testing.assert_array_equal(emb.points, np.zeros((5, dims)))
+    assert emb.stress == 0.0 and emb.stress_history == [0.0]
 
 
 def test_mds_refuses_a_relative_asymmetry():
@@ -444,7 +452,7 @@ def test_model_centers_from_embedding_and_grid():
     e1 = _beta_ensemble(0.25, B=2, seed=15)
     e2 = _beta_ensemble(4.0, B=2, seed=16)
     grid = pairwise_concordance([e1, e2], PRIOR2)
-    emb = mds_embed(discordance_matrix(grid.kappa), dims=2, seed=0)
+    emb = mds_embed(discordance_matrix(grid.kappa), dims=2)
     centers = model_centers(emb.points, grid.membership)
     assert centers.shape == (2, 2)
     d_between = np.linalg.norm(centers[0] - centers[1])

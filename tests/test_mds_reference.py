@@ -125,10 +125,10 @@ def test_pava_matches_the_loop_reference_bitwise():
 @pytest.mark.parametrize("case", ["duplicated_members", "noisy"])
 def test_mds_embed_matches_loop_reference(case, monkeypatch):
     D, _ = CASES[case]()
-    fast = mds_embed(D, dims=2, seed=0)
+    fast = mds_embed(D, dims=2)
     monkeypatch.setattr(cluster, "_tie_blocks", mds_reference._tie_blocks)
     monkeypatch.setattr(cluster, "_stress", mds_reference._stress)
-    ref = mds_embed(D, dims=2, seed=0)
+    ref = mds_embed(D, dims=2)
     assert len(fast.stress_history) == len(ref.stress_history) > 2
     np.testing.assert_allclose(fast.stress_history, ref.stress_history, rtol=0, atol=STRESS_TOL)
     np.testing.assert_allclose(fast.points, ref.points, rtol=0, atol=POINTS_TOL)

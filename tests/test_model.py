@@ -814,6 +814,12 @@ def test_cv_rmspe_refuses_fewer_than_two_folds_before_fitting(k, monkeypatch):
         cross_validated_rmspe(X, y, FitConfig(domain=UNIT2), k=k)
 
 
+def test_cv_rmspe_of_a_constant_response_is_zero():
+    X, _ = _poly_xy(n=40)
+    with pytest.warns(UserWarning, match="zero variance"):
+        assert cross_validated_rmspe(X, np.full(40, 3.0), FitConfig(domain=UNIT2), k=4) == 0.0
+
+
 def test_cv_rmspe_is_dimensionless():
     # reported on the unit-variance scale, so rescaling y moves the value
     # only through floating-point tie flips in the greedy selection
